@@ -30,7 +30,7 @@ from .errors import (
     TriangleRangeError,
     UnderdeterminedError,
 )
-from .model import LoadCase, StringSpec, TwoPhaseParams, length
+from .model import LoadCase, StringSpec, TwoPhaseParams, twist_profile
 from .units import grams_to_newtons, rev_to_rad
 
 # A fit is inconsistent with the linkage model when any observation
@@ -314,8 +314,8 @@ def sweep(
     Returns (theta_rev, angle_deg) tuples; angles are monotone
     non-decreasing in twist because the string only shortens.
     """
-    out = []
-    for theta_rev in theta_rev_values:
-        l = length(spec, params, load, rev_to_rad(float(theta_rev)), training=training)
-        out.append((float(theta_rev), angle_from_length(geom, l)))
-    return out
+    theta_rev = np.asarray(theta_rev_values, dtype=float)
+    lengths = twist_profile(spec, params, load, rev_to_rad(theta_rev), training=training).length
+    return [
+        (t, angle_from_length(geom, l)) for t, l in zip(theta_rev.tolist(), lengths.tolist())
+    ]

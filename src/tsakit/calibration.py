@@ -254,7 +254,8 @@ def fit_two_phase(
 
     if not free.any():
         point = params_from_vector(lo)
-        return FitResult(point, residual(point, obs), 0, True)
+        value = residual(point, obs)
+        return FitResult(point, value, 0, value < PENALTY_RESIDUAL)
 
     rng = np.random.default_rng(seed)
     starts = [0.5 * (lo + hi)]
@@ -296,11 +297,12 @@ def fit_two_phase(
             best_vec = clipped
             converged = bool(result.success)
 
+    # Nelder-Mead meets its tolerance on the flat penalty plateau too.
     return FitResult(
         params_from_vector(best_vec),
         best_key[0],
         iterations,
-        converged,
+        converged and best_key[0] < PENALTY_RESIDUAL,
     )
 
 
@@ -349,15 +351,14 @@ def endpoints_from_params(
     """Synthesize the endpoints a given model would produce (for tests
     and round-trip checks)."""
     pred = predict_endpoints(spec, params, load, theta_max_rev, motor_speed_rev_s)
-    speed_scale = 1.0  # transmission maxima double as speeds when no motor given
     return ObservedEndpoints(
         spec=spec,
         load=load,
         theta_max_rev=theta_max_rev,
         contraction_regular_pct=pred["contraction_regular_pct"],
         contraction_total_pct=pred["contraction_total_pct"],
-        max_speed_regular_mm_s=pred["speed_regular"] * speed_scale if include_speeds else None,
-        max_speed_overtwist_mm_s=pred["speed_overtwist"] * speed_scale if include_speeds else None,
+        max_speed_regular_mm_s=pred["speed_regular"] if include_speeds else None,
+        max_speed_overtwist_mm_s=pred["speed_overtwist"] if include_speeds else None,
         max_torque_regular_nm=pred["torque_regular_nm"] if include_torques else None,
         max_torque_overtwist_nm=pred["torque_overtwist_nm"] if include_torques else None,
         motor_speed_rev_s=motor_speed_rev_s,

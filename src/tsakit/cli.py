@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bicep as bicep_mod
 from . import config as cfgmod
-from .calibration import FitResult, ObservedEndpoints, fit_two_phase, predict_endpoints
+from .calibration import PENALTY_RESIDUAL, fit_two_phase, predict_endpoints
 from .errors import (
     ConvergenceError,
     InputError,
@@ -24,15 +24,7 @@ from .errors import (
     TsaError,
 )
 from .hysteresis import hysteretic_length
-from .model import (
-    Material,
-    Phase,
-    required_torque,
-    size_for_displacement,
-    state_at,
-    strain,
-    transmission_ratio,
-)
+from .model import Material, Phase, size_for_displacement, strain, twist_profile
 from .sensing import estimate_strain
 from .training import (
     TrainingStage,
@@ -50,10 +42,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_GATE = 4
 
 
-def _fit_row(obs: ObservedEndpoints, seed: int, n_starts: int, max_iter: int) -> FitResult:
-    return fit_two_phase(obs, seed=seed, n_starts=n_starts, max_iter=max_iter)
-
-
 def _params_for(cfg: cfgmod.RunConfig, seed: int):
     """Model parameters from [model], else calibrated via [calibration]."""
     params = cfgmod.model_params(cfg)
@@ -68,7 +56,7 @@ def _params_for(cfg: cfgmod.RunConfig, seed: int):
     if not 1 <= row <= len(observations):
         raise InputError(f"calibration row {row} outside 1..{len(observations)}")
     obs = observations[row - 1]
-    result = _fit_row(
+    result = fit_two_phase(
         obs,
         seed=seed,
         n_starts=cfg.calibration.get("n_starts", 8),
@@ -84,22 +72,24 @@ def cmd_calibrate(args) -> int:
     lines = []
     any_failed = False
     for index, obs in enumerate(observations, start=1):
-        result = _fit_row(obs, args.seed, args.starts, args.max_iter)
+        result = fit_two_phase(obs, seed=args.seed, n_starts=args.starts, max_iter=args.max_iter)
         any_failed |= not result.converged
-        pred = predict_endpoints(
-            obs.spec, result.params, obs.load, obs.theta_max_rev, obs.motor_speed_rev_s
-        )
         name = f"fit_{index}_{obs.spec.diameter:g}mm_{obs.load.mass:g}g"
         print(
             f"{name}: residual {result.residual:.3e} "
             f"({result.iterations} iterations, "
             f"{'converged' if result.converged else 'NOT converged'})"
         )
-        for label, predicted, observed in (
-            ("contraction_regular_pct", pred["contraction_regular_pct"], obs.contraction_regular_pct),
-            ("contraction_total_pct", pred["contraction_total_pct"], obs.contraction_total_pct),
-        ):
-            print(f"  {label}: model {predicted:.3f} vs observed {observed:.3f}")
+        # Parameters on the penalty plateau are infeasible: nothing to predict.
+        if result.residual < PENALTY_RESIDUAL:
+            pred = predict_endpoints(
+                obs.spec, result.params, obs.load, obs.theta_max_rev, obs.motor_speed_rev_s
+            )
+            for label, predicted, observed in (
+                ("contraction_regular_pct", pred["contraction_regular_pct"], obs.contraction_regular_pct),
+                ("contraction_total_pct", pred["contraction_total_pct"], obs.contraction_total_pct),
+            ):
+                print(f"  {label}: model {predicted:.3f} vs observed {observed:.3f}")
         p = result.params
         lines.append(f"[{name}]")
         lines.append(f"diameter_mm = {cfgmod.format_number(obs.spec.diameter)}")
@@ -205,29 +195,24 @@ def cmd_simulate(args) -> int:
         )
 
     pi = cfgmod.pi_model(cfg)
-    if pi is not None:
-        lengths = hysteretic_length(spec, params, load, pi, theta)
+    profile = twist_profile(spec, params, load, theta)
+    if pi is None:
+        lengths = profile.length
     else:
-        lengths = np.array([state_at(spec, params, load, t).length for t in theta])
+        lengths = hysteretic_length(spec, params, load, pi, theta)
 
     motor_speed = np.gradient(theta, times) if times.size > 1 else np.zeros_like(theta)
-    rows = []
-    for k in range(times.size):
-        state = state_at(spec, params, load, float(theta[k]))
-        side = "regular" if state.phase is Phase.REGULAR else "overtwist"
-        ratio = transmission_ratio(spec, params, load, float(theta[k]), side=side)
-        rows.append(
-            (
-                float(times[k]),
-                float(theta_rev[k]),
-                float(lengths[k]),
-                strain(float(lengths[k]), spec.initial_length),
-                abs(ratio) * abs(float(motor_speed[k])),
-                required_torque(spec, params, load, float(theta[k]), side=side),
-                state.coil_count,
-                state.phase.value,
-            )
-        )
+    phase = np.where(profile.overtwist, Phase.OVERTWIST.value, Phase.REGULAR.value)
+    columns = (
+        times,
+        theta_rev,
+        lengths,
+        strain(lengths, spec.initial_length),
+        np.abs(profile.ratio) * np.abs(motor_speed),
+        profile.torque,
+        profile.coil_count,
+        phase,
+    )
     header = (
         "time_s",
         "theta_rev",
@@ -239,8 +224,8 @@ def cmd_simulate(args) -> int:
         "phase",
     )
     out = args.out or "simulation.csv"
-    cfgmod.write_csv(out, header, rows)
-    print(f"wrote {len(rows)} samples to {out}")
+    cfgmod.write_csv(out, header, zip(*columns))
+    print(f"wrote {times.size} samples to {out}")
     return EXIT_OK
 
 

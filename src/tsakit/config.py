@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,6 @@ _SCHEMA = {
         "initial_length_mm": float,
         "material": str,
         "ply": int,
-        "bundle_regular_mm": float,
-        "bundle_overtwist_mm": float,
     },
     "load": {"mass_g": float},
     "model": {
@@ -79,7 +77,6 @@ _SCHEMA = {
         "theta_max_rev": float,
         "samples": int,
     },
-    "run": {"seed": int, "out": str},
 }
 
 _REQUIRED_KEYS = {
@@ -103,7 +100,6 @@ class RunConfig:
     sensing: dict | None = None
     training: dict | None = None
     bicep: dict | None = None
-    run: dict = field(default_factory=dict)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -137,9 +133,7 @@ def parse_config(path: str) -> RunConfig:
             if key not in values:
                 raise ConfigError(f"section [{section}] of {path} is missing '{key}'")
         blocks[section] = values
-    kwargs = {name: blocks.get(name) for name in _SCHEMA}
-    kwargs["run"] = blocks.get("run") or {}
-    return RunConfig(**kwargs)
+    return RunConfig(**{name: blocks.get(name) for name in _SCHEMA})
 
 
 def _float_list(raw: str, context: str) -> list:

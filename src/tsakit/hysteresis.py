@@ -17,34 +17,20 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import ParameterError, UnderdeterminedError
-from .model import LENGTH_FLOOR, LoadCase, StringSpec, TwoPhaseParams, effective_length, length
+from .model import (
+    LENGTH_FLOOR,
+    LoadCase,
+    StringSpec,
+    TwoPhaseParams,
+    effective_length,
+    twist_profile,
+)
 
 DEFAULT_THRESHOLD_COUNT = 8
 
 
 class IllConditionedFit(UserWarning):
     """Identification regressor matrix is rank deficient."""
-
-
-@dataclass
-class PlayOperator:
-    """Backlash element of half-width ``threshold`` with persistent state."""
-
-    threshold: float
-    state: float = 0.0
-
-    def __post_init__(self):
-        if self.threshold < 0:
-            raise ParameterError("play threshold must be nonnegative")
-
-    def update(self, x: float) -> float:
-        self.state = max(x - self.threshold, min(x + self.threshold, self.state))
-        return self.state
-
-
-def play(op: PlayOperator, x: float) -> float:
-    """Advance one play operator by one input sample."""
-    return op.update(x)
 
 
 def _validate_thresholds(thresholds: np.ndarray) -> np.ndarray:
@@ -93,17 +79,21 @@ class PIModel:
 
     def step(self, x: float) -> float:
         """Advance every operator by one sample, return the weighted sum."""
-        self.states = np.maximum(x - self.thresholds, np.minimum(x + self.thresholds, self.states))
-        return float(self.weights @ self.states)
+        return float(pi_apply(self, [x])[0])
+
+
+def _advance(model: PIModel, xs: np.ndarray) -> np.ndarray:
+    """Play outputs of the model's operators over xs, starting from and
+    then updating its memory."""
+    plays = play_responses(model.thresholds, xs, model.states)
+    if xs.size:
+        model.states = plays[-1].copy()
+    return plays
 
 
 def pi_apply(model: PIModel, inputs) -> np.ndarray:
     """Run an input sequence through the model, updating its memory."""
-    xs = np.asarray(inputs, dtype=float)
-    out = np.empty_like(xs)
-    for k, x in enumerate(xs):
-        out[k] = model.step(float(x))
-    return out
+    return _advance(model, np.asarray(inputs, dtype=float)) @ model.weights
 
 
 def default_thresholds(inputs, count: int = DEFAULT_THRESHOLD_COUNT) -> np.ndarray:
@@ -117,11 +107,16 @@ def default_thresholds(inputs, count: int = DEFAULT_THRESHOLD_COUNT) -> np.ndarr
     return np.linspace(0.0, span, count, endpoint=False)
 
 
-def play_responses(thresholds, inputs) -> np.ndarray:
-    """Matrix of fresh play operator outputs, one column per threshold."""
+def play_responses(thresholds, inputs, states=None) -> np.ndarray:
+    """Matrix of play operator outputs, one column per threshold.
+
+    The operators start from states (one per threshold), or fresh at 0.
+    """
     t = _validate_thresholds(np.asarray(thresholds, dtype=float))
     xs = np.asarray(inputs, dtype=float)
-    states = np.zeros_like(t)
+    states = np.zeros_like(t) if states is None else np.asarray(states, dtype=float)
+    if states.shape != t.shape:
+        raise ParameterError("states and thresholds must have equal length")
     out = np.empty((xs.size, t.size))
     for k, x in enumerate(xs):
         states = np.maximum(x - t, np.minimum(x + t, states))
@@ -190,7 +185,7 @@ def identify_length_correction(
         raise UnderdeterminedError(
             f"need at least {4 * t.size} samples to identify {t.size} weights"
         )
-    backbone = np.array([length(spec, params, load, float(x)) for x in xs])
+    backbone = twist_profile(spec, params, load, xs).length
     basis = stop_responses(t, xs)
     # The zero-threshold stop operator is identically zero (play is the
     # identity there), so that column is structurally unidentifiable;
@@ -218,11 +213,6 @@ def hysteretic_length(
     (0, L_eff]. With all weights zero this is exactly the backbone.
     """
     xs = np.asarray(thetas, dtype=float)
-    l_eff = effective_length(spec, params, load)
-    out = np.empty_like(xs)
-    for k, x in enumerate(xs):
-        backbone = length(spec, params, load, float(x), training=training)
-        model.step(float(x))
-        correction = float(model.weights @ (x - model.states))
-        out[k] = min(max(backbone + correction, LENGTH_FLOOR), l_eff)
-    return out
+    backbone = twist_profile(spec, params, load, xs, training=training).length
+    correction = (xs[:, None] - _advance(model, xs)) @ model.weights
+    return np.clip(backbone + correction, LENGTH_FLOOR, effective_length(spec, params, load))

@@ -26,6 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     CoilCapacityError,
@@ -162,14 +165,18 @@ def effective_length(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -
     return spec.initial_length + params.compliance * load.force
 
 
-def _check_gate(spec, load, training) -> None:
+def _gate_open(spec, load, training) -> bool:
     # Gate is enforced only when a training state is supplied; a missing
     # state models an actuator that has already been broken in.
     if training is None:
-        return
+        return True
     from .training import coiling_available
 
-    if not coiling_available(spec, training, load):
+    return coiling_available(spec, training, load)
+
+
+def _check_gate(spec, load, training) -> None:
+    if not _gate_open(spec, load, training):
         raise TrainingGateError(
             "overtwisting a stiff string requires training to the uniform "
             "stage at a load no larger than the operating load"
@@ -307,33 +314,49 @@ def transmission_ratio(
     return -params.per_coil_shortening / TWO_PI
 
 
-def linear_speed(
+class TwistProfile(NamedTuple):
+    """Per-sample columns of a twist history (arrays of equal shape)."""
+
+    length: np.ndarray      # mm
+    overtwist: np.ndarray   # bool, theta > theta_star
+    coil_count: np.ndarray  # coils formed past theta_star, 0 in the regular phase
+    ratio: np.ndarray       # dL/dtheta (mm/rad), regular side at theta_star
+    torque: np.ndarray      # quasi-static motor torque (N m), as force * |ratio| / eta
+
+
+def twist_profile(
     spec: StringSpec,
     params: TwoPhaseParams,
     load: LoadCase,
-    theta: float,
-    motor_speed: float,
-    side: str | None = None,
-) -> float:
-    """Contraction speed magnitude (mm/s) for a motor speed in rad/s."""
-    ratio = transmission_ratio(spec, params, load, theta, side=side)
-    return abs(ratio) * abs(motor_speed)
+    thetas,
+    training=None,
+) -> TwistProfile:
+    """The two-phase law over a whole twist array, in one numpy pass.
 
-
-def required_torque(
-    spec: StringSpec,
-    params: TwoPhaseParams,
-    load: LoadCase,
-    theta: float,
-    side: str | None = None,
-) -> float:
-    """Quasi-static motor torque (N m) needed to hold the load moving.
-
-    Power balance with transfer efficiency eta:
-    torque = force * |dL/dtheta| / eta, with mm converted to m.
+    Each column equals the scalar functions (length, state_at,
+    transmission_ratio) applied sample by sample. An inadmissible sample
+    raises the error the scalar length raises at the first such sample.
     """
-    ratio = transmission_ratio(spec, params, load, theta, side=side)
-    return load.force * abs(ratio) * 1e-3 / params.eta
+    theta = np.asarray(thetas, dtype=float)
+    # NaN twist takes the overtwist branch, as in length().
+    over = ~(theta <= params.theta_star)
+    l_eff = effective_length(spec, params, load)
+    # Overtwisted samples start from the regular length at theta_star.
+    wound = np.where(over, params.theta_star, theta) * params.r_eff
+    coils = np.where(over, (theta - params.theta_star) / TWO_PI, 0.0)
+    with np.errstate(invalid="ignore"):
+        regular = np.sqrt(l_eff * l_eff - wound * wound)
+    bad = (theta < 0) | (wound >= l_eff) | (coils * params.coil_circumference > regular)
+    if over.any() and not _gate_open(spec, load, training):
+        bad |= over
+    if bad.any():  # the scalar law raises at the first inadmissible sample
+        length(spec, params, load, float(theta.flat[bad.argmax()]), training=training)
+    lengths = regular - coils * params.per_coil_shortening
+    ratio = np.where(
+        over, -params.per_coil_shortening / TWO_PI, -theta * params.r_eff**2 / lengths
+    )
+    torque = load.force * np.abs(ratio) * 1e-3 / params.eta
+    return TwistProfile(lengths, over, coils, ratio, torque)
 
 
 def size_for_displacement(required_displacement: float, contraction_fraction: float) -> float:

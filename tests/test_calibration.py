@@ -301,6 +301,31 @@ class TestFit:
         )
         assert pred["speed_overtwist"] > pred["speed_regular"]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_penalty_plateau_is_never_converged(self, seed):
+        # Some seeds leave every restart in the infeasible region, where
+        # Nelder-Mead meets its tolerance on the flat penalty plateau.
+        for obs in read_observations(bundled_stiff_path()):
+            fit = fit_two_phase(obs, seed=seed)
+            if fit.residual == PENALTY_RESIDUAL:
+                assert not fit.converged
+
+    def test_infeasible_pinned_point_is_not_converged(self):
+        obs = synth_obs()
+        # theta_star past theta_max: the only point in the box is infeasible.
+        pinned = (rev_to_rad(2.0 * THETA_MAX_REV),) * 2
+        point = ParamBounds(
+            r_eff=(0.86, 0.86),
+            theta_star=pinned,
+            coil_diameter=(4.3, 4.3),
+            coil_pitch=(2.6, 2.6),
+            eta=(0.11, 0.11),
+            compliance=(0.0, 0.0),
+        )
+        fit = fit_two_phase(obs, point, seed=0)
+        assert fit.residual == PENALTY_RESIDUAL
+        assert not fit.converged
+
 
 class TestGridOracle:
     def test_single_point_grid_scores_that_point(self):

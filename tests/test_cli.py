@@ -92,6 +92,27 @@ class TestSize:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MODEL_CONFIG + "\n[run]\nseed = 7\n", "unknown section [run]"),
+            (MODEL_CONFIG + "\n[run]\nout = foo.csv\n", "unknown section [run]"),
+            (
+                MODEL_CONFIG.replace("stiff\n", "stiff\nbundle_regular_mm = 2.6\n"),
+                "unknown key 'bundle_regular_mm'",
+            ),
+            (
+                MODEL_CONFIG.replace("stiff\n", "stiff\nbundle_overtwist_mm = 5.2\n"),
+                "unknown key 'bundle_overtwist_mm'",
+            ),
+        ],
+    )
+    def test_ignored_config_keys_are_input_errors(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, text, "run.ini")
+        profile = "triangle:amplitude_rev=10,period_s=60,samples=11"
+        assert main(["simulate", profile, "--config", cfg]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     def test_triangle_profile_reaches_total_contraction(self, tmp_path, capsys):
         cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
         out = str(tmp_path / "sim.csv")
@@ -356,6 +377,20 @@ class TestCalibrate:
         code = main(["calibrate", bundled_stiff_path(), "--max-iter", "1"])
         assert code == EXIT_NO_CONVERGENCE
         assert "NOT converged" in capsys.readouterr().out
+
+    def test_plateau_fit_reports_not_converged_and_continues(self, tmp_path, capsys):
+        # Seed 1 leaves every restart of row 1 on the penalty plateau.
+        out = str(tmp_path / "params.ini")
+        code = main(["--seed", "1", "calibrate", bundled_stiff_path(), "--out", out])
+        assert code == EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "fit_1_1mm_2000g: residual 1.000e+09" in captured.out
+        assert "NOT converged" in captured.out.splitlines()[0]
+        parser = configparser.ConfigParser()
+        parser.read(out)
+        assert len(parser.sections()) == 3
+        assert parser["fit_1_1mm_2000g"]["converged"] == "false"
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_INPUT

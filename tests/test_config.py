@@ -6,6 +6,7 @@ and that diagnostics carry enough context (section, key, line number).
 """
 
 import math
+import re
 
 import pytest
 
@@ -48,9 +49,6 @@ coil_diameter_mm = 4.3
 coil_pitch_mm = 2.6
 eta = 0.11
 compliance_mm_per_n = 0.0
-
-[run]
-seed = 7
 """
 
 
@@ -74,7 +72,6 @@ class TestParseConfig:
         assert params.r_eff == 0.86
         assert params.theta_star == pytest.approx(rev_to_rad(28.0))
         assert params.eta == 0.11
-        assert cfg.run["seed"] == 7
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write(tmp_path, FULL_CONFIG + "\n[mystery]\nx = 1\n")
@@ -84,6 +81,28 @@ class TestParseConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = write(tmp_path, "[string]\ndiameter_mm = 1.3\ncolor = blue\n")
         with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("\n[run]\nseed = 7\n", "unknown section [run]"),
+            ("\n[run]\nout = foo.csv\n", "unknown section [run]"),
+        ],
+    )
+    def test_ignored_run_section_rejected(self, tmp_path, extra, message):
+        path = write(tmp_path, FULL_CONFIG + extra)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key", ["bundle_regular_mm", "bundle_overtwist_mm"])
+    def test_ignored_bundle_keys_rejected(self, tmp_path, key):
+        path = write(
+            tmp_path,
+            "[string]\ndiameter_mm = 1.3\ninitial_length_mm = 214.3\n"
+            f"material = stiff\n{key} = 2.6\n",
+        )
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(path)
 
     def test_missing_required_key_rejected(self, tmp_path):

@@ -9,13 +9,12 @@ from tsakit.errors import ParameterError, UnderdeterminedError
 from tsakit.hysteresis import (
     IllConditionedFit,
     PIModel,
-    PlayOperator,
     default_thresholds,
     hysteretic_length,
     identify_length_correction,
     pi_apply,
     pi_identify,
-    play,
+    play_responses,
 )
 from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length
 from tsakit.units import rev_to_rad
@@ -50,43 +49,54 @@ def triangle(amplitude, periods, samples_per_period, start_at_peak=False):
     return np.concatenate([one] * periods)
 
 
+def play(threshold, xs):
+    """Outputs of one fresh play operator, the last column of play_responses."""
+    thresholds = [0.0, threshold] if threshold > 0.0 else [0.0]
+    return play_responses(thresholds, xs)[:, -1].tolist()
+
+
 class TestPlayOperator:
     def test_zero_threshold_is_identity(self):
-        op = PlayOperator(threshold=0.0)
         xs = [0.3, -1.2, 5.0, 4.9]
-        assert [play(op, x) for x in xs] == xs
+        assert play(0.0, xs) == xs
 
     def test_textbook_sequence(self):
-        op = PlayOperator(threshold=1.0)
-        assert play(op, 0.0) == 0.0
-        assert play(op, 2.0) == 1.0
-        assert play(op, 0.0) == 1.0
+        assert play(1.0, [0.0, 2.0, 0.0]) == [0.0, 1.0, 1.0]
 
     def test_constant_input_fixed_point(self):
-        op = PlayOperator(threshold=0.5)
-        play(op, 3.0)
-        first = op.state
-        for _ in range(5):
-            assert play(op, 3.0) == first
+        first, *rest = play(0.5, [3.0] * 6)
+        for y in rest:
+            assert y == first
 
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(7)
         xs = np.cumsum(rng.normal(size=300))
         for r in (0.0, 0.4, 2.5):
-            op = PlayOperator(threshold=r)
-            got = [play(op, float(x)) for x in xs]
+            got = play(r, xs)
             assert got == pytest.approx(play_reference(r, xs))
 
     def test_clamp_invariant(self):
         rng = np.random.default_rng(11)
-        op = PlayOperator(threshold=1.7)
-        for x in rng.uniform(-10, 10, 500):
-            y = play(op, float(x))
+        xs = rng.uniform(-10, 10, 500)
+        for x, y in zip(xs, play(1.7, xs)):
             assert abs(y - x) <= 1.7 + 1e-12
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
-            PlayOperator(threshold=-0.1)
+            play_responses([0.0, -0.1], [1.0])
+
+    def test_resumes_from_given_states(self):
+        rng = np.random.default_rng(5)
+        xs = np.cumsum(rng.normal(size=200))
+        t = [0.0, 0.4, 2.5]
+        whole = play_responses(t, xs)
+        head = play_responses(t, xs[:77])
+        tail = play_responses(t, xs[77:], states=head[-1])
+        assert np.array_equal(np.vstack([head, tail]), whole)
+
+    def test_states_must_match_thresholds(self):
+        with pytest.raises(ParameterError):
+            play_responses([0.0, 1.0], [1.0], states=[0.0])
 
 
 class TestPIModel:
@@ -161,6 +171,19 @@ class TestPIModel:
         fresh = PIModel(thresholds=thresholds.copy(), weights=weights.copy())
         pi_apply(fresh, envelope)
         assert full.states == pytest.approx(fresh.states, abs=1e-12)
+
+    def test_memory_carries_across_calls(self):
+        # One pass, a split pass and a tail of single steps all agree.
+        model = PIModel(
+            thresholds=np.array([0.0, 1.0, 2.5]),
+            weights=np.array([0.2, 0.5, 0.3]),
+        )
+        xs = triangle(6.0, 2, 40)
+        whole = pi_apply(model.copy(), xs)
+        split = model.copy()
+        head = pi_apply(split, xs[:33])
+        tail = [split.step(float(x)) for x in xs[33:]]
+        assert np.concatenate([head, tail]) == pytest.approx(whole, abs=1e-12)
 
     def test_reset_clears_memory(self):
         model = PIModel(thresholds=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
@@ -258,6 +281,18 @@ class TestHystereticLength:
         assert out[period : 2 * period] == pytest.approx(
             out[2 * period : 3 * period], abs=1e-9
         )
+
+    def test_memory_carries_across_calls(self):
+        thetas = rev_to_rad(triangle(20.0, 2, 60))
+        model = PIModel(
+            thresholds=np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)]),
+            weights=np.array([0.0, 0.25, 0.15]),
+        )
+        whole = hysteretic_length(SPEC, PARAMS, LOAD, model.copy(), thetas)
+        split = model.copy()
+        head = hysteretic_length(SPEC, PARAMS, LOAD, split, thetas[:47])
+        tail = hysteretic_length(SPEC, PARAMS, LOAD, split, thetas[47:])
+        assert np.array_equal(np.concatenate([head, tail]), whole)
 
     def test_output_never_exceeds_effective_length(self):
         thetas = rev_to_rad(triangle(20.0, 2, 50))

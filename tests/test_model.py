@@ -32,13 +32,12 @@ from tsakit.model import (
     length,
     length_overtwist,
     length_regular,
-    linear_speed,
     max_theta,
-    required_torque,
     size_for_displacement,
     state_at,
     strain,
     transmission_ratio,
+    twist_profile,
 )
 from tsakit.units import TWO_PI, rev_to_rad
 
@@ -302,9 +301,16 @@ class TestTransmissionRatio:
         assert all(a < b for a, b in zip(mags, mags[1:]))
 
 
+def profile_at(spec, params, load, theta):
+    """twist_profile at one twist: (|ratio|, torque)."""
+    prof = twist_profile(spec, params, load, [theta])
+    return abs(float(prof.ratio[0])), float(prof.torque[0])
+
+
 class TestSpeedAndTorque:
     def test_zero_motor_speed(self):
-        assert linear_speed(make_spec(), make_params(), LOAD, 3.0, 0.0) == 0.0
+        ratio, _ = profile_at(make_spec(), make_params(), LOAD, 3.0)
+        assert ratio * 0.0 == 0.0
 
     def test_unit_ratio_construction(self):
         # l_per - p = 2 pi makes the phase-2 ratio exactly 1 mm/rad, so
@@ -314,8 +320,8 @@ class TestSpeedAndTorque:
         coil_diameter = math.sqrt(l_per**2 - coil_pitch**2) / math.pi
         params = make_params(coil_diameter=coil_diameter, coil_pitch=coil_pitch)
         spec = make_spec()
-        speed = linear_speed(spec, params, LOAD, params.theta_star + 1.0, 0.7)
-        assert speed == pytest.approx(0.7, rel=1e-12)
+        ratio, _ = profile_at(spec, params, LOAD, params.theta_star + 1.0)
+        assert ratio * 0.7 == pytest.approx(0.7, rel=1e-12)
 
     def test_torque_unit_conversion(self):
         # eta = 1, F = 1 N, |dL/dtheta| = 1 mm/rad -> 1e-3 N m.
@@ -327,15 +333,13 @@ class TestSpeedAndTorque:
         )
         spec = make_spec()
         one_newton = LoadCase(mass=1000.0 / 9.81)
-        torque = required_torque(
-            spec, params, one_newton, params.theta_star + 1.0
-        )
+        _, torque = profile_at(spec, params, one_newton, params.theta_star + 1.0)
         assert torque == pytest.approx(1e-3, rel=1e-9)
 
     def test_zero_load_zero_torque(self):
         spec = make_spec()
         params = make_params()
-        assert required_torque(spec, params, LoadCase(mass=0.0), 3.0) == 0.0
+        assert profile_at(spec, params, LoadCase(mass=0.0), 3.0)[1] == 0.0
 
     def test_power_balance_never_underdelivers(self):
         # Motor work must cover mechanical output: tau * dtheta >=
@@ -348,7 +352,7 @@ class TestSpeedAndTorque:
                 dl = abs(
                     length(spec, params, LOAD, t + h) - length(spec, params, LOAD, t)
                 )
-                tau = required_torque(spec, params, LOAD, t + h / 2)
+                _, tau = profile_at(spec, params, LOAD, t + h / 2)
                 # Torque is N m; load force times mm stroke gives N mm.
                 assert tau * h * 1e3 >= LOAD.force * dl * (1.0 - 1e-8)
 

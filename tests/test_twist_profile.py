@@ -1,0 +1,158 @@
+"""twist_profile against the scalar two-phase functions, sample by sample.
+
+The array pass must reproduce length, state_at and transmission_ratio
+bit for bit, and an inadmissible sample must raise exactly what the
+scalar loop raises at the first such sample.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tsakit.errors import CoilCapacityError, DomainError, TrainingGateError, TsaError
+from tsakit.model import (
+    LoadCase,
+    Material,
+    Phase,
+    StringSpec,
+    TwoPhaseParams,
+    max_theta,
+    state_at,
+    transmission_ratio,
+    twist_profile,
+)
+from tsakit.training import TrainingState
+from tsakit.units import rev_to_rad
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+SPEC = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
+LOAD = LoadCase(mass=2900.0)
+PARAMS = TwoPhaseParams(
+    r_eff=0.86, theta_star=rev_to_rad(28.0), coil_diameter=4.3, coil_pitch=2.6, eta=0.11
+)
+
+
+def scalar_columns(spec, params, load, thetas, training=None):
+    """The per-sample loop twist_profile replaces: one scalar call chain per twist."""
+    rows = []
+    for theta in thetas:
+        state = state_at(spec, params, load, theta, training=training)
+        over = state.phase is Phase.OVERTWIST
+        side = "overtwist" if over else "regular"
+        ratio = transmission_ratio(spec, params, load, theta, side=side)
+        torque = load.force * abs(ratio) * 1e-3 / params.eta
+        rows.append((state.length, over, state.coil_count, ratio, torque))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def assert_same_bits(expected, profile):
+    for want, got in zip(expected, profile):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def cases(draw):
+    """A string, load, parameter set, twist list and optional training state.
+
+    Twists are drawn as fractions of the coil capacity, so most lists stay
+    admissible; theta_star itself is spliced in on request, and a negative
+    twist or a twist past the capacity on others.
+    """
+    d = draw(st.floats(0.3, 3.0))
+    spec = StringSpec(
+        diameter=d,
+        initial_length=draw(st.floats(20.0 * d, 400.0)),
+        material=draw(st.sampled_from(Material)),
+    )
+    load = LoadCase(mass=draw(st.floats(0.0, 5000.0)))
+    r_eff = draw(st.floats(d / 2.0, 2.0 * d))
+    compliance = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    # theta_star up to just past the helix limit, where length_regular fails.
+    l_eff = spec.initial_length + compliance * load.force
+    params = TwoPhaseParams(
+        r_eff=r_eff,
+        theta_star=draw(st.floats(0.05, 1.02)) * l_eff / r_eff,
+        coil_diameter=draw(st.floats(0.5 * d, 10.0 * d)),
+        coil_pitch=draw(st.floats(0.0, 4.0 * d)),
+        eta=draw(st.floats(0.02, 1.0)),
+        compliance=compliance,
+    )
+    try:
+        scale = max_theta(spec, params, load)
+    except DomainError:
+        scale = 2.0 * params.theta_star
+    thetas = [f * scale for f in draw(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=30))]
+    for extra in draw(st.lists(st.sampled_from(["star", "negative", "capacity"]), max_size=2)):
+        value = {"star": params.theta_star, "negative": -0.5, "capacity": 1.01 * scale}[extra]
+        thetas.insert(draw(st.integers(0, len(thetas))), value)
+    training = draw(
+        st.none()
+        | st.builds(
+            TrainingState,
+            cycles_done=st.integers(0, 60),
+            trained_load=st.floats(0.0, 5000.0),
+        )
+    )
+    return spec, params, load, thetas, training
+
+
+@PROPERTY
+@given(cases())
+def test_columns_and_errors_match_scalar_loop(case):
+    spec, params, load, thetas, training = case
+    try:
+        expected = scalar_columns(spec, params, load, thetas, training)
+    except TsaError as exc:
+        with pytest.raises(TsaError) as raised:
+            twist_profile(spec, params, load, np.array(thetas), training=training)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        if isinstance(exc, CoilCapacityError):
+            assert raised.value.theta_max == exc.theta_max
+        return
+    assert_same_bits(expected, twist_profile(spec, params, load, thetas, training=training))
+
+
+def test_sample_at_theta_star_takes_the_regular_side():
+    thetas = [0.0, PARAMS.theta_star, PARAMS.theta_star + 1.0]
+    profile = twist_profile(SPEC, PARAMS, LOAD, thetas)
+    assert profile.overtwist.tolist() == [False, False, True]
+    assert profile.coil_count[1] == 0.0
+    assert profile.ratio[1] == transmission_ratio(
+        SPEC, PARAMS, LOAD, PARAMS.theta_star, side="regular"
+    )
+    assert_same_bits(scalar_columns(SPEC, PARAMS, LOAD, thetas), profile)
+
+
+def test_first_offending_sample_names_the_error():
+    # Past the capacity at two samples: the message names the first.
+    limit = max_theta(SPEC, PARAMS, LOAD)
+    thetas = np.array([1.0, limit + 0.5, limit + 0.1])
+    with pytest.raises(CoilCapacityError) as raised:
+        twist_profile(SPEC, PARAMS, LOAD, thetas)
+    assert str(raised.value) == (
+        f"twist {limit + 0.5:.6g} rad exceeds the coil capacity limit {limit:.6g} rad"
+    )
+    assert raised.value.theta_max == limit
+
+
+def test_negative_twist_before_capacity_is_a_domain_error():
+    limit = max_theta(SPEC, PARAMS, LOAD)
+    with pytest.raises(DomainError, match="twist must be nonnegative"):
+        twist_profile(SPEC, PARAMS, LOAD, [1.0, -0.1, limit + 1.0])
+
+
+def test_training_gate_blocks_only_overtwisting():
+    untrained = TrainingState(cycles_done=0, trained_load=0.0)
+    regular = twist_profile(SPEC, PARAMS, LOAD, [0.0, PARAMS.theta_star], training=untrained)
+    assert not regular.overtwist.any()
+    with pytest.raises(TrainingGateError):
+        twist_profile(SPEC, PARAMS, LOAD, [0.0, PARAMS.theta_star + 1.0], training=untrained)
+
+
+def test_empty_twist_array():
+    profile = twist_profile(SPEC, PARAMS, LOAD, [])
+    assert all(column.size == 0 for column in profile)
