@@ -162,10 +162,8 @@ def _generated_profile(spec_text: str):
 
 def _profile(args):
     if os.path.exists(args.profile):
-        rows = cfgmod.read_experiment_log(args.profile, required=("time_s", "theta_rev"))
-        times = np.array([r.time for r in rows])
-        theta = np.array([r.theta for r in rows])
-        return times, theta
+        log = cfgmod.read_experiment_log(args.profile, required=("time_s", "theta_rev"))
+        return log.time, log.theta
     if ":" in args.profile:
         return _generated_profile(args.profile)
     raise InputError(f"profile {args.profile!r} is neither a file nor a generator spec")
@@ -224,7 +222,7 @@ def cmd_simulate(args) -> int:
         "phase",
     )
     out = args.out or "simulation.csv"
-    cfgmod.write_csv(out, header, zip(*columns))
+    cfgmod.write_csv(out, header, zip(*(column.tolist() for column in columns)))
     print(f"wrote {times.size} samples to {out}")
     return EXIT_OK
 
@@ -318,13 +316,11 @@ def cmd_bicep(args) -> int:
 def cmd_sense(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     params = cfgmod.resistance_params(cfg)
-    rows = cfgmod.read_experiment_log(args.log, required=("time_s", "resistance_ohm"))
-    times = np.array([r.time for r in rows])
-    resistance = np.array([r.resistance for r in rows])
-    strains = estimate_strain(params, resistance, times)
+    log = cfgmod.read_experiment_log(args.log, required=("time_s", "resistance_ohm"))
+    strains = estimate_strain(params, log.resistance, log.time)
     out = args.out or "strain_estimate.csv"
-    cfgmod.write_csv(out, ("time_s", "strain_pct"), zip(times, strains))
-    print(f"wrote {times.size} samples to {out}")
+    cfgmod.write_csv(out, ("time_s", "strain_pct"), zip(log.time.tolist(), strains.tolist()))
+    print(f"wrote {len(log)} samples to {out}")
     return EXIT_OK
 
 

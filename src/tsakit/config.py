@@ -12,6 +12,8 @@ from __future__ import annotations
 import configparser
 import csv
 import importlib.resources
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,27 +268,42 @@ def bicep_pairs(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # CSV ingestion
 
-_LOG_COLUMNS = ("time_s", "theta_rev", "length_mm", "force_n", "resistance_ohm")
+# Column name -> ExperimentLog field.
+_LOG_COLUMNS = {
+    "time_s": "time",
+    "theta_rev": "theta",
+    "length_mm": "length",
+    "force_n": "force",
+    "resistance_ohm": "resistance",
+}
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """One sample of a logged actuation experiment."""
+class ExperimentLog:
+    """A logged actuation experiment, one float array per column.
 
-    time: float                    # s
-    theta: float | None = None     # rev
-    length: float | None = None    # mm
-    force: float | None = None     # N
-    resistance: float | None = None  # ohm
+    A column absent from the file is None; a blank cell in an optional
+    column reads as NaN.
+    """
+
+    time: np.ndarray                        # s
+    theta: np.ndarray | None = None         # rev
+    length: np.ndarray | None = None        # mm
+    force: np.ndarray | None = None         # N
+    resistance: np.ndarray | None = None    # ohm
+
+    def __len__(self) -> int:
+        return self.time.size
 
 
-def read_experiment_log(path: str, required=("time_s",)) -> list:
-    """Read a CSV experiment log into ExperimentRecord rows.
+def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
+    """Read a CSV experiment log into one array per column.
 
     The header must be a subset of the known column names and include
-    every required column; time must be strictly increasing.
+    every required column. Every value must be a finite number, blank
+    cells are allowed only in optional columns, and time must be
+    strictly increasing.
     """
-    rows = []
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -301,42 +318,83 @@ def read_experiment_log(path: str, required=("time_s",)) -> list:
         missing = set(required) - set(reader.fieldnames)
         if missing:
             raise CsvFormatError(f"{path}: missing required columns {sorted(missing)}", line=1)
-        last_time = None
-        for record in reader:
-            line = reader.line_num
-            parsed = {}
-            for column, value in record.items():
-                if value is None or value.strip() == "":
-                    parsed[column] = None
-                    continue
-                try:
-                    parsed[column] = float(value)
-                except ValueError as exc:
-                    raise CsvFormatError(
-                        f"{path}: bad number {value!r} in column {column}", line=line
-                    ) from exc
-            if parsed.get("time_s") is None:
-                raise CsvFormatError(f"{path}: missing time_s value", line=line)
-            for column in required:
-                if parsed.get(column) is None:
-                    raise CsvFormatError(f"{path}: missing {column} value", line=line)
-            if last_time is not None and parsed["time_s"] <= last_time:
-                raise CsvFormatError(
-                    f"{path}: time_s must be strictly increasing", line=line
-                )
-            last_time = parsed["time_s"]
-            rows.append(
-                ExperimentRecord(
-                    time=parsed["time_s"],
-                    theta=parsed.get("theta_rev"),
-                    length=parsed.get("length_mm"),
-                    force=parsed.get("force_n"),
-                    resistance=parsed.get("resistance_ohm"),
-                )
+        columns = None
+        if handle.seekable():    # a pipe cannot be rewound for the row validator
+            columns = _parsed_columns(handle, reader.fieldnames)
+            if columns is None:
+                handle.seek(0)
+                reader = csv.DictReader(handle)
+        if columns is None:
+            columns = _validated_columns(path, reader, required)
+    return ExperimentLog(**{_LOG_COLUMNS[name]: values for name, values in columns.items()})
+
+
+def _parsed_columns(handle, fieldnames):
+    """The log body in one C-level parse, or None to validate it row by row.
+
+    Returns None whenever the body is anything but a non-empty table of
+    finite numbers, one per header column, with increasing time; the row
+    validator then defines the result or the error.
+    """
+    if "time_s" not in fieldnames:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # such as "input contained no data"
+            table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if table.shape[1] != len(fieldnames) or not np.isfinite(table).all():
+        return None
+    # A repeated column name keeps its last column, as csv.DictReader does.
+    columns = {name: table[:, i] for i, name in enumerate(fieldnames)}
+    if not np.all(np.diff(columns["time_s"]) > 0):
+        return None
+    return columns
+
+
+def _validated_columns(path, reader, required):
+    """The log body checked row by row: the reference for every value and error."""
+    columns = {name: [] for name in reader.fieldnames}
+    last_time = None
+    for record in reader:
+        line = reader.line_num
+        if None in record:
+            raise CsvFormatError(
+                f"{path}: row has {len(reader.fieldnames) + len(record[None])} fields, "
+                f"header has {len(reader.fieldnames)}",
+                line=line,
             )
-    if not rows:
+        parsed = {}
+        for column, value in record.items():
+            if value is None or value.strip() == "":
+                parsed[column] = None
+                continue
+            try:
+                parsed[column] = float(value)
+            except ValueError as exc:
+                raise CsvFormatError(
+                    f"{path}: bad number {value!r} in column {column}", line=line
+                ) from exc
+            if not math.isfinite(parsed[column]):
+                raise CsvFormatError(
+                    f"{path}: non-finite number {value!r} in column {column}", line=line
+                )
+        if parsed.get("time_s") is None:
+            raise CsvFormatError(f"{path}: missing time_s value", line=line)
+        for column in required:
+            if parsed.get(column) is None:
+                raise CsvFormatError(f"{path}: missing {column} value", line=line)
+        if last_time is not None and parsed["time_s"] <= last_time:
+            raise CsvFormatError(
+                f"{path}: time_s must be strictly increasing", line=line
+            )
+        last_time = parsed["time_s"]
+        for column, value in parsed.items():
+            columns[column].append(math.nan if value is None else value)
+    if last_time is None:
         raise CsvFormatError(f"{path}: no data rows")
-    return rows
+    return {name: np.array(values, dtype=float) for name, values in columns.items()}
 
 
 _OBS_REQUIRED = (
@@ -448,11 +506,19 @@ def format_number(value) -> str:
 
 
 def write_csv(path: str, header, rows) -> None:
-    """Write rows of mixed numbers and strings with stable formatting."""
+    """Write rows of mixed numbers and strings with stable formatting.
+
+    Each column keeps the kind of its first row's cell: a string is
+    written as is, a number as format_number writes it. Plain Python
+    scalars format fastest.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="\n", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                cell if isinstance(cell, str) else format_number(cell) for cell in row
-            ]
-            handle.write(",".join(cells) + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        # "%.10g" % v is format_number(v) for every real number type.
+        line = ",".join("%s" if isinstance(cell, str) else "%.10g" for cell in first) + "\n"
+        handle.write(line % tuple(first))
+        handle.writelines(line % tuple(row) for row in rows)

@@ -209,6 +209,18 @@ class TestSimulate:
         cols = read_csv_columns(out)
         assert cols["theta_rev"] == ["0", "10", "20"]
 
+    def test_non_finite_twist_in_profile_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
+        log = write(
+            tmp_path, "time_s,theta_rev\n0.0,0.0\n1.0,inf\n2.0,20.0\n", "profile.csv"
+        )
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 3: {log}: non-finite number 'inf' in column theta_rev\n"
+        )
+        assert not out.exists()
+
     def test_negative_twist_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
         code = main(
@@ -478,3 +490,45 @@ class TestSense:
         log = write(tmp_path, "time_s,theta_rev\n0.0,0.0\n1.0,1.0\n", "log.csv")
         assert main(["sense", log, "--config", cfg]) == EXIT_INPUT
         assert "missing required columns" in capsys.readouterr().err
+
+    def test_non_finite_resistance_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
+        log = write(
+            tmp_path,
+            "time_s,resistance_ohm\n0.0,120.0\n1.0,nan\n2.0,121.0\n3.0,120.5\n",
+            "log.csv",
+        )
+        out = tmp_path / "strain.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 3: {log}: non-finite number 'nan' in column resistance_ohm\n"
+        )
+        assert not out.exists()
+
+    def test_non_finite_time_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
+        log = write(
+            tmp_path,
+            "time_s,resistance_ohm\n0.0,120.0\n1.0,120.4\nnan,121.0\n3.0,120.5\n",
+            "log.csv",
+        )
+        out = tmp_path / "strain.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 4: {log}: non-finite number 'nan' in column time_s\n"
+        )
+        assert not out.exists()
+
+    def test_row_with_extra_fields_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
+        log = write(
+            tmp_path,
+            "time_s,resistance_ohm\n0.0,120.0\n1.0,120.4,7\n2.0,121.0\n",
+            "log.csv",
+        )
+        out = tmp_path / "strain.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 3: {log}: row has 3 fields, header has 2\n"
+        )
+        assert not out.exists()

@@ -5,13 +5,20 @@ strict by contract, so most tests pin down which malformed inputs fail
 and that diagnostics carry enough context (section, key, line number).
 """
 
+import csv
 import math
+import os
 import re
+import threading
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import tsakit.config as config_module
 from tsakit.config import (
-    ExperimentRecord,
     RunConfig,
     bicep_geometry,
     bicep_pairs,
@@ -232,10 +239,12 @@ class TestExperimentLog:
             "time_s,theta_rev,length_mm\n0.0,0.0,214.3\n1.0,2.0,\n",
             name="log.csv",
         )
-        rows = read_experiment_log(path, required=("time_s", "theta_rev"))
-        assert [r.time for r in rows] == [0.0, 1.0]
-        assert rows[0] == ExperimentRecord(time=0.0, theta=0.0, length=214.3)
-        assert rows[1].length is None
+        log = read_experiment_log(path, required=("time_s", "theta_rev"))
+        assert len(log) == 2
+        assert log.time.tolist() == [0.0, 1.0]
+        assert (log.time[0], log.theta[0], log.length[0]) == (0.0, 0.0, 214.3)
+        assert log.force is None and log.resistance is None
+        assert np.isnan(log.length[1])
 
     def test_unknown_column_rejected(self, tmp_path):
         path = write(tmp_path, "time_s,voltage\n0.0,1.0\n", name="log.csv")
@@ -275,6 +284,202 @@ class TestExperimentLog:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CsvFormatError, match="cannot read"):
             read_experiment_log(str(tmp_path / "absent.csv"))
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("column", ["time_s", "theta_rev", "length_mm"])
+    def test_non_finite_value_rejected(self, tmp_path, token, column):
+        cells = {"time_s": "1.0", "theta_rev": "2.0", "length_mm": "214.0"}
+        cells[column] = token
+        path = write(
+            tmp_path,
+            "time_s,theta_rev,length_mm\n0.0,0.0,214.3\n" + ",".join(cells.values()) + "\n",
+            name="log.csv",
+        )
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_experiment_log(path, required=("time_s", "theta_rev"))
+        assert str(excinfo.value) == (
+            f"line 3: {path}: non-finite number {token!r} in column {column}"
+        )
+        assert excinfo.value.line == 3
+
+    def test_extra_fields_rejected(self, tmp_path):
+        path = write(tmp_path, "time_s,theta_rev\n0.0,0.0\n1.0,2.0,\n", name="log.csv")
+        with pytest.raises(CsvFormatError, match="row has 3 fields, header has 2") as excinfo:
+            read_experiment_log(path)
+        assert excinfo.value.line == 3
+
+    def test_short_row_has_missing_cells(self, tmp_path):
+        path = write(
+            tmp_path, "time_s,theta_rev,length_mm\n0.0,0.0\n1.0\n", name="log.csv"
+        )
+        log = read_experiment_log(path)
+        assert log.theta[0] == 0.0
+        assert np.isnan(log.length[0]) and np.isnan(log.theta[1])
+        with pytest.raises(CsvFormatError, match="missing theta_rev value") as excinfo:
+            read_experiment_log(path, required=("time_s", "theta_rev"))
+        assert excinfo.value.line == 3
+
+    def test_blank_lines_skipped_whitespace_lines_rejected(self, tmp_path):
+        path = write(tmp_path, "time_s\n0.0\n\n1.0\n", name="log.csv")
+        assert read_experiment_log(path).time.tolist() == [0.0, 1.0]
+        path = write(tmp_path, "time_s\n0.0\n  \n1.0\n", name="log2.csv")
+        with pytest.raises(CsvFormatError, match="missing time_s value") as excinfo:
+            read_experiment_log(path)
+        assert excinfo.value.line == 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        # A pipe cannot be rewound, so a body the one-pass parse refuses
+        # (here a blank optional cell) must go straight to the row validator.
+        fifo = tmp_path / "log.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(
+            target=fifo.write_text, args=("time_s,theta_rev\n0.0,\n1.0,2.0\n",), daemon=True
+        )
+        writer.start()
+        log = read_experiment_log(str(fifo))
+        writer.join(timeout=10)
+        assert log.time.tolist() == [0.0, 1.0]
+        assert np.isnan(log.theta[0]) and log.theta[1] == 2.0
+
+    def test_repeated_column_keeps_the_last(self, tmp_path):
+        path = write(tmp_path, "time_s,theta_rev,theta_rev\n0.0,1.0,2.0\n", name="log.csv")
+        assert read_experiment_log(path).theta.tolist() == [2.0]
+
+
+PROPERTY = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# Finite values whose 10-digit forms stay finite, subnormals included.
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+TEXT_FORMATS = (repr, "{:.10g}".format, "{:.25e}".format, "{:.3f}".format, " {!r} ".format)
+OPTIONAL_COLUMNS = ("theta_rev", "length_mm", "force_n", "resistance_ohm")
+FIELDS = {
+    "time_s": "time",
+    "theta_rev": "theta",
+    "length_mm": "length",
+    "force_n": "force",
+    "resistance_ohm": "resistance",
+}
+WRITE_KINDS = {
+    "float": st.floats(),
+    "int": st.integers(-(10**20), 10**20),
+    "bool": st.booleans(),
+    "float64": st.floats().map(np.float64),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "float32": st.floats(width=32).map(np.float32),
+    "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(WRITE_KINDS)), min_size=1, max_size=5))
+    count = draw(st.integers(0, 12))
+    return kinds, [tuple(draw(WRITE_KINDS[kind]) for kind in kinds) for _ in range(count)]
+
+
+@st.composite
+def finite_logs(draw):
+    """Log text of finite numbers in mixed forms, some optional cells blank."""
+    header = draw(st.permutations(
+        ["time_s", *draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))]
+    ))
+    times = sorted(draw(st.lists(FINITE, min_size=1, max_size=30, unique=True)))
+    blanks = draw(st.booleans())
+    lines = []
+    for time in times:
+        cells = []
+        for name in header:
+            if name == "time_s":
+                cells.append(repr(time))
+            elif blanks and draw(st.integers(0, 9)) == 0:
+                cells.append("")
+            else:
+                cells.append(draw(st.sampled_from(TEXT_FORMATS))(draw(FINITE)))
+        lines.append(",".join(cells))
+    return ",".join(header) + "\n" + "\n".join(lines) + "\n"
+
+
+GOOD_CELLS = ["0", "1.5", "-3e2", "2.5e-310", "-0", '"4"', " 7 "]
+BAD_CELLS = ["", " ", "nan", "inf", "-Infinity", "1e999", "1_0", "abc", "0x10", "1,5"]
+
+
+@st.composite
+def malformed_logs(draw):
+    """Log text from a small vocabulary of good and bad cells, blank lines and ragged rows."""
+    header = draw(st.permutations(
+        ["time_s", *draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS[:2]), unique=True))]
+    ))
+    required = ("time_s", *draw(st.lists(st.sampled_from(header), unique=True)))
+    cells = st.sampled_from(GOOD_CELLS * 8 + BAD_CELLS)
+    lines = [",".join(header)]
+    for i in range(draw(st.integers(0, 6))):
+        row = [
+            draw(st.sampled_from([str(i)] * 16 + BAD_CELLS + ["0"])) if name == "time_s"
+            else draw(cells)
+            for name in header
+        ]
+        ragged = draw(st.sampled_from([0] * 8 + [-1, 1]))
+        row = row[:ragged] if ragged < 0 else row + ["9"] * ragged
+        lines.append(",".join(row))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, required
+
+
+def outcome(path, required):
+    try:
+        log = read_experiment_log(path, required=required)
+    except CsvFormatError as exc:
+        return str(exc), exc.line
+    columns = {field: getattr(log, field) for field in FIELDS.values()}
+    return {field: None if values is None else values.tobytes() for field, values in columns.items()}
+
+
+class TestCsvProperties:
+    @PROPERTY
+    @given(table=tables())
+    def test_writer_matches_per_cell_format_number(self, tmp_path, table):
+        kinds, rows = table
+        header = [f"c{i}" for i in range(len(kinds))]
+        path = tmp_path / "out.csv"
+        write_csv(str(path), header, iter(rows))
+        expected = ",".join(header) + "\n" + "".join(
+            ",".join(cell if isinstance(cell, str) else format_number(cell) for cell in row)
+            + "\n"
+            for row in rows
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @PROPERTY
+    @given(text=finite_logs())
+    def test_reader_matches_csv_and_float(self, tmp_path, text):
+        path = write(tmp_path, text, name="log.csv")
+        log = read_experiment_log(path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            header, *body = list(csv.reader(handle))
+        assert len(log) == len(body)
+        for i, name in enumerate(header):
+            expected = [float(row[i]) if row[i] else math.nan for row in body]
+            assert getattr(log, FIELDS[name]).tobytes() == np.array(expected).tobytes()
+        for name in set(FIELDS) - set(header):
+            assert getattr(log, FIELDS[name]) is None
+
+    @PROPERTY
+    @given(case=malformed_logs())
+    def test_reader_matches_row_validator(self, tmp_path, case):
+        text, required = case
+        path = write(tmp_path, text, name="log.csv")
+        with mock.patch.object(config_module, "_parsed_columns", return_value=None):
+            reference = outcome(path, required)
+        assert outcome(path, required) == reference
 
 
 class TestObservations:
@@ -341,9 +546,9 @@ class TestCsvOutput:
             ["time_s", "theta_rev", "length_mm"],
             [(0.0, 0.0, 214.3), (0.5, 1.25, 210.0)],
         )
-        rows = read_experiment_log(path, required=("time_s", "theta_rev", "length_mm"))
-        assert [r.theta for r in rows] == [0.0, 1.25]
-        assert [r.length for r in rows] == [214.3, 210.0]
+        log = read_experiment_log(path, required=("time_s", "theta_rev", "length_mm"))
+        assert log.theta.tolist() == [0.0, 1.25]
+        assert log.length.tolist() == [214.3, 210.0]
 
     def test_number_formatting_is_stable(self):
         assert format_number(2.5) == "2.5"

@@ -1,9 +1,13 @@
-"""Golden outputs of simulate and bicep.
+"""Golden outputs of simulate, bicep and sense.
 
 The files under tests/golden/ are the byte-exact outputs of the commands
-below, written before the per-sample model loops were replaced by one
-array pass. Any change to how the two-phase law is evaluated must keep
-them byte-identical, and must keep the coil capacity error word for word.
+below. The simulate and bicep files were written before the per-sample
+model loops were replaced by one array pass; sense.csv and
+simulate_profile_csv.csv were written before CSV reading and writing
+moved to whole arrays, from the logs committed under tests/data/. Any
+change to how the two-phase law is evaluated or how CSV files are read
+and written must keep them byte-identical, and must keep the coil
+capacity error word for word.
 """
 
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 from tsakit.cli import EXIT_INPUT, EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 MODEL_CONFIG = """\
 [string]
@@ -48,6 +53,16 @@ theta_max_rev = 30
 samples = 121
 """
 
+SENSING = """\
+[sensing]
+r0_ohm = 120
+sensitivity_ohm_per_pct = -0.8
+tau_transient_s = 4
+transient_gain_ohm_per_pct = -0.25
+creep_rate_ohm_per_cycle = 0.9
+creep_saturation_ohm = 4.5
+"""
+
 # Two cycles to 36 rev: past theta_star (28 rev), short of the coil
 # capacity of this string (about 39 rev).
 TRIANGLE = "triangle:amplitude_rev=36,period_s=60,cycles=2,samples=401"
@@ -59,6 +74,11 @@ CASES = {
     "simulate_hysteresis.csv": (MODEL_CONFIG + HYSTERESIS, ["simulate", TRIANGLE]),
     "simulate_plain.csv": (MODEL_CONFIG, ["simulate", TRIANGLE]),
     "bicep_sweep.csv": (MODEL_CONFIG + BICEP, ["bicep"]),
+    # Six cycles of strain with transients, saturating creep and noise;
+    # the log also carries a force column, which sense ignores.
+    "sense.csv": (SENSING, ["sense", str(DATA / "sense_log.csv")]),
+    # Columns in the order theta_rev,time_s,length_mm, jittered times.
+    "simulate_profile_csv.csv": (MODEL_CONFIG, ["simulate", str(DATA / "profile.csv")]),
 }
 
 
