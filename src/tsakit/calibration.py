@@ -4,9 +4,11 @@ Characterizing a string pair yields a handful of endpoint measurements:
 contraction at the end of regular twisting, total contraction at full
 twist, and optionally peak speeds and torques per phase. This module
 turns those endpoints into TwoPhaseParams via a weighted normalized
-least squares residual, minimized by restarted Nelder-Mead simplex
-descent inside a parameter box. A brute-force grid oracle provides an
-independent check of the solver.
+least squares residual, minimized inside a parameter box without random
+starts: the contraction endpoints fix every parameter but r_eff in
+closed form, a bounded 1-D search over r_eff follows, and one
+Nelder-Mead polish finishes the fit. A brute-force grid oracle provides
+an independent check of the solver.
 
 Speed endpoints constrain the model through the overtwist-to-regular
 speed ratio unless a constant motor speed is supplied, in which case
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from .errors import GridCapError, ParameterError, TsaError
 from .model import (
@@ -36,7 +38,7 @@ from .model import (
     length_regular,
     transmission_ratio,
 )
-from .units import rev_to_rad
+from .units import TWO_PI, rev_to_rad
 
 # Residual returned when a parameter draw is infeasible. Documented
 # constant so penalty plateaus are recognizable in solver traces.
@@ -50,6 +52,15 @@ WEIGHT_SECONDARY = 0.2
 PARAM_ORDER = ("r_eff", "theta_star", "coil_diameter", "coil_pitch", "eta", "compliance")
 
 GRID_CELL_CAP = 10_000_000
+
+# ObservedEndpoints fields that may be left out (None), in column order.
+OPTIONAL_ENDPOINTS = (
+    "max_speed_regular_mm_s",
+    "max_speed_overtwist_mm_s",
+    "max_torque_regular_nm",
+    "max_torque_overtwist_nm",
+    "motor_speed_rev_s",
+)
 
 
 @dataclass(frozen=True)
@@ -68,12 +79,17 @@ class ObservedEndpoints:
     motor_speed_rev_s: float | None = None  # constant motor speed, if known
 
     def __post_init__(self):
-        if self.theta_max_rev <= 0:
-            raise ParameterError("theta_max must be positive")
+        if not 0.0 < self.theta_max_rev < math.inf:
+            raise ParameterError("theta_max must be positive and finite")
         if not 0.0 < self.contraction_regular_pct < self.contraction_total_pct < 100.0:
             raise ParameterError(
                 "contractions must satisfy 0 < regular < total < 100"
             )
+        # The residual divides by each given endpoint and predicts magnitudes.
+        for name in OPTIONAL_ENDPOINTS:
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ParameterError(f"{name} must be positive and finite when given")
 
     @property
     def theta_max(self) -> float:
@@ -222,23 +238,71 @@ class FitResult:
     converged: bool
 
 
+def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
+    """Everything but r_eff in closed form, and the r_eff window.
+
+    At the pinned pitch and the lowest compliance, the regular
+    contraction fixes theta_star * r_eff, the total contraction then
+    fixes the per-coil shortening and so coil_diameter, and 1/eta is the
+    least-squares fit of the torque endpoints. Returns point(r), the
+    full parameter vector at r_eff = r, and the window (r_lo, r_hi) in
+    which every box bound and the coil capacity hold; r_lo > r_hi when
+    there is none.
+    """
+    l0, force, theta_max = obs.spec.initial_length, obs.load.force, obs.theta_max
+    l1 = l0 * (1.0 - obs.contraction_regular_pct / 100.0)
+    l_end = l0 * (1.0 - obs.contraction_total_pct / 100.0)
+    pitch, compliance = bounds.coil_pitch[0], bounds.compliance[0]
+    wound = math.sqrt((l0 + compliance * force) ** 2 - l1 * l1)  # theta_star * r_eff
+    drop = TWO_PI * (l1 - l_end)  # per-coil shortening times the overtwist span
+    torques = (obs.max_torque_regular_nm, obs.max_torque_overtwist_nm)
+
+    def point(r):
+        theta_star = wound / r
+        shortening = drop / (theta_max - theta_star)
+        coil_diameter = math.sqrt((shortening + pitch) ** 2 - pitch * pitch) / math.pi
+        slopes = (wound * r / l1, shortening / TWO_PI)
+        q = [force * s * 1e-3 / t for s, t in zip(slopes, torques) if t is not None]
+        eta = sum(x * x for x in q) / sum(q) if any(q) else bounds.eta[1]
+        eta = min(max(eta, bounds.eta[0]), bounds.eta[1])
+        return np.array([r, theta_star, coil_diameter, pitch, eta, compliance])
+
+    def theta_star_at(coil_diameter):
+        return theta_max - drop / (math.hypot(math.pi * coil_diameter, pitch) - pitch)
+
+    # Each bound is monotone in theta_star = wound / r_eff.
+    t_lo = max(
+        bounds.theta_star[0],
+        wound / bounds.r_eff[1],
+        theta_star_at(bounds.coil_diameter[0]),
+        theta_max - TWO_PI * l_end / pitch if pitch > 0 else 0.0,  # coil capacity
+    )
+    t_hi = min(
+        bounds.theta_star[1],
+        wound / bounds.r_eff[0],
+        theta_star_at(bounds.coil_diameter[1]),
+    )
+    # A window that rounding alone empties is the single point t_lo.
+    if not (wound < l0 and 0.0 < t_lo <= t_hi * (1.0 + 1e-9)):
+        return point, 1.0, 0.0
+    return point, wound / max(t_hi, t_lo), wound / t_lo
+
+
 def fit_two_phase(
     obs: ObservedEndpoints,
     bounds: ParamBounds | None = None,
-    seed: int = 0,
-    n_starts: int = 8,
     max_iter: int = 4000,
-    extra_starts=(),
 ) -> FitResult:
-    """Fit TwoPhaseParams to measured endpoints.
+    """Fit TwoPhaseParams to measured endpoints, deterministically.
 
-    Restarted Nelder-Mead descent from seed-derived start points inside
-    the bounds box; iterates are projected onto the box before being
-    scored, so the returned parameters always satisfy the bounds. The
-    run is deterministic for a fixed seed, and ties between restarts are
-    broken by lexicographic parameter order so the outcome does not
-    depend on evaluation order. extra_starts seeds additional restarts
-    from known-good parameter sets.
+    The contraction endpoints reduce the fit to r_eff alone (see
+    _reduction); a bounded Brent search over the feasible r_eff window
+    scores each reduced point with the full residual. One Nelder-Mead
+    polish over all free parameters, capped at max_iter iterations,
+    then starts from the best point (from the box centre if the window
+    is empty), and the better of the two is returned. Iterates are
+    projected onto the bounds box before being scored, so the returned
+    parameters always satisfy the bounds.
     """
     if bounds is None:
         bounds = ParamBounds.default(obs)
@@ -246,9 +310,8 @@ def fit_two_phase(
     free = hi > lo
 
     def score(vector: np.ndarray) -> float:
-        clipped = bounds.clip(vector)
         try:
-            return residual(params_from_vector(clipped), obs)
+            return residual(params_from_vector(bounds.clip(vector)), obs)
         except TsaError:
             return PENALTY_RESIDUAL
 
@@ -257,52 +320,38 @@ def fit_two_phase(
         value = residual(point, obs)
         return FitResult(point, value, 0, value < PENALTY_RESIDUAL)
 
-    rng = np.random.default_rng(seed)
-    starts = [0.5 * (lo + hi)]
-    for _ in range(max(0, n_starts - 1)):
-        starts.append(lo + rng.random(lo.size) * (hi - lo))
-    for p in extra_starts:
-        starts.append(bounds.clip(params_to_vector(p)))
-
-    best_key = None
-    best_vec = None
+    point, r_lo, r_hi = _reduction(obs, bounds)
     iterations = 0
-    converged = False
-    for start in starts:
-        x0 = start[free]
-
-        def objective(z):
-            full = lo.copy()
-            full[free] = z
-            return score(full)
-
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": max_iter,
-                "maxfev": max_iter,
-                "xatol": 1e-10,
-                "fatol": 1e-14,
-            },
+    best, best_value = 0.5 * (lo + hi), PENALTY_RESIDUAL
+    if r_lo <= r_hi:
+        search = minimize_scalar(
+            lambda r: score(point(r)), bounds=(r_lo, r_hi), method="bounded",
+            options={"xatol": 1e-12},
         )
-        iterations += int(result.nit)
-        full = lo.copy()
-        full[free] = result.x
-        clipped = bounds.clip(full)
-        key = (float(result.fun), tuple(clipped))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_vec = clipped
-            converged = bool(result.success)
+        iterations += int(search.nit)
+        best, best_value = bounds.clip(point(search.x)), float(search.fun)
 
+    def objective(z):
+        full = lo.copy()
+        full[free] = z
+        return score(full)
+
+    polish = minimize(
+        objective,
+        best[free],
+        method="Nelder-Mead",
+        options={"maxiter": max_iter, "maxfev": max_iter, "xatol": 1e-10, "fatol": 1e-14},
+    )
+    iterations += int(polish.nit)
+    if polish.fun <= best_value:
+        best[free] = polish.x
+        best, best_value = bounds.clip(best), float(polish.fun)
     # Nelder-Mead meets its tolerance on the flat penalty plateau too.
     return FitResult(
-        params_from_vector(best_vec),
-        best_key[0],
+        params_from_vector(best),
+        best_value,
         iterations,
-        converged and best_key[0] < PENALTY_RESIDUAL,
+        bool(polish.success) and best_value < PENALTY_RESIDUAL,
     )
 
 

@@ -1,7 +1,7 @@
 """Batch command line driver.
 
 Subcommands: calibrate, simulate, size, train, bicep, sense. Every
-command is deterministic given its inputs and seed; CSV outputs are
+command is deterministic given its inputs; CSV outputs are
 byte-identical across re-runs. Exit codes: 0 success, 2 bad input,
 3 solver non-convergence, 4 training gate violation.
 """
@@ -42,7 +42,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_GATE = 4
 
 
-def _params_for(cfg: cfgmod.RunConfig, seed: int):
+def _params_for(cfg: cfgmod.RunConfig):
     """Model parameters from [model], else calibrated via [calibration]."""
     params = cfgmod.model_params(cfg)
     if params is not None:
@@ -56,12 +56,7 @@ def _params_for(cfg: cfgmod.RunConfig, seed: int):
     if not 1 <= row <= len(observations):
         raise InputError(f"calibration row {row} outside 1..{len(observations)}")
     obs = observations[row - 1]
-    result = fit_two_phase(
-        obs,
-        seed=seed,
-        n_starts=cfg.calibration.get("n_starts", 8),
-        max_iter=cfg.calibration.get("max_iter", 4000),
-    )
+    result = fit_two_phase(obs, max_iter=cfg.calibration.get("max_iter", 4000))
     if not result.converged:
         raise ConvergenceError("calibration did not converge; try more iterations")
     return result.params
@@ -72,7 +67,7 @@ def cmd_calibrate(args) -> int:
     lines = []
     any_failed = False
     for index, obs in enumerate(observations, start=1):
-        result = fit_two_phase(obs, seed=args.seed, n_starts=args.starts, max_iter=args.max_iter)
+        result = fit_two_phase(obs, max_iter=args.max_iter)
         any_failed |= not result.converged
         name = f"fit_{index}_{obs.spec.diameter:g}mm_{obs.load.mass:g}g"
         print(
@@ -173,7 +168,7 @@ def cmd_simulate(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     spec = cfgmod.string_spec(cfg)
     load = cfgmod.load_case(cfg)
-    params = _params_for(cfg, args.seed)
+    params = _params_for(cfg)
     times, theta_rev = _profile(args)
     if np.any(theta_rev < 0):
         raise InputError("profile contains negative twist")
@@ -296,7 +291,7 @@ def cmd_bicep(args) -> int:
             )
     spec = cfgmod.string_spec(cfg)
     load = cfgmod.load_case(cfg)
-    params = _params_for(cfg, args.seed)
+    params = _params_for(cfg)
     theta_max_rev = block.get("theta_max_rev")
     if theta_max_rev is None:
         raise InputError("[bicep] needs theta_max_rev for the sweep")
@@ -329,14 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tsakit",
         description="Two-phase twisted string actuator toolkit",
     )
-    parser.add_argument("--seed", type=int, default=0, help="deterministic run seed")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility; has no effect"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="fit model parameters to endpoint CSV")
     p.add_argument("observations", help="characterization endpoints CSV")
     p.add_argument("--out", help="write fitted parameter file here")
-    p.add_argument("--starts", type=int, default=8, help="Nelder-Mead restarts")
-    p.add_argument("--max-iter", type=int, default=4000, help="iterations per restart")
+    p.add_argument(
+        "--max-iter", type=int, default=4000, help="iteration cap of the Nelder-Mead polish"
+    )
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="roll a twist profile through the model")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bicep import BicepGeometry
-from .calibration import ObservedEndpoints
+from .calibration import OPTIONAL_ENDPOINTS, ObservedEndpoints
 from .errors import ConfigError, CsvFormatError, ParameterError
 from .hysteresis import PIModel
 from .model import LoadCase, Material, StringSpec
@@ -48,7 +48,6 @@ _SCHEMA = {
     "calibration": {
         "observations": str,
         "row": int,
-        "n_starts": int,
         "max_iter": int,
     },
     "hysteresis": {
@@ -406,14 +405,7 @@ _OBS_REQUIRED = (
     "contraction_regular_pct",
     "contraction_total_pct",
 )
-_OBS_OPTIONAL = (
-    "ply",
-    "max_speed_regular_mm_s",
-    "max_speed_overtwist_mm_s",
-    "max_torque_regular_nm",
-    "max_torque_overtwist_nm",
-    "motor_speed_rev_s",
-)
+_OBS_OPTIONAL = ("ply", *OPTIONAL_ENDPOINTS)
 
 
 def read_observations(path: str) -> list:
@@ -472,11 +464,7 @@ def read_observations(path: str) -> list:
                     theta_max_rev=number("theta_max_rev"),
                     contraction_regular_pct=number("contraction_regular_pct"),
                     contraction_total_pct=number("contraction_total_pct"),
-                    max_speed_regular_mm_s=number("max_speed_regular_mm_s", optional=True),
-                    max_speed_overtwist_mm_s=number("max_speed_overtwist_mm_s", optional=True),
-                    max_torque_regular_nm=number("max_torque_regular_nm", optional=True),
-                    max_torque_overtwist_nm=number("max_torque_overtwist_nm", optional=True),
-                    motor_speed_rev_s=number("motor_speed_rev_s", optional=True),
+                    **{name: number(name, optional=True) for name in OPTIONAL_ENDPOINTS},
                 )
             except CsvFormatError:
                 raise

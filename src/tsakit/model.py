@@ -67,16 +67,16 @@ class StringSpec:
     ply: int = 1           # strand count per string (1 for monofilament)
 
     def __post_init__(self):
-        if self.diameter <= 0:
-            raise ParameterError("string diameter must be positive")
-        if self.initial_length <= 0:
-            raise ParameterError("initial length must be positive")
+        if not 0.0 < self.diameter < math.inf:
+            raise ParameterError("string diameter must be positive and finite")
+        if not 0.0 < self.initial_length < math.inf:
+            raise ParameterError("initial length must be positive and finite")
         # Slenderness keeps the helix model meaningful.
         if self.initial_length < 20.0 * self.diameter:
             raise ParameterError(
                 "initial length must be at least 20 times the string diameter"
             )
-        if int(self.ply) != self.ply or self.ply < 1:
+        if not 1 <= self.ply < math.inf or int(self.ply) != self.ply:
             raise ParameterError("ply must be a positive integer")
 
 
@@ -88,8 +88,8 @@ class LoadCase:
     gravity: float = 9.81  # m/s^2, fixed
 
     def __post_init__(self):
-        if self.mass < 0:
-            raise ParameterError("load mass must be nonnegative")
+        if not 0.0 <= self.mass < math.inf:
+            raise ParameterError("load mass must be nonnegative and finite")
 
     @property
     def force(self) -> float:
@@ -109,18 +109,18 @@ class TwoPhaseParams:
     compliance: float = 0.0  # elastic stretch per force (mm/N), 0 for stiff
 
     def __post_init__(self):
-        if self.r_eff <= 0:
-            raise ParameterError("r_eff must be positive")
-        if self.theta_star <= 0:
-            raise ParameterError("theta_star must be positive")
-        if self.coil_diameter <= 0:
-            raise ParameterError("coil_diameter must be positive")
-        if self.coil_pitch < 0:
-            raise ParameterError("coil_pitch must be nonnegative")
+        if not 0.0 < self.r_eff < math.inf:
+            raise ParameterError("r_eff must be positive and finite")
+        if not 0.0 < self.theta_star < math.inf:
+            raise ParameterError("theta_star must be positive and finite")
+        if not 0.0 < self.coil_diameter < math.inf:
+            raise ParameterError("coil_diameter must be positive and finite")
+        if not 0.0 <= self.coil_pitch < math.inf:
+            raise ParameterError("coil_pitch must be nonnegative and finite")
         if not 0.0 < self.eta <= 1.0:
             raise ParameterError("eta must lie in (0, 1]")
-        if self.compliance < 0:
-            raise ParameterError("compliance must be nonnegative")
+        if not 0.0 <= self.compliance < math.inf:
+            raise ParameterError("compliance must be nonnegative and finite")
 
     @property
     def coil_circumference(self) -> float:

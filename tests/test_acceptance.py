@@ -89,7 +89,7 @@ def calibrated_rows():
     """Fit every bundled characterization row once, shared across tests."""
     rows = []
     for obs in read_observations(bundled_stiff_path()):
-        result = fit_two_phase(obs, seed=0)
+        result = fit_two_phase(obs)
         assert result.converged
         rows.append((obs, result.params))
     return tuple(rows)
@@ -149,7 +149,7 @@ def test_2_overtwist_speed_and_torque_dominate():
 def test_3_compliant_six_ply_endpoints():
     with criterion("3. compliant six-ply endpoints", 5.0):
         obs = read_observations(bundled_compliant_path())[0]
-        result = fit_two_phase(obs, seed=0)
+        result = fit_two_phase(obs)
         assert result.converged
         pred = predict_endpoints(
             obs.spec, result.params, obs.load, obs.theta_max_rev
@@ -283,8 +283,8 @@ def _check_sensing_round_trip():
 
 def _check_calibration_determinism():
     obs = read_observations(bundled_stiff_path())[1]
-    first = fit_two_phase(obs, seed=0)
-    second = fit_two_phase(obs, seed=0)
+    first = fit_two_phase(obs)
+    second = fit_two_phase(obs)
     assert (
         params_to_vector(first.params).tobytes()
         == params_to_vector(second.params).tobytes()

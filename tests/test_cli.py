@@ -105,6 +105,7 @@ class TestSimulate:
                 MODEL_CONFIG.replace("stiff\n", "stiff\nbundle_overtwist_mm = 5.2\n"),
                 "unknown key 'bundle_overtwist_mm'",
             ),
+            (CALIBRATED_CONFIG + "n_starts = 8\n", "unknown key 'n_starts'"),
         ],
     )
     def test_ignored_config_keys_are_input_errors(self, tmp_path, capsys, text, message):
@@ -391,18 +392,44 @@ class TestCalibrate:
         assert "NOT converged" in capsys.readouterr().out
 
     def test_plateau_fit_reports_not_converged_and_continues(self, tmp_path, capsys):
-        # Seed 1 leaves every restart of row 1 on the penalty plateau.
+        # Row 1 is infeasible in its whole default box: theta_star * r_eff
+        # reaches the 25 mm string length everywhere, so the fit can only
+        # end on the penalty plateau.
+        with open(bundled_stiff_path(), encoding="utf-8") as handle:
+            header, *rows = handle.read().splitlines()
+        infeasible = "1.0,25,stiff,1,1000,400,28.9,68.22,,,,,"
+        observations = write(
+            tmp_path, "\n".join([header, infeasible, *rows]) + "\n", "obs.csv"
+        )
         out = str(tmp_path / "params.ini")
-        code = main(["--seed", "1", "calibrate", bundled_stiff_path(), "--out", out])
+        code = main(["calibrate", observations, "--out", out])
         assert code == EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert "fit_1_1mm_2000g: residual 1.000e+09" in captured.out
+        assert "fit_1_1mm_1000g: residual 1.000e+09" in captured.out
         assert "NOT converged" in captured.out.splitlines()[0]
         parser = configparser.ConfigParser()
         parser.read(out)
-        assert len(parser.sections()) == 3
-        assert parser["fit_1_1mm_2000g"]["converged"] == "false"
+        assert len(parser.sections()) == 4
+        assert parser["fit_1_1mm_1000g"]["converged"] == "false"
+
+    def test_starts_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["calibrate", bundled_stiff_path(), "--starts", "8"])
+        assert raised.value.code == EXIT_INPUT
+        assert "unrecognized arguments: --starts 8" in capsys.readouterr().err
+
+    def test_nonfinite_endpoint_is_located_input_error(self, tmp_path, capsys):
+        with open(bundled_stiff_path(), encoding="utf-8") as handle:
+            text = handle.read().replace(",0.243,", ",nan,")
+        observations = write(tmp_path, text, "obs.csv")
+        assert main(["calibrate", observations]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: line 3: {observations}: max_torque_regular_nm must be "
+            "positive and finite when given\n"
+        )
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_INPUT

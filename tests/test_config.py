@@ -347,14 +347,6 @@ class TestExperimentLog:
         assert read_experiment_log(path).theta.tolist() == [2.0]
 
 
-PROPERTY = settings(
-    max_examples=200,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
 # Finite values whose 10-digit forms stay finite, subnormals included.
 FINITE = st.floats(min_value=-1e300, max_value=1e300)
 TEXT_FORMATS = (repr, "{:.10g}".format, "{:.25e}".format, "{:.3f}".format, " {!r} ".format)
@@ -444,7 +436,7 @@ def outcome(path, required):
 
 
 class TestCsvProperties:
-    @PROPERTY
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=tables())
     def test_writer_matches_per_cell_format_number(self, tmp_path, table):
         kinds, rows = table
@@ -458,7 +450,7 @@ class TestCsvProperties:
         )
         assert path.read_bytes() == expected.encode("utf-8")
 
-    @PROPERTY
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=finite_logs())
     def test_reader_matches_csv_and_float(self, tmp_path, text):
         path = write(tmp_path, text, name="log.csv")
@@ -472,7 +464,7 @@ class TestCsvProperties:
         for name in set(FIELDS) - set(header):
             assert getattr(log, FIELDS[name]) is None
 
-    @PROPERTY
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=malformed_logs())
     def test_reader_matches_row_validator(self, tmp_path, case):
         text, required = case

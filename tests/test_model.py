@@ -425,6 +425,23 @@ class TestValidation:
         with pytest.raises(ParameterError):
             make_params(eta=1.2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_values_rejected(self, bad):
+        for build in (
+            lambda: StringSpec(diameter=bad, initial_length=100.0),
+            lambda: StringSpec(diameter=1.0, initial_length=bad),
+            lambda: StringSpec(diameter=1.0, initial_length=100.0, ply=bad),
+            lambda: LoadCase(mass=bad),
+            lambda: make_params(r_eff=bad),
+            lambda: make_params(theta_star_rev=bad),
+            lambda: make_params(coil_diameter=bad),
+            lambda: make_params(coil_pitch=bad),
+            lambda: make_params(eta=bad),
+            lambda: make_params(compliance=bad),
+        ):
+            with pytest.raises(ParameterError):
+                build()
+
     def test_validate_for_couples_params_to_spec(self):
         spec = make_spec()
         make_params().validate_for(spec)

@@ -25,8 +25,6 @@ from tsakit.model import (
 from tsakit.training import TrainingState
 from tsakit.units import rev_to_rad
 
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
-
 SPEC = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
 LOAD = LoadCase(mass=2900.0)
 PARAMS = TwoPhaseParams(
@@ -99,7 +97,7 @@ def cases(draw):
     return spec, params, load, thetas, training
 
 
-@PROPERTY
+@settings(max_examples=300)
 @given(cases())
 def test_columns_and_errors_match_scalar_loop(case):
     spec, params, load, thetas, training = case
