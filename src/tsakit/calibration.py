@@ -185,6 +185,8 @@ class ParamBounds:
     def __post_init__(self):
         for name in PARAM_ORDER:
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ParameterError(f"{name}: bounds must be finite")
             if lo > hi:
                 raise ParameterError(f"{name}: lower bound exceeds upper bound")
         if self.eta[0] <= 0 or self.eta[1] > 1:

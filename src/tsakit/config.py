@@ -139,9 +139,12 @@ def parse_config(path: str) -> RunConfig:
 
 def _float_list(raw: str, context: str) -> list:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad number list for {context}: {raw!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"non-finite number in {context}: {raw!r}")
+    return values
 
 
 def string_spec(cfg: RunConfig) -> StringSpec:

@@ -6,6 +6,15 @@ formation) and a little shorter while unwinding (coils persist). A
 weighted superposition of play operators captures this memory. Weights
 are identified from data by nonnegative least squares, which keeps the
 operator monotone and rate independent by construction.
+
+One play step with threshold t is a clamp of the previous output,
+y_k = max(x_k - t, min(x_k + t, y_{k-1})). Clamps compose into clamps:
+applying [lo_a, hi_a] after [lo_b, hi_b] is the clamp to
+[max(lo_a, min(hi_a, lo_b)), max(lo_a, min(hi_a, hi_b))]. So the whole
+recursion is a prefix scan over clamp bounds, evaluated in log2(n)
+whole-array passes (see play_responses). Min and max only select one of
+their arguments, so the scan returns the recursion's own floats and never
+rounds; the one freedom is which of +0.0 and -0.0 a tie selects.
 """
 
 from __future__ import annotations
@@ -37,11 +46,24 @@ def _validate_thresholds(thresholds: np.ndarray) -> np.ndarray:
     t = np.asarray(thresholds, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ParameterError("thresholds must be a nonempty 1-d sequence")
+    if not np.isfinite(t).all():
+        raise ParameterError("thresholds must be finite")
     if t[0] != 0.0:
         raise ParameterError("first threshold must be 0")
     if np.any(np.diff(t) <= 0):
         raise ParameterError("thresholds must be strictly ascending")
     return t
+
+
+def _validate_states(states, thresholds: np.ndarray) -> np.ndarray:
+    if states is None:
+        return np.zeros_like(thresholds)
+    s = np.asarray(states, dtype=float)
+    if s.shape != thresholds.shape:
+        raise ParameterError("states and thresholds must have equal length")
+    if not np.isfinite(s).all():
+        raise ParameterError("states must be finite")
+    return s
 
 
 @dataclass
@@ -57,14 +79,9 @@ class PIModel:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != self.thresholds.shape:
             raise ParameterError("weights and thresholds must have equal length")
-        if np.any(self.weights < 0):
-            raise ParameterError("weights must be nonnegative")
-        if self.states is None:
-            self.states = np.zeros_like(self.thresholds)
-        else:
-            self.states = np.asarray(self.states, dtype=float)
-            if self.states.shape != self.thresholds.shape:
-                raise ParameterError("states and thresholds must have equal length")
+        if not ((self.weights >= 0) & (self.weights < np.inf)).all():
+            raise ParameterError("weights must be nonnegative and finite")
+        self.states = _validate_states(self.states, self.thresholds)
 
     @classmethod
     def zeros(cls, thresholds) -> "PIModel":
@@ -111,17 +128,48 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     """Matrix of play operator outputs, one column per threshold.
 
     The operators start from states (one per threshold), or fresh at 0.
+    Thresholds, inputs and states must be finite.
+
+    Row k is F_k(states) with F_k = f_k o ... o f_0, where f_j is the
+    clamp to [x_j - t, x_j + t]. A clamp is monotone, so f_a o f_b is the
+    clamp to [f_a(lo_b), f_a(hi_b)]; as lo_a <= hi_a, f_a(y) equals both
+    max(lo_a, min(hi_a, y)) and min(hi_a, max(lo_a, y)), and the scan uses
+    whichever form needs no extra buffer. A Hillis-Steele pass at stride s
+    composes each row's clamp with the one s rows earlier; after the passes
+    at s = 1, 2, 4, ... every row holds its whole prefix F_k. Each bound
+    stays one of the x_j -/+ t, selected and never recomputed, so the
+    outputs equal the recursion's exactly, up to which signed zero a tie
+    between +0.0 and -0.0 keeps. Work memory is three n x m arrays, the
+    result included.
     """
     t = _validate_thresholds(np.asarray(thresholds, dtype=float))
     xs = np.asarray(inputs, dtype=float)
-    states = np.zeros_like(t) if states is None else np.asarray(states, dtype=float)
-    if states.shape != t.shape:
-        raise ParameterError("states and thresholds must have equal length")
-    out = np.empty((xs.size, t.size))
-    for k, x in enumerate(xs):
-        states = np.maximum(x - t, np.minimum(x + t, states))
-        out[k] = states
-    return out
+    if xs.ndim != 1:
+        raise ParameterError("inputs must be a 1-d sequence")
+    if not np.isfinite(xs).all():
+        raise ParameterError("inputs must be finite")
+    states = _validate_states(states, t)
+    lo = np.subtract.outer(xs, t)
+    hi = np.add.outer(xs, t)
+    spare = np.empty_like(lo)
+    stride = 1
+    while stride < xs.size:
+        a_lo, a_hi = lo[stride:], hi[stride:]  # clamps applied second
+        b_lo, b_hi = lo[:-stride], hi[:-stride]  # clamps applied first
+        # Upper bounds min(a_hi, max(a_lo, b_hi)) go to spare...
+        up = spare[stride:]
+        np.maximum(a_lo, b_hi, out=up)
+        np.minimum(a_hi, up, out=up)
+        spare[:stride] = hi[:stride]
+        # ...then lower bounds max(a_lo, min(a_hi, b_lo)) over a_hi, which
+        # b_hi no longer needs; the rows below stride are already whole.
+        np.minimum(a_hi, b_lo, out=a_hi)
+        np.maximum(a_lo, a_hi, out=a_hi)
+        hi[:stride] = lo[:stride]
+        lo, hi, spare = hi, spare, lo
+        stride *= 2
+    np.minimum(hi, states, out=hi)
+    return np.maximum(lo, hi, out=hi)
 
 
 def stop_responses(thresholds, inputs) -> np.ndarray:

@@ -39,16 +39,18 @@ class ResistanceParams:
     creep_saturation: float = math.inf  # creep asymptote (ohm)
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise ParameterError("baseline resistance must be positive")
-        if self.sensitivity == 0:
-            raise ParameterError("sensitivity must be nonzero for invertibility")
-        if self.tau_transient <= 0:
-            raise ParameterError("transient time constant must be positive")
-        if self.creep_rate < 0:
-            raise ParameterError("creep rate must be nonnegative")
-        if self.creep_saturation <= 0:
-            raise ParameterError("creep saturation must be positive")
+        if not 0.0 < self.r0 < math.inf:
+            raise ParameterError("baseline resistance must be positive and finite")
+        if not 0.0 < abs(self.sensitivity) < math.inf:
+            raise ParameterError("sensitivity must be nonzero and finite for invertibility")
+        if not 0.0 < self.tau_transient < math.inf:
+            raise ParameterError("transient time constant must be positive and finite")
+        if not math.isfinite(self.transient_gain):
+            raise ParameterError("transient gain must be finite")
+        if not 0.0 <= self.creep_rate < math.inf:
+            raise ParameterError("creep rate must be nonnegative and finite")
+        if not 0.0 < self.creep_saturation <= math.inf:
+            raise ParameterError("creep saturation must be positive or inf")
 
 
 def creep_component(rate: float, saturation: float, cycles) -> np.ndarray:

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsakit.calibration import (
+    PARAM_ORDER,
     PENALTY_RESIDUAL,
     FitResult,
     ObservedEndpoints,
@@ -285,6 +286,15 @@ class TestParamBounds:
                 eta=(0.1, 1.0),
                 compliance=(0.0, 1.0),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", PARAM_ORDER)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_non_finite_bound_by_name(self, name, side, bad):
+        interval = list(getattr(tight_bounds(), name))
+        interval[side] = bad
+        with pytest.raises(ParameterError, match=f"^{name}: bounds must be finite$"):
+            dataclasses.replace(tight_bounds(), **{name: tuple(interval)})
 
     def test_clip_projects_into_box(self):
         bounds = tight_bounds()

@@ -114,6 +114,23 @@ class TestSimulate:
         assert main(["simulate", profile, "--config", cfg]) == EXIT_INPUT
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["thresholds_rev", "weights_mm"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_hysteresis_values_rejected(self, tmp_path, capsys, key, bad):
+        values = {"thresholds_rev": "0, 2", "weights_mm": "0, 0.3"}
+        values[key] = f"0, {bad}"
+        text = MODEL_CONFIG + "\n[hysteresis]\n" + "".join(
+            f"{name} = {value}\n" for name, value in values.items()
+        )
+        cfg = write(tmp_path, text, "run.ini")
+        out = tmp_path / "sim.csv"
+        profile = "triangle:amplitude_rev=10,period_s=60,samples=11"
+        assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: non-finite number in hysteresis.{key}: '0, {bad}'\n"
+        )
+        assert not out.exists()
+
     def test_triangle_profile_reaches_total_contraction(self, tmp_path, capsys):
         cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
         out = str(tmp_path / "sim.csv")
@@ -511,6 +528,30 @@ class TestSense:
         estimated = np.array([float(v) for v in cols["strain_pct"]])
         assert estimated.min() == pytest.approx(-35.0, abs=1e-6)
         assert estimated.max() == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("r0_ohm = nan", "baseline resistance must be positive and finite"),
+            (
+                "sensitivity_ohm_per_pct = nan",
+                "sensitivity must be nonzero and finite for invertibility",
+            ),
+            ("tau_transient_s = inf", "transient time constant must be positive and finite"),
+            ("transient_gain_ohm_per_pct = nan", "transient gain must be finite"),
+            ("creep_rate_ohm_per_cycle = nan", "creep rate must be nonnegative and finite"),
+            ("creep_saturation_ohm = nan", "creep saturation must be positive or inf"),
+        ],
+    )
+    def test_non_finite_sensing_values_rejected(self, tmp_path, capsys, line, message):
+        key = line.split(" = ")[0]
+        kept = [row for row in SENSING_CONFIG.splitlines() if not row.startswith(key)]
+        cfg = write(tmp_path, "\n".join(kept + [line]) + "\n", "run.ini")
+        log = write(tmp_path, "time_s,resistance_ohm\n0.0,120.0\n1.0,120.4\n", "log.csv")
+        out = tmp_path / "strain.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_resistance_column(self, tmp_path, capsys):
         cfg = write(tmp_path, SENSING_CONFIG, "run.ini")

@@ -189,6 +189,12 @@ class TestSectionBuilders:
         with pytest.raises(ConfigError, match="equal length"):
             pi_model(parse_config(write(tmp_path, text)))
 
+    def test_non_finite_training_thresholds_rejected(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "[training]\nthresholds = 6, nan, 50\n"))
+        message = "^non-finite number in training.thresholds: '6, nan, 50'$"
+        with pytest.raises(ConfigError, match=message):
+            training_state(cfg)
+
     def test_resistance_defaults(self, tmp_path):
         text = (
             "[sensing]\nr0_ohm = 120\nsensitivity_ohm_per_pct = -0.8\n"

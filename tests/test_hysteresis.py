@@ -1,9 +1,12 @@
 """Play-operator model: recursion oracle, memory properties, identification."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsakit.errors import ParameterError, UnderdeterminedError
 from tsakit.hysteresis import (
@@ -29,6 +32,70 @@ def play_reference(threshold, xs):
         y = max(x - threshold, min(x + threshold, y))
         out.append(y)
     return out
+
+
+def play_oracle(thresholds, xs, states):
+    """The sample-by-sample play recursion that the scan replaces."""
+    out = np.empty((len(xs), len(thresholds)))
+    for k, x in enumerate(xs):
+        states = np.maximum(x - thresholds, np.minimum(x + thresholds, states))
+        out[k] = states
+    return out
+
+
+# Quarter steps are exact in binary, so ties, plateaus and exact x -/+ t
+# crossings are common; general floats and both signed zeros fill the rest.
+QUARTERS = st.integers(-400, 400).map(lambda k: k / 4)
+VALUES = st.one_of(QUARTERS, st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def play_cases(draw):
+    """Thresholds (1 to 8), inputs (0 to 2000 samples) and start states.
+
+    Inputs are either a random walk on the quarter grid, or a periodic
+    repetition of segments: a plateau of one value, or a step of exactly
+    one threshold up or down from the previous input.
+    """
+    gap = st.one_of(st.integers(1, 40).map(lambda k: k / 4), st.floats(1e-3, 50.0))
+    gaps = draw(st.lists(gap, max_size=7))
+    thresholds = np.cumsum([0.0] + gaps)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        steps = rng.integers(-8, 9, draw(st.integers(0, 2000))) / 4
+        xs = draw(QUARTERS) + np.cumsum(steps)
+    else:
+        segments = draw(
+            st.lists(
+                st.tuples(
+                    st.booleans(), VALUES, st.sampled_from(thresholds),
+                    st.sampled_from([-1.0, 1.0]), st.integers(1, 60),
+                ),
+                max_size=40,
+            )
+        )
+        period = []
+        for step, value, t, sign, repeat in segments:
+            if step and period:
+                value = period[-1] + sign * t
+            period.extend([value] * repeat)
+        xs = np.tile(np.array(period, dtype=float), draw(st.integers(1, 30)))[:2000]
+    states = np.array(draw(st.lists(VALUES, min_size=thresholds.size, max_size=thresholds.size)))
+    return thresholds, xs, states
+
+
+def has_negative_zero(*arrays):
+    values = np.concatenate(arrays)
+    return bool(np.signbit(values[values == 0.0]).any())
+
+
+def assert_same_plays(got, want, exact):
+    """Equal values; equal bits too unless the case holds a -0.0, where
+    min and max may pick either signed zero of a tie."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    if exact:
+        assert got.tobytes() == want.tobytes()
 
 
 def triangle(amplitude, periods, samples_per_period, start_at_peak=False):
@@ -98,6 +165,62 @@ class TestPlayOperator:
         with pytest.raises(ParameterError):
             play_responses([0.0, 1.0], [1.0], states=[0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ParameterError, match="thresholds must be finite"):
+            play_responses([0.0, bad], [1.0])
+        with pytest.raises(ParameterError, match="inputs must be finite"):
+            play_responses([0.0, 1.0], [1.0, bad, 2.0])
+        with pytest.raises(ParameterError, match="states must be finite"):
+            play_responses([0.0, 1.0], [1.0], states=[0.0, bad])
+
+    def test_empty_and_single_sample(self):
+        t = np.array([0.0, 1.0, 2.5])
+        states = np.array([0.5, -0.5, 3.0])
+        empty = play_responses(t, [], states)
+        assert empty.shape == (0, 3) and empty.dtype == np.float64
+        one = play_responses(t, [2.0], states)
+        assert one.tobytes() == play_oracle(t, [2.0], states).tobytes()
+        assert one.tolist() == [[2.0, 1.0, 3.0]]
+
+
+class TestPlayScan:
+    """The clamp-composition scan against the sequential recursion."""
+
+    @settings(max_examples=300)
+    @given(case=play_cases())
+    def test_matches_sequential_recursion(self, case):
+        thresholds, xs, states = case
+        assert_same_plays(
+            play_responses(thresholds, xs, states),
+            play_oracle(thresholds, xs, states),
+            exact=not has_negative_zero(xs, states),
+        )
+
+    def test_every_short_length(self):
+        # Each scan depth up to 2**6 + 1 samples, from states that the
+        # first sample moves and slow inputs that rarely wipe it out.
+        rng = np.random.default_rng(3)
+        t = np.array([0.0, 0.75, 2.5])
+        states = np.array([9.0, -9.0, 0.25])
+        for n in range(70):
+            xs = np.cumsum(rng.integers(-2, 3, n) / 4)
+            want = play_oracle(t, xs, states)
+            assert play_responses(t, xs, states).tobytes() == want.tobytes()
+
+    @settings(max_examples=200)
+    @given(case=play_cases(), data=st.data())
+    def test_split_call_equals_one_call(self, case, data):
+        thresholds, xs, states = case
+        cut = data.draw(st.integers(0, xs.size))
+        head = play_responses(thresholds, xs[:cut], states)
+        tail = play_responses(thresholds, xs[cut:], head[-1] if cut else states)
+        assert_same_plays(
+            np.vstack([head, tail]),
+            play_responses(thresholds, xs, states),
+            exact=not has_negative_zero(xs, states),
+        )
+
 
 class TestPIModel:
     def test_identity_model(self):
@@ -112,6 +235,27 @@ class TestPIModel:
             PIModel(thresholds=np.array([0.0, 1.0]), weights=np.array([1.0, -1.0]))
         with pytest.raises(ParameterError):
             PIModel(thresholds=np.array([0.0, 0.0]), weights=np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        t, ones = np.array([0.0, 1.0]), np.ones(2)
+        with pytest.raises(ParameterError, match="thresholds must be finite"):
+            PIModel(thresholds=np.array([0.0, bad]), weights=ones)
+        with pytest.raises(ParameterError, match="weights must be nonnegative and finite"):
+            PIModel(thresholds=t, weights=np.array([1.0, bad]))
+        with pytest.raises(ParameterError, match="states must be finite"):
+            PIModel(thresholds=t, weights=ones, states=np.array([bad, 0.0]))
+        with pytest.raises(ParameterError, match="inputs must be finite"):
+            PIModel(thresholds=t, weights=ones).step(bad)
+
+    def test_empty_input_keeps_memory(self):
+        model = PIModel(
+            thresholds=np.array([0.0, 1.0]),
+            weights=np.array([1.0, 1.0]),
+            states=np.array([0.5, -0.5]),
+        )
+        assert pi_apply(model, []).shape == (0,)
+        assert model.states.tolist() == [0.5, -0.5]
 
     def test_monotone_ramp_gives_monotone_output(self):
         model = PIModel(

@@ -108,6 +108,18 @@ class TestForwardModel:
         with pytest.raises(ParameterError):
             make_params(creep_saturation=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["r0", "sensitivity", "tau_transient", "transient_gain", "creep_rate", "creep_saturation"],
+    )
+    def test_params_reject_non_finite(self, field, bad):
+        if field == "creep_saturation" and bad == math.inf:
+            assert make_params(creep_saturation=bad).creep_saturation == math.inf
+            return
+        with pytest.raises(ParameterError):
+            make_params(**{field: bad})
+
 
 class TestDetrendCreep:
     def test_creep_free_input_unchanged(self):
