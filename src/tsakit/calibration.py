@@ -10,6 +10,12 @@ closed form, a bounded 1-D search over r_eff follows, and one
 Nelder-Mead polish finishes the fit. A brute-force grid oracle provides
 an independent check of the solver.
 
+The model endpoints are closed forms (l1 = sqrt(L_eff^2 - (theta_star
+r_eff)^2), then one per-coil shortening per revolution to theta_max, and
+the slopes either side of theta_star). One kernel computes them with a
+feasibility mask, elementwise on floats or arrays; residual, the fit and
+grid_oracle all score through it, infeasible points from the mask.
+
 Speed endpoints constrain the model through the overtwist-to-regular
 speed ratio unless a constant motor speed is supplied, in which case
 they are matched absolutely. Torque endpoints are always matched
@@ -18,25 +24,22 @@ absolutely; they are what pins down the efficiency.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .errors import GridCapError, ParameterError, TsaError
+from .errors import GridCapError, ParameterError
 from .model import (
     LoadCase,
     Material,
+    Phase,
     StringSpec,
     TwoPhaseParams,
     bundle_diameter,
-    Phase,
+    coil_circumference,
     contraction,
-    length,
-    length_regular,
-    transmission_ratio,
 )
 from .units import TWO_PI, rev_to_rad
 
@@ -52,6 +55,10 @@ WEIGHT_SECONDARY = 0.2
 PARAM_ORDER = ("r_eff", "theta_star", "coil_diameter", "coil_pitch", "eta", "compliance")
 
 GRID_CELL_CAP = 10_000_000
+
+# Most cells grid_oracle scores in one array pass; bounds its working
+# memory to about 20 MB whatever the grid size.
+GRID_SLAB_CELLS = 65_536
 
 # ObservedEndpoints fields that may be left out (None), in column order.
 OPTIONAL_ENDPOINTS = (
@@ -97,6 +104,56 @@ class ObservedEndpoints:
         return rev_to_rad(self.theta_max_rev)
 
 
+def _square(x):
+    """x ** 2 as libm pow rounds it, also elementwise on arrays.
+
+    numpy squares arrays by multiplication, which differs from pow in the
+    last bit for about one value in a thousand; fits follow the bits.
+    """
+    if not isinstance(x, np.ndarray):
+        return np.float64(x) ** 2
+    return np.fromiter((v**2 for v in x.flat), float, x.size).reshape(x.shape)
+
+
+@np.errstate(all="ignore")
+def _endpoints(spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance):
+    """Closed-form model endpoints, elementwise over floats or broadcasting arrays.
+
+    Returns (feasible, contraction_regular_pct, contraction_total_pct,
+    slope_regular, slope_overtwist), the slopes being |dL/dtheta| (mm/rad)
+    on either side of theta_star. feasible holds where the parameters
+    pass every TwoPhaseParams check and validate_for, theta_star lies
+    below theta_max, and the coils formed by theta_max fit in the bundle
+    left at theta_star; each test is false on NaN. Where it fails, the
+    other values are meaningless.
+    """
+    l0 = spec.initial_length
+    l_eff = l0 + compliance * load.force
+    wound = theta_star * r_eff
+    l1 = np.sqrt(l_eff * l_eff - wound * wound)
+    circumference = coil_circumference(coil_diameter, coil_pitch)
+    shortening = circumference - coil_pitch
+    coils = (theta_max - theta_star) / TWO_PI
+    feasible = (
+        (0.5 * spec.diameter <= r_eff) & (r_eff <= 2.0 * spec.diameter)
+        & (0.0 < theta_star) & (theta_star < theta_max)
+        & (0.0 < coil_diameter) & (coil_diameter < math.inf)
+        & (0.0 <= coil_pitch) & (coil_pitch < math.inf)
+        & (0.0 < eta) & (eta <= 1.0)
+        & (0.0 <= compliance) & (compliance < math.inf)
+        & (wound < l0)  # validate_for; as L_eff >= L0, also below the helix limit
+        & (circumference > coil_pitch)
+        & (coils * circumference <= l1)
+    )
+    return (
+        feasible,
+        contraction(l1, l0),
+        contraction(l1 - coils * shortening, l0),
+        theta_star * _square(r_eff) / l1,
+        shortening / TWO_PI,
+    )
+
+
 def predict_endpoints(
     spec: StringSpec,
     params: TwoPhaseParams,
@@ -104,71 +161,74 @@ def predict_endpoints(
     theta_max_rev: float,
     motor_speed_rev_s: float | None = None,
 ) -> dict:
-    """Model endpoints for a parameter set (raises on infeasible params).
+    """Model endpoints for a parameter set.
 
     Returns contractions in percent, phase speed maxima in mm/s when a
     motor speed is given (otherwise the transmission maxima in mm/rad
-    under the key 'speed_...'), and phase torque maxima in N m.
+    under the key 'speed_...'), and phase torque maxima in N m. Raises
+    ParameterError where residual would score the penalty.
     """
-    theta_max = rev_to_rad(theta_max_rev)
-    l0 = spec.initial_length
-    l1 = length_regular(spec, params, load, params.theta_star)
-    l_end = length(spec, params, load, theta_max)
-    # Regular phase slope magnitude grows monotonically, peaking at the kink.
-    slope_reg = abs(transmission_ratio(spec, params, load, params.theta_star, side="regular"))
-    slope_over = abs(transmission_ratio(spec, params, load, params.theta_star, side="overtwist"))
-    omega = None if motor_speed_rev_s is None else rev_to_rad(motor_speed_rev_s)
-    scale = 1.0 if omega is None else omega
+    feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
+        spec, load, rev_to_rad(theta_max_rev), *(getattr(params, n) for n in PARAM_ORDER)
+    )
+    if not feasible:
+        raise ParameterError("parameters are infeasible for this string, load and twist")
+    scale = 1.0 if motor_speed_rev_s is None else rev_to_rad(motor_speed_rev_s)
     return {
-        "contraction_regular_pct": contraction(l1, l0),
-        "contraction_total_pct": contraction(l_end, l0),
-        "speed_regular": slope_reg * scale,
-        "speed_overtwist": slope_over * scale,
-        "torque_regular_nm": load.force * slope_reg * 1e-3 / params.eta,
-        "torque_overtwist_nm": load.force * slope_over * 1e-3 / params.eta,
+        "contraction_regular_pct": float(c_reg),
+        "contraction_total_pct": float(c_tot),
+        "speed_regular": float(slope_reg * scale),
+        "speed_overtwist": float(slope_over * scale),
+        "torque_regular_nm": float(load.force * slope_reg * 1e-3 / params.eta),
+        "torque_overtwist_nm": float(load.force * slope_over * 1e-3 / params.eta),
     }
+
+
+@np.errstate(all="ignore")
+def _residuals(obs: ObservedEndpoints, r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance):
+    """residual elementwise over parameter floats or broadcasting arrays.
+
+    Arguments follow PARAM_ORDER; infeasible points score
+    PENALTY_RESIDUAL.
+    """
+    feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
+        obs.spec, obs.load, obs.theta_max,
+        r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance,
+    )
+
+    def term(weight, predicted, observed):
+        return weight * _square((predicted - observed) / observed)
+
+    total = term(WEIGHT_CONTRACTION, c_reg, obs.contraction_regular_pct)
+    total = total + term(WEIGHT_CONTRACTION, c_tot, obs.contraction_total_pct)
+
+    v_reg, v_over = obs.max_speed_regular_mm_s, obs.max_speed_overtwist_mm_s
+    if obs.motor_speed_rev_s is not None:
+        omega = rev_to_rad(obs.motor_speed_rev_s)
+        if v_reg is not None:
+            total = total + term(WEIGHT_SECONDARY, slope_reg * omega, v_reg)
+        if v_over is not None:
+            total = total + term(WEIGHT_SECONDARY, slope_over * omega, v_over)
+    elif v_reg is not None and v_over is not None:
+        # No motor profile: only the between-phase speed ratio is informative.
+        total = total + term(WEIGHT_SECONDARY, slope_over / slope_reg, v_over / v_reg)
+
+    force = obs.load.force
+    if obs.max_torque_regular_nm is not None:
+        total = total + term(WEIGHT_SECONDARY, force * slope_reg * 1e-3 / eta, obs.max_torque_regular_nm)
+    if obs.max_torque_overtwist_nm is not None:
+        total = total + term(WEIGHT_SECONDARY, force * slope_over * 1e-3 / eta, obs.max_torque_overtwist_nm)
+    return np.where(feasible, total, PENALTY_RESIDUAL)
 
 
 def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
     """Weighted sum of squared normalized endpoint errors.
 
-    Any infeasible parameter draw (invariant violation, twist beyond the
-    coil capacity, theta_star at or past theta_max) maps to the penalty
+    Any infeasible parameter set (invariant violation, twist beyond the
+    coil capacity, theta_star at or past theta_max) scores the penalty
     constant instead of raising.
     """
-    if params.theta_star >= obs.theta_max:
-        return PENALTY_RESIDUAL
-    try:
-        params.validate_for(obs.spec)
-        pred = predict_endpoints(
-            obs.spec, params, obs.load, obs.theta_max_rev, obs.motor_speed_rev_s
-        )
-    except TsaError:
-        return PENALTY_RESIDUAL
-
-    def rel(p, o):
-        return (p - o) / o
-
-    total = WEIGHT_CONTRACTION * rel(pred["contraction_regular_pct"], obs.contraction_regular_pct) ** 2
-    total += WEIGHT_CONTRACTION * rel(pred["contraction_total_pct"], obs.contraction_total_pct) ** 2
-
-    v_reg, v_over = obs.max_speed_regular_mm_s, obs.max_speed_overtwist_mm_s
-    if obs.motor_speed_rev_s is not None:
-        if v_reg is not None:
-            total += WEIGHT_SECONDARY * rel(pred["speed_regular"], v_reg) ** 2
-        if v_over is not None:
-            total += WEIGHT_SECONDARY * rel(pred["speed_overtwist"], v_over) ** 2
-    elif v_reg is not None and v_over is not None:
-        # No motor profile: only the between-phase speed ratio is informative.
-        total += WEIGHT_SECONDARY * rel(
-            pred["speed_overtwist"] / pred["speed_regular"], v_over / v_reg
-        ) ** 2
-
-    if obs.max_torque_regular_nm is not None:
-        total += WEIGHT_SECONDARY * rel(pred["torque_regular_nm"], obs.max_torque_regular_nm) ** 2
-    if obs.max_torque_overtwist_nm is not None:
-        total += WEIGHT_SECONDARY * rel(pred["torque_overtwist_nm"], obs.max_torque_overtwist_nm) ** 2
-    return float(total)
+    return float(_residuals(obs, *(getattr(params, n) for n in PARAM_ORDER)))
 
 
 @dataclass(frozen=True)
@@ -270,7 +330,7 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
         return np.array([r, theta_star, coil_diameter, pitch, eta, compliance])
 
     def theta_star_at(coil_diameter):
-        return theta_max - drop / (math.hypot(math.pi * coil_diameter, pitch) - pitch)
+        return theta_max - drop / (coil_circumference(coil_diameter, pitch) - pitch)
 
     # Each bound is monotone in theta_star = wound / r_eff.
     t_lo = max(
@@ -312,10 +372,7 @@ def fit_two_phase(
     free = hi > lo
 
     def score(vector: np.ndarray) -> float:
-        try:
-            return residual(params_from_vector(bounds.clip(vector)), obs)
-        except TsaError:
-            return PENALTY_RESIDUAL
+        return float(_residuals(obs, *bounds.clip(vector).tolist()))
 
     if not free.any():
         point = params_from_vector(lo)
@@ -363,9 +420,11 @@ def grid_oracle(
     """Exhaustive residual evaluation over an explicit parameter grid.
 
     grid maps each parameter name to the values to scan (singletons pin
-    a parameter). Refuses grids above cell_cap. Ties are broken toward
-    the lexicographically smallest parameter tuple, so the winner does
-    not depend on evaluation order.
+    a parameter); every axis must be non-empty and finite. Refuses grids
+    above cell_cap. Cells are scored in slabs of at most GRID_SLAB_CELLS,
+    in the C order of the sorted axes, which is the lexicographic order of
+    the parameter tuples, and the first minimum wins: ties go to the
+    smallest parameter tuple.
     """
     unknown = set(grid) - set(PARAM_ORDER)
     if unknown:
@@ -373,21 +432,33 @@ def grid_oracle(
     missing = set(PARAM_ORDER) - set(grid)
     if missing:
         raise ParameterError(f"grid is missing parameters: {sorted(missing)}")
-    axes = [sorted(float(v) for v in grid[name]) for name in PARAM_ORDER]
-    cells = math.prod(len(a) for a in axes)
+    axes = [np.array(sorted(float(v) for v in grid[name])) for name in PARAM_ORDER]
+    for name, axis in zip(PARAM_ORDER, axes):
+        if axis.size == 0 or not np.isfinite(axis).all():
+            raise ParameterError(f"{name}: grid axis must be non-empty and finite")
+    shape = tuple(axis.size for axis in axes)
+    cells = math.prod(shape)
     if cells > cell_cap:
         raise GridCapError(f"grid has {cells} cells, above the cap of {cell_cap}")
 
-    best = None
-    for combo in itertools.product(*axes):
-        try:
-            r = residual(params_from_vector(np.array(combo)), obs)
-        except TsaError:
-            r = PENALTY_RESIDUAL
-        key = (r, combo)
-        if best is None or key < best:
-            best = key
-    return params_from_vector(np.array(best[1])), best[0]
+    # A slab is a run of `step` combinations of the leading axes, each with
+    # the whole sub-grid of `block` cells over the trailing axes. Those
+    # reach the kernel as broadcast axes, so whatever depends on few axes
+    # is computed once per value, not once per cell.
+    lead = next(k for k in range(1, len(shape) + 1) if math.prod(shape[k:]) <= GRID_SLAB_CELLS)
+    block = math.prod(shape[lead:])
+    heads = math.prod(shape[:lead])
+    step = GRID_SLAB_CELLS // block
+    best, best_value = 0, math.inf
+    for start in range(0, heads, step):
+        mesh = np.ix_(np.arange(start, min(start + step, heads)), *axes[lead:])
+        index = np.unravel_index(mesh[0], shape[:lead])
+        values = _residuals(obs, *(axis[i] for axis, i in zip(axes, index)), *mesh[1:])
+        k = int(np.argmin(values))
+        if values.flat[k] < best_value:
+            best, best_value = start * block + k, float(values.flat[k])
+    winner = [axis[i] for axis, i in zip(axes, np.unravel_index(best, shape))]
+    return params_from_vector(winner), best_value
 
 
 def endpoints_from_params(

@@ -44,10 +44,6 @@ class CoilCapacityError(DomainError):
         super().__init__(message)
 
 
-class KinkError(DomainError):
-    """Derivative requested exactly at the phase transition without a side."""
-
-
 class ParameterError(TsaError):
     """Model parameters violate their invariants for the given string."""
 

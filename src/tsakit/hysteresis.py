@@ -200,6 +200,8 @@ def pi_identify(inputs, targets, thresholds) -> tuple[PIModel, float]:
     t = _validate_thresholds(np.asarray(thresholds, dtype=float))
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ParameterError("inputs and targets must be 1-d sequences of equal length")
+    if not np.isfinite(ys).all():
+        raise ParameterError("targets must be finite")
     if xs.size < 4 * t.size:
         raise UnderdeterminedError(
             f"need at least {4 * t.size} samples to identify {t.size} weights"
@@ -229,6 +231,8 @@ def identify_length_correction(
     t = _validate_thresholds(np.asarray(thresholds, dtype=float))
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ParameterError("thetas and lengths must be 1-d sequences of equal length")
+    if not np.isfinite(ys).all():
+        raise ParameterError("lengths must be finite")
     if xs.size < 4 * t.size:
         raise UnderdeterminedError(
             f"need at least {4 * t.size} samples to identify {t.size} weights"

@@ -17,8 +17,12 @@ a steeper torque requirement. This module models both regimes:
   while occupying only coil_pitch axially, so the length drops linearly
   with the coil count.
 
+length evaluates the law at one twist; twist_profile evaluates it over a
+twist array in one pass, with phase, coil count, ratio dL/dtheta (its
+regular side at theta_star, where it jumps) and torque per sample.
+
 Lengths are millimeters, angles radians, masses grams, torques newton
-meters. Twist below zero is rejected rather than wrapped.
+meters. Twist below zero or NaN is rejected rather than wrapped.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from .errors import (
     CoilCapacityError,
     DomainError,
-    KinkError,
     ParameterError,
     TrainingGateError,
 )
@@ -97,6 +100,21 @@ class LoadCase:
         return self.mass * 1e-3 * self.gravity
 
 
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def coil_circumference(coil_diameter, coil_pitch):
+    """Bundle length one coil consumes (mm), as numpy floats or arrays.
+
+    The one hypot of TwoPhaseParams, twist_profile and calibration: math.hypot,
+    per element on arrays, as np.hypot differs in the last bit for some diameters.
+    """
+    arc = math.pi * coil_diameter
+    if isinstance(arc, np.ndarray) or isinstance(coil_pitch, np.ndarray):
+        return np.asarray(_hypot(arc, coil_pitch), dtype=float)
+    return np.float64(math.hypot(arc, coil_pitch))
+
+
 @dataclass(frozen=True)
 class TwoPhaseParams:
     """Calibrated parameters of the two-phase transmission model."""
@@ -125,7 +143,7 @@ class TwoPhaseParams:
     @property
     def coil_circumference(self) -> float:
         """Bundle length consumed by one coil (mm), one coil per revolution."""
-        return math.hypot(math.pi * self.coil_diameter, self.coil_pitch)
+        return float(coil_circumference(self.coil_diameter, self.coil_pitch))
 
     @property
     def per_coil_shortening(self) -> float:
@@ -150,16 +168,6 @@ class TwoPhaseParams:
             raise ParameterError("coil must consume more bundle than its pitch")
 
 
-@dataclass(frozen=True)
-class ActuatorState:
-    """Snapshot of the actuator at a given twist."""
-
-    theta: float       # rad
-    phase: Phase
-    length: float      # mm
-    coil_count: float  # coils formed past theta_star, 0 in the regular phase
-
-
 def effective_length(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -> float:
     """Untwisted length including the elastic stretch under load (mm)."""
     return spec.initial_length + params.compliance * load.force
@@ -175,22 +183,14 @@ def _gate_open(spec, load, training) -> bool:
     return coiling_available(spec, training, load)
 
 
-def _check_gate(spec, load, training) -> None:
-    if not _gate_open(spec, load, training):
-        raise TrainingGateError(
-            "overtwisting a stiff string requires training to the uniform "
-            "stage at a load no larger than the operating load"
-        )
-
-
 def length_regular(
     spec: StringSpec, params: TwoPhaseParams, load: LoadCase, theta: float
 ) -> float:
     """Axial length during regular twisting (mm), 0 <= theta <= theta_star."""
-    if theta < 0:
+    if not theta >= 0:  # NaN included
         raise DomainError("twist must be nonnegative")
     if theta > params.theta_star:
-        raise DomainError("theta beyond the regular phase; use length_overtwist")
+        raise DomainError("theta beyond the regular phase; use length")
     l_eff = effective_length(spec, params, load)
     wound = theta * params.r_eff
     if wound >= l_eff:
@@ -206,22 +206,29 @@ def max_theta(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -> float
     return params.theta_star + TWO_PI * l1 / params.coil_circumference
 
 
-def length_overtwist(
+def length(
     spec: StringSpec,
     params: TwoPhaseParams,
     load: LoadCase,
     theta: float,
     training=None,
 ) -> float:
-    """Axial length during overtwisting (mm), theta >= theta_star.
+    """Axial length at any admissible twist (mm). Piecewise two-phase law.
 
-    One coil forms per revolution past theta_star. Raises
-    CoilCapacityError (carrying the maximum admissible twist) once the
-    coils would consume more bundle than the regular phase left over.
+    Past theta_star one coil forms per revolution. Raises DomainError for
+    a negative or NaN twist, and CoilCapacityError (carrying the maximum
+    admissible twist) once the coils would consume more bundle than the
+    regular phase left over.
     """
-    if theta < params.theta_star:
-        raise DomainError("theta below the phase transition; use length_regular")
-    _check_gate(spec, load, training)
+    if not theta >= 0:  # NaN included
+        raise DomainError("twist must be nonnegative")
+    if theta <= params.theta_star:
+        return length_regular(spec, params, load, theta)
+    if not _gate_open(spec, load, training):
+        raise TrainingGateError(
+            "overtwisting a stiff string requires training to the uniform "
+            "stage at a load no larger than the operating load"
+        )
     l1 = length_regular(spec, params, load, params.theta_star)
     coils = (theta - params.theta_star) / TWO_PI
     if coils * params.coil_circumference > l1:
@@ -234,36 +241,6 @@ def length_overtwist(
     return l1 - coils * params.per_coil_shortening
 
 
-def length(
-    spec: StringSpec,
-    params: TwoPhaseParams,
-    load: LoadCase,
-    theta: float,
-    training=None,
-) -> float:
-    """Axial length at any admissible twist (mm). Piecewise two-phase law."""
-    if theta < 0:
-        raise DomainError("twist must be nonnegative")
-    if theta <= params.theta_star:
-        return length_regular(spec, params, load, theta)
-    return length_overtwist(spec, params, load, theta, training=training)
-
-
-def state_at(
-    spec: StringSpec,
-    params: TwoPhaseParams,
-    load: LoadCase,
-    theta: float,
-    training=None,
-) -> ActuatorState:
-    """Full actuator state at a given twist."""
-    l = length(spec, params, load, theta, training=training)
-    if theta <= params.theta_star:
-        return ActuatorState(theta=theta, phase=Phase.REGULAR, length=l, coil_count=0.0)
-    coils = (theta - params.theta_star) / TWO_PI
-    return ActuatorState(theta=theta, phase=Phase.OVERTWIST, length=l, coil_count=coils)
-
-
 def strain(length_mm: float, initial_length_mm: float) -> float:
     """Engineering strain in percent, negative when contracted."""
     if initial_length_mm <= 0:
@@ -274,44 +251,6 @@ def strain(length_mm: float, initial_length_mm: float) -> float:
 def contraction(length_mm: float, initial_length_mm: float) -> float:
     """Contraction in percent of the initial length (positive when shorter)."""
     return -strain(length_mm, initial_length_mm)
-
-
-def transmission_ratio(
-    spec: StringSpec,
-    params: TwoPhaseParams,
-    load: LoadCase,
-    theta: float,
-    side: str | None = None,
-) -> float:
-    """Transmission ratio dL/dtheta (mm/rad), negative while contracting.
-
-    The ratio is discontinuous at theta_star. Exactly at the kink the
-    caller must pick a side, "regular" or "overtwist"; anywhere else the
-    side argument is ignored.
-    """
-    if theta < 0:
-        raise DomainError("twist must be nonnegative")
-    if theta == params.theta_star:
-        if side == "regular":
-            branch = Phase.REGULAR
-        elif side == "overtwist":
-            branch = Phase.OVERTWIST
-        else:
-            raise KinkError(
-                "transmission ratio at theta_star is one-sided; "
-                "pass side='regular' or side='overtwist'"
-            )
-    elif theta < params.theta_star:
-        branch = Phase.REGULAR
-    else:
-        branch = Phase.OVERTWIST
-
-    if branch is Phase.REGULAR:
-        l = length_regular(spec, params, load, theta)
-        return -theta * params.r_eff**2 / l
-    # Constant slope inside the admissible overtwist range.
-    length_overtwist(spec, params, load, theta)
-    return -params.per_coil_shortening / TWO_PI
 
 
 class TwistProfile(NamedTuple):
@@ -333,20 +272,22 @@ def twist_profile(
 ) -> TwistProfile:
     """The two-phase law over a whole twist array, in one numpy pass.
 
-    Each column equals the scalar functions (length, state_at,
-    transmission_ratio) applied sample by sample. An inadmissible sample
-    raises the error the scalar length raises at the first such sample.
+    The length column equals the scalar length sample by sample; the
+    ratio is -theta * r_eff^2 / length in the regular phase and
+    -per_coil_shortening / 2 pi past theta_star. An inadmissible sample
+    (negative, NaN, past the helix limit or the coil capacity, or gated
+    by training) raises the error the scalar length raises at the first
+    such sample.
     """
     theta = np.asarray(thetas, dtype=float)
-    # NaN twist takes the overtwist branch, as in length().
-    over = ~(theta <= params.theta_star)
+    over = theta > params.theta_star
     l_eff = effective_length(spec, params, load)
     # Overtwisted samples start from the regular length at theta_star.
     wound = np.where(over, params.theta_star, theta) * params.r_eff
     coils = np.where(over, (theta - params.theta_star) / TWO_PI, 0.0)
     with np.errstate(invalid="ignore"):
         regular = np.sqrt(l_eff * l_eff - wound * wound)
-    bad = (theta < 0) | (wound >= l_eff) | (coils * params.coil_circumference > regular)
+    bad = ~(theta >= 0) | (wound >= l_eff) | (coils * params.coil_circumference > regular)
     if over.any() and not _gate_open(spec, load, training):
         bad |= over
     if bad.any():  # the scalar law raises at the first inadmissible sample
@@ -372,22 +313,12 @@ def size_for_displacement(required_displacement: float, contraction_fraction: fl
     return required_displacement / contraction_fraction
 
 
-def bundle_diameter(
-    spec: StringSpec,
-    phase: Phase,
-    measured_regular: float | None = None,
-    measured_overtwist: float | None = None,
-) -> float:
+def bundle_diameter(spec: StringSpec, phase: Phase) -> float:
     """Bundle envelope diameter (mm) in the given phase.
 
-    Defaults to twice the string diameter for a regular two-string
-    bundle and twice that again once coils stack; measured values
-    override the defaults when provided.
+    Twice the string diameter for a regular two-string bundle and twice
+    that again once coils stack.
     """
     if phase is Phase.REGULAR:
-        if measured_regular is not None:
-            return measured_regular
         return BUNDLE_FACTOR_REGULAR * spec.diameter
-    if measured_overtwist is not None:
-        return measured_overtwist
     return BUNDLE_FACTOR_OVERTWIST * spec.diameter

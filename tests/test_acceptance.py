@@ -33,7 +33,7 @@ from tsakit.model import (
     TwoPhaseParams,
     length,
     size_for_displacement,
-    transmission_ratio,
+    twist_profile,
 )
 from tsakit.sensing import (
     ResistanceParams,
@@ -209,9 +209,9 @@ def _check_phase_continuity():
 
 def _check_transmission_ratio_matches_finite_difference():
     h = 1e-6
-    for frac in (0.3, 0.9, 1.1, 1.27):
-        theta = frac * PARAMS.theta_star
-        analytic = transmission_ratio(SPEC, PARAMS, LOAD, theta)
+    thetas = [frac * PARAMS.theta_star for frac in (0.3, 0.9, 1.1, 1.27)]
+    ratios = twist_profile(SPEC, PARAMS, LOAD, thetas).ratio.tolist()
+    for theta, analytic in zip(thetas, ratios):
         numeric = (
             length(SPEC, PARAMS, LOAD, theta + h)
             - length(SPEC, PARAMS, LOAD, theta - h)

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tsakit.calibration as calibration
 from tsakit.calibration import (
     PARAM_ORDER,
     PENALTY_RESIDUAL,
+    WEIGHT_CONTRACTION,
+    WEIGHT_SECONDARY,
     FitResult,
     ObservedEndpoints,
     ParamBounds,
@@ -29,7 +32,7 @@ from tsakit.calibration import (
     residual,
 )
 from tsakit.config import bundled_compliant_path, bundled_stiff_path, read_observations
-from tsakit.errors import GridCapError, ParameterError
+from tsakit.errors import GridCapError, ParameterError, TsaError
 from tsakit.model import (
     LoadCase,
     Material,
@@ -37,9 +40,12 @@ from tsakit.model import (
     StringSpec,
     TwoPhaseParams,
     bundle_diameter,
+    coil_circumference,
+    contraction,
+    length,
     max_theta,
 )
-from tsakit.units import rad_to_rev, rev_to_rad
+from tsakit.units import TWO_PI, rad_to_rev, rev_to_rad
 
 SPEC = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF, ply=1)
 LOAD = LoadCase(mass=2900.0)
@@ -105,6 +111,102 @@ def stiff_rows(draw):
     vector = params_to_vector(truth)
     assume(np.all((lo <= vector) & (vector <= hi)))
     return truth, obs
+
+
+def oracle_residual(obs, point):
+    """The residual of one parameter point by the scalar two-phase law.
+
+    The reference for the closed-form endpoint kernel. A point that is no
+    valid TwoPhaseParams, fails validate_for, has theta_star at or past
+    theta_max or cannot twist to theta_max scores the penalty. Otherwise
+    the contractions come from the scalar length, the slopes are
+    |dL/dtheta| on each side of theta_star, and the weighted squared
+    relative errors are summed term by term.
+    """
+    try:
+        params = TwoPhaseParams(*point)
+        params.validate_for(obs.spec)
+        if not params.theta_star < obs.theta_max:
+            return PENALTY_RESIDUAL
+        l1 = length(obs.spec, params, obs.load, params.theta_star)
+        l_end = length(obs.spec, params, obs.load, obs.theta_max)
+    except TsaError:
+        return PENALTY_RESIDUAL
+    l0, force = obs.spec.initial_length, obs.load.force
+    slope_reg = params.theta_star * params.r_eff**2 / l1
+    slope_over = params.per_coil_shortening / TWO_PI
+    terms = [
+        (WEIGHT_CONTRACTION, contraction(l1, l0), obs.contraction_regular_pct),
+        (WEIGHT_CONTRACTION, contraction(l_end, l0), obs.contraction_total_pct),
+    ]
+    v_reg, v_over = obs.max_speed_regular_mm_s, obs.max_speed_overtwist_mm_s
+    if obs.motor_speed_rev_s is not None:
+        omega = rev_to_rad(obs.motor_speed_rev_s)
+        if v_reg is not None:
+            terms.append((WEIGHT_SECONDARY, slope_reg * omega, v_reg))
+        if v_over is not None:
+            terms.append((WEIGHT_SECONDARY, slope_over * omega, v_over))
+    elif v_reg is not None and v_over is not None:
+        terms.append((WEIGHT_SECONDARY, slope_over / slope_reg, v_over / v_reg))
+    if obs.max_torque_regular_nm is not None:
+        torque = force * slope_reg * 1e-3 / params.eta
+        terms.append((WEIGHT_SECONDARY, torque, obs.max_torque_regular_nm))
+    if obs.max_torque_overtwist_nm is not None:
+        torque = force * slope_over * 1e-3 / params.eta
+        terms.append((WEIGHT_SECONDARY, torque, obs.max_torque_overtwist_nm))
+    total = 0.0
+    for weight, predicted, observed in terms:
+        total += weight * ((predicted - observed) / observed) ** 2
+    return total
+
+
+# Drawn in place of a regular coordinate: NaN, the infinities, zero and a negative.
+NON_FINITE_OR_NONPOSITIVE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
+
+
+@st.composite
+def scored_points(draw):
+    """An observation row and parameter points in and around its feasible set.
+
+    Rows come with and without motor speed, speeds and torques, on a
+    stiff string and on a compliant one. Coordinates range past the
+    feasible box (r_eff outside [d/2, 2d], eta above 1, theta_star past
+    theta_max, coil diameters that overrun the coil capacity, nonzero
+    compliance), and any coordinate may be NaN, infinite or nonpositive.
+    """
+    compliant = draw(st.booleans())
+    spec = StringSpec(
+        diameter=1.3,
+        initial_length=214.3,
+        material=Material.COMPLIANT if compliant else Material.STIFF,
+    )
+    truth = dataclasses.replace(TRUTH, compliance=0.02 if compliant else 0.0)
+    obs = endpoints_from_params(
+        spec,
+        truth,
+        LOAD,
+        THETA_MAX_REV,
+        motor_speed_rev_s=draw(st.sampled_from([None, 2.0])),
+        include_speeds=draw(st.booleans()),
+        include_torques=draw(st.booleans()),
+    )
+    ranges = (
+        (0.5, 3.0),                                  # r_eff; validate_for keeps [0.65, 2.6]
+        (0.5 * THETA_STAR, 1.5 * obs.theta_max),     # theta_star
+        (1.0, 60.0),                                 # coil_diameter; large ones overrun
+        (0.0, 6.0),                                  # coil_pitch
+        (0.01, 1.5),                                 # eta
+        (0.0, 0.1),                                  # compliance
+    )
+    points = []
+    for _ in range(draw(st.integers(1, 6))):
+        # Near the generating parameters, with up to two coordinates moved.
+        point = [draw(st.floats(0.9, 1.1)) * getattr(truth, name) for name in PARAM_ORDER]
+        for index in draw(st.lists(st.integers(0, len(PARAM_ORDER) - 1), max_size=2)):
+            lo, hi = ranges[index]
+            point[index] = draw(st.floats(lo, hi) | NON_FINITE_OR_NONPOSITIVE)
+        points.append(point)
+    return obs, points
 
 
 class TestObservedEndpoints:
@@ -219,6 +321,17 @@ class TestResidual:
         )
         assert residual(greedy, synth_obs()) == PENALTY_RESIDUAL
 
+    def test_penalty_when_winding_passes_the_unloaded_length(self):
+        # Under load the compliant string is 28 mm longer, so theta_star can
+        # wind 220 mm and still leave room for the coils; validate_for
+        # rejects it all the same, as it measures against the unloaded length.
+        truth = dataclasses.replace(TRUTH, coil_diameter=2.0, compliance=1.0)
+        obs = endpoints_from_params(SPEC, truth, LOAD, 42.0)
+        late = dataclasses.replace(truth, theta_star=220.0 / truth.r_eff)
+        assert late.theta_star * late.r_eff >= SPEC.initial_length
+        assert late.theta_star < obs.theta_max
+        assert residual(late, obs) == PENALTY_RESIDUAL
+
     def test_speeds_enter_as_ratio_without_motor_speed(self):
         base = endpoints_from_params(SPEC, TRUTH, LOAD, THETA_MAX_REV)
         scaled = ObservedEndpoints(
@@ -250,6 +363,49 @@ class TestResidual:
             motor_speed_rev_s=base.motor_speed_rev_s,
         )
         assert residual(TRUTH, scaled) > residual(TRUTH, base)
+
+
+class TestEndpointKernel:
+    @settings(max_examples=300)
+    @given(case=scored_points())
+    def test_residual_is_bit_equal_to_the_scalar_law(self, case):
+        obs, points = case
+        want = [oracle_residual(obs, point) for point in points]
+        # On floats, as fit_two_phase scores its iterates.
+        for point, expected in zip(points, want):
+            got = float(calibration._residuals(obs, *point))
+            assert got.hex() == expected.hex()
+        # On arrays, as grid_oracle scores its cells.
+        columns = [np.array(column) for column in zip(*points)]
+        got = calibration._residuals(obs, *columns).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        # Through the public entry points, wherever a TwoPhaseParams exists.
+        for point, expected in zip(points, want):
+            try:
+                params = TwoPhaseParams(*point)
+            except ParameterError:
+                continue
+            assert residual(params, obs).hex() == expected.hex()
+            if expected == PENALTY_RESIDUAL:
+                with pytest.raises(ParameterError, match="infeasible"):
+                    predict_endpoints(obs.spec, params, obs.load, obs.theta_max_rev)
+            else:
+                predict_endpoints(obs.spec, params, obs.load, obs.theta_max_rev)
+
+
+    def test_squares_round_as_python_floats_do(self):
+        # numpy squares arrays by multiplication; a fit follows libm pow.
+        values = np.random.default_rng(3).uniform(0.0, 10.0, 100_000)
+        expected = [v**2 for v in values.tolist()]
+        assert calibration._square(values).tolist() == expected
+        assert [float(calibration._square(v)) for v in values[:1000].tolist()] == expected[:1000]
+
+    def test_coil_circumference_is_math_hypot_per_element(self):
+        diameters = np.random.default_rng(4).uniform(0.5, 30.0, 100_000)
+        pitches = np.full_like(diameters, 2.6)
+        expected = [math.hypot(math.pi * d, 2.6) for d in diameters.tolist()]
+        assert coil_circumference(diameters, pitches).tolist() == expected
+        assert [TwoPhaseParams(1.0, 1.0, d, 2.6).coil_circumference for d in diameters[:1000].tolist()] == expected[:1000]
 
 
 class TestParamBounds:
@@ -471,6 +627,63 @@ class TestGridOracle:
             grid_oracle(obs, {"bogus": [1.0]})
         with pytest.raises(ParameterError):
             grid_oracle(obs, {"r_eff": [0.86]})
+
+    @pytest.mark.parametrize("bad", [[], [0.86, math.nan], [math.inf, 0.86], [-math.inf]])
+    @pytest.mark.parametrize("name", PARAM_ORDER)
+    def test_rejects_empty_or_non_finite_axis_by_name(self, name, bad):
+        grid = {n: [getattr(TRUTH, n)] for n in PARAM_ORDER}
+        grid[name] = bad
+        with pytest.raises(ParameterError, match=f"^{name}: grid axis must be non-empty and finite$"):
+            grid_oracle(synth_obs(), grid)
+
+    def test_infeasible_winner_raises_as_params(self):
+        # eta = 0 makes every cell infeasible; the first cell wins the
+        # all-penalty tie and is no valid parameter set.
+        grid = {n: [getattr(TRUTH, n)] for n in PARAM_ORDER}
+        grid["eta"] = [0.0]
+        with pytest.raises(ParameterError, match="eta must lie in"):
+            grid_oracle(synth_obs(), grid)
+
+    @staticmethod
+    def slab_grid(eta, compliance=(0.0,)):
+        """A small C-ordered grid, TRUTH's values last on every axis but eta."""
+        return {
+            "r_eff": [0.80, 0.83, 0.86],
+            "theta_star": [0.97 * THETA_STAR, THETA_STAR],
+            "coil_diameter": [4.0, 4.3],
+            "coil_pitch": [2.6],
+            "eta": eta,
+            "compliance": list(compliance),
+        }
+
+    def test_unique_minimum_in_the_last_slab(self, monkeypatch):
+        # 24 cells in slabs of at most 16: whole 8-cell sub-grids over the
+        # trailing axes, so 16 cells and then a partial slab of 8 with TRUTH.
+        obs = synth_obs()
+        monkeypatch.setattr(calibration, "GRID_SLAB_CELLS", 16)
+        params, value = grid_oracle(obs, self.slab_grid([0.09, 0.11]))
+        assert params == TRUTH
+        assert value == residual(TRUTH, obs)
+
+    def test_tie_across_a_slab_boundary_goes_to_the_smaller_tuple(self, monkeypatch):
+        # Without torques eta does not reach the residual, so TRUTH (cell 66
+        # of 72) ties with its eta = 0.5 twin (cell 69). Slabs of at most 5
+        # cells hold one 3-cell compliance axis each, which splits the two.
+        obs = synth_obs(include_torques=False)
+        monkeypatch.setattr(calibration, "GRID_SLAB_CELLS", 5)
+        grid = self.slab_grid([0.5, 0.11], compliance=[0.0, 0.01, 0.02])
+        params, value = grid_oracle(obs, grid)
+        assert params == TRUTH
+        assert value == residual(TRUTH, obs)
+
+    def test_tie_across_full_slabs(self):
+        # More cells than one slab, every one tied: the smallest eta wins.
+        obs = synth_obs(include_torques=False)
+        grid = {n: [getattr(TRUTH, n)] for n in PARAM_ORDER}
+        grid["eta"] = np.linspace(1.0, 0.02, calibration.GRID_SLAB_CELLS + 3)
+        params, value = grid_oracle(obs, grid)
+        assert params.eta == 0.02
+        assert value == residual(params, obs)
 
     def test_fit_matches_or_beats_coarse_grid(self):
         # The grid deliberately straddles TRUTH without containing it,

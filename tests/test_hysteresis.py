@@ -19,7 +19,7 @@ from tsakit.hysteresis import (
     pi_identify,
     play_responses,
 )
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length
+from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length, twist_profile
 from tsakit.units import rev_to_rad
 
 
@@ -366,6 +366,14 @@ class TestIdentification:
         assert model.weights[0] == pytest.approx(1.0, abs=1e-8)
         assert model.weights[1:] == pytest.approx([0.0, 0.0], abs=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_targets(self, bad):
+        xs = triangle(7.0, 2, 40)
+        ys = xs.copy()
+        ys[5] = bad
+        with pytest.raises(ParameterError, match="targets must be finite"):
+            pi_identify(xs, ys, np.array([0.0, 1.0, 2.0]))
+
     def test_underdetermined_data(self):
         thresholds = np.array([0.0, 1.0, 2.0, 3.0])
         with pytest.raises(UnderdeterminedError):
@@ -449,6 +457,15 @@ class TestHystereticLength:
         l_eff = 210.0 + 0.5 * LOAD.force
         assert np.all(out <= l_eff + 1e-9)
         assert np.all(out > 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_correction_rejects_non_finite_lengths(self, bad):
+        thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
+        thetas = rev_to_rad(triangle(20.0, 2, 60))
+        lengths = twist_profile(SPEC, PARAMS, LOAD, thetas).length
+        lengths[-1] = bad
+        with pytest.raises(ParameterError, match="lengths must be finite"):
+            identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, thresholds)
 
     def test_identified_correction_beats_backbone(self):
         # Synthetic widened loop: the fitted correction must explain

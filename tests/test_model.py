@@ -12,10 +12,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from tsakit.calibration import predict_endpoints
 from tsakit.errors import (
     CoilCapacityError,
     DomainError,
-    KinkError,
     ParameterError,
 )
 from tsakit.model import (
@@ -30,13 +30,10 @@ from tsakit.model import (
     contraction,
     effective_length,
     length,
-    length_overtwist,
     length_regular,
     max_theta,
     size_for_displacement,
-    state_at,
     strain,
-    transmission_ratio,
     twist_profile,
 )
 from tsakit.units import TWO_PI, rev_to_rad
@@ -143,12 +140,17 @@ class TestLengthRegular:
             length_regular(make_spec(), make_params(), LOAD, -0.1)
 
 
+def ratio_at(spec, params, load, thetas):
+    """dL/dtheta from the twist_profile ratio column, as floats."""
+    return twist_profile(spec, params, load, thetas).ratio.tolist()
+
+
 class TestLengthOvertwist:
     def test_continuous_at_phase_change(self):
         spec = make_spec()
         params = make_params()
         l1 = length_regular(spec, params, LOAD, params.theta_star)
-        l2 = length_overtwist(spec, params, LOAD, params.theta_star)
+        l2 = length(spec, params, LOAD, math.nextafter(params.theta_star, math.inf))
         assert abs(l1 - l2) <= 1e-9 * l1
 
     def test_per_coil_shortening_matches_arc_quadrature(self):
@@ -164,9 +166,7 @@ class TestLengthOvertwist:
         assert params.per_coil_shortening == pytest.approx(3.75, rel=1e-9)
 
         spec = make_spec()
-        one_rev_in = length_overtwist(
-            spec, params, LOAD, params.theta_star + TWO_PI
-        )
+        one_rev_in = length(spec, params, LOAD, params.theta_star + TWO_PI)
         at_star = length_regular(spec, params, LOAD, params.theta_star)
         assert at_star - one_rev_in == pytest.approx(3.75, rel=1e-9)
 
@@ -175,7 +175,7 @@ class TestLengthOvertwist:
         params = make_params()
         base = params.theta_star
         lengths = [
-            length_overtwist(spec, params, LOAD, base + k * 0.5) for k in range(5)
+            length(spec, params, LOAD, base + k * 0.5) for k in range(5)
         ]
         steps = np.diff(lengths)
         assert np.allclose(steps, steps[0], rtol=1e-12)
@@ -185,10 +185,10 @@ class TestLengthOvertwist:
         params = make_params()
         limit = max_theta(spec, params, LOAD)
         with pytest.raises(CoilCapacityError) as err:
-            length_overtwist(spec, params, LOAD, limit + 1.0)
+            length(spec, params, LOAD, limit + 1.0)
         assert err.value.theta_max == pytest.approx(limit)
         # Just inside the limit must still evaluate.
-        assert length_overtwist(spec, params, LOAD, limit - 1e-6) > 0.0
+        assert length(spec, params, LOAD, limit - 1e-6) > 0.0
 
 
 class TestLengthDispatch:
@@ -200,9 +200,15 @@ class TestLengthDispatch:
         assert length(spec, params, LOAD, t * 0.5) == pytest.approx(
             length_regular(spec, params, LOAD, t * 0.5)
         )
+        l1 = length_regular(spec, params, LOAD, t)
         assert length(spec, params, LOAD, t + 3.0) == pytest.approx(
-            length_overtwist(spec, params, LOAD, t + 3.0)
+            l1 - 3.0 / TWO_PI * params.per_coil_shortening
         )
+
+    @pytest.mark.parametrize("theta", [math.nan, -0.1, -math.inf])
+    def test_nan_or_negative_twist_is_a_domain_error(self, theta):
+        with pytest.raises(DomainError, match="twist must be nonnegative"):
+            length(make_spec(), make_params(), LOAD, theta)
 
     def test_monotone_non_increasing_over_full_range(self):
         spec = make_spec()
@@ -223,12 +229,11 @@ class TestLengthDispatch:
     def test_state_at_reports_phase_and_coils(self):
         spec = make_spec()
         params = make_params()
-        st = state_at(spec, params, LOAD, params.theta_star * 0.5)
-        assert st.phase is Phase.REGULAR
-        assert st.coil_count == 0.0
-        st2 = state_at(spec, params, LOAD, params.theta_star + 3 * TWO_PI)
-        assert st2.phase is Phase.OVERTWIST
-        assert st2.coil_count == pytest.approx(3.0)
+        thetas = [params.theta_star * 0.5, params.theta_star + 3 * TWO_PI]
+        profile = twist_profile(spec, params, LOAD, thetas)
+        assert profile.overtwist.tolist() == [False, True]
+        assert profile.coil_count[0] == 0.0
+        assert profile.coil_count[1] == pytest.approx(3.0)
 
 
 class TestStrain:
@@ -248,16 +253,13 @@ class TestStrain:
 
 class TestTransmissionRatio:
     def test_zero_at_zero_twist(self):
-        assert transmission_ratio(make_spec(), make_params(), LOAD, 0.0) == 0.0
+        assert ratio_at(make_spec(), make_params(), LOAD, [0.0]) == [0.0]
 
     def test_phase_two_constant(self):
         spec = make_spec()
         params = make_params()
         base = params.theta_star
-        values = {
-            transmission_ratio(spec, params, LOAD, base + k * 0.31)
-            for k in range(1, 101)
-        }
+        values = set(ratio_at(spec, params, LOAD, [base + k * 0.31 for k in range(1, 101)]))
         expected = -params.per_coil_shortening / TWO_PI
         assert all(v == pytest.approx(expected, rel=1e-12) for v in values)
 
@@ -274,30 +276,29 @@ class TestTransmissionRatio:
                 np.linspace(params.theta_star + 0.1, params.theta_star + 20.0, 40),
             ]
         )
-        for t in grid:
-            t = float(t)
+        for t, analytic in zip(grid.tolist(), ratio_at(spec, params, LOAD, grid)):
             numeric = (
                 length(spec, params, LOAD, t + h) - length(spec, params, LOAD, t - h)
             ) / (2 * h)
-            analytic = transmission_ratio(spec, params, LOAD, t)
             assert analytic == pytest.approx(numeric, rel=1e-6)
 
     def test_kink_requires_side(self):
+        # The profile takes the regular side at theta_star; the calibrated
+        # endpoints report both sides as slope magnitudes.
         spec = make_spec()
         params = make_params()
-        with pytest.raises(KinkError):
-            transmission_ratio(spec, params, LOAD, params.theta_star)
-        left = transmission_ratio(spec, params, LOAD, params.theta_star, side="regular")
-        right = transmission_ratio(
-            spec, params, LOAD, params.theta_star, side="overtwist"
-        )
+        at_star = ratio_at(spec, params, LOAD, [params.theta_star])[0]
+        pred = predict_endpoints(spec, params, LOAD, params.theta_star_rev + 1.0)
+        left, right = -pred["speed_regular"], -pred["speed_overtwist"]
+        assert left == at_star
+        assert right == -params.per_coil_shortening / TWO_PI
         assert left < 0 and right < 0
 
     def test_phase_one_magnitude_strictly_increasing(self):
         spec = make_spec()
         params = make_params()
         grid = np.linspace(0.1, params.theta_star - 1e-6, 100)
-        mags = [abs(transmission_ratio(spec, params, LOAD, float(t))) for t in grid]
+        mags = [abs(r) for r in ratio_at(spec, params, LOAD, grid)]
         assert all(a < b for a, b in zip(mags, mags[1:]))
 
 
@@ -387,15 +388,6 @@ class TestBundleDiameter:
         spec = make_spec(1.0, 224.2)
         assert bundle_diameter(spec, Phase.OVERTWIST) == pytest.approx(4.0)
         assert BUNDLE_FACTOR_OVERTWIST == 2 * BUNDLE_FACTOR_REGULAR
-
-    def test_measured_overrides(self):
-        spec = make_spec(1.05, 210.0, material=Material.COMPLIANT, ply=6)
-        assert bundle_diameter(
-            spec, Phase.REGULAR, measured_regular=2.1, measured_overtwist=3.6
-        ) == pytest.approx(2.1)
-        assert bundle_diameter(
-            spec, Phase.OVERTWIST, measured_regular=2.1, measured_overtwist=3.6
-        ) == pytest.approx(3.6)
 
 
 class TestValidation:

@@ -3,7 +3,7 @@
 import pytest
 
 from tsakit.errors import ParameterError, TrainingGateError
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length_overtwist
+from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length
 from tsakit.training import (
     DEFAULT_STAGE_THRESHOLDS,
     TrainingStage,
@@ -106,16 +106,12 @@ class TestCoilingGate:
         load = LoadCase(mass=2900.0)
         untrained = TrainingState(cycles_done=10, trained_load=2900.0)
         with pytest.raises(TrainingGateError):
-            length_overtwist(
-                STIFF, params, load, rev_to_rad(30.0), training=untrained
-            )
+            length(STIFF, params, load, rev_to_rad(30.0), training=untrained)
         trained = TrainingState(cycles_done=50, trained_load=2900.0)
-        assert length_overtwist(
-            STIFF, params, load, rev_to_rad(30.0), training=trained
-        ) > 0.0
+        assert length(STIFF, params, load, rev_to_rad(30.0), training=trained) > 0.0
         # Without an explicit training record the string is assumed
         # broken in.
-        assert length_overtwist(STIFF, params, load, rev_to_rad(30.0)) > 0.0
+        assert length(STIFF, params, load, rev_to_rad(30.0)) > 0.0
 
 
 class TestOperatingLength:

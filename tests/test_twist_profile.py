@@ -1,9 +1,12 @@
-"""twist_profile against the scalar two-phase functions, sample by sample.
+"""twist_profile against the scalar two-phase law, sample by sample.
 
-The array pass must reproduce length, state_at and transmission_ratio
-bit for bit, and an inadmissible sample must raise exactly what the
-scalar loop raises at the first such sample.
+The array pass must reproduce the scalar length and the closed-form
+phase, coil count, ratio and torque bit for bit, and an inadmissible
+sample must raise exactly what the scalar loop raises at the first such
+sample.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,16 +17,14 @@ from tsakit.errors import CoilCapacityError, DomainError, TrainingGateError, Tsa
 from tsakit.model import (
     LoadCase,
     Material,
-    Phase,
     StringSpec,
     TwoPhaseParams,
+    length,
     max_theta,
-    state_at,
-    transmission_ratio,
     twist_profile,
 )
 from tsakit.training import TrainingState
-from tsakit.units import rev_to_rad
+from tsakit.units import TWO_PI, rev_to_rad
 
 SPEC = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
 LOAD = LoadCase(mass=2900.0)
@@ -33,15 +34,24 @@ PARAMS = TwoPhaseParams(
 
 
 def scalar_columns(spec, params, load, thetas, training=None):
-    """The per-sample loop twist_profile replaces: one scalar call chain per twist."""
+    """Reference loop: the scalar length and the closed-form ratio, per twist.
+
+    The ratio is dL/dtheta of the two-phase law, -theta * r_eff^2 / L in
+    the regular phase (its side at theta_star) and minus the per-coil
+    shortening per radian past it.
+    """
     rows = []
     for theta in thetas:
-        state = state_at(spec, params, load, theta, training=training)
-        over = state.phase is Phase.OVERTWIST
-        side = "overtwist" if over else "regular"
-        ratio = transmission_ratio(spec, params, load, theta, side=side)
+        l = length(spec, params, load, theta, training=training)
+        over = theta > params.theta_star
+        if over:
+            coils = (theta - params.theta_star) / TWO_PI
+            ratio = -params.per_coil_shortening / TWO_PI
+        else:
+            coils = 0.0
+            ratio = -theta * params.r_eff**2 / l
         torque = load.force * abs(ratio) * 1e-3 / params.eta
-        rows.append((state.length, over, state.coil_count, ratio, torque))
+        rows.append((l, over, coils, ratio, torque))
     return [np.array(column) for column in zip(*rows)]
 
 
@@ -57,7 +67,7 @@ def cases(draw):
 
     Twists are drawn as fractions of the coil capacity, so most lists stay
     admissible; theta_star itself is spliced in on request, and a negative
-    twist or a twist past the capacity on others.
+    twist, a NaN or a twist past the capacity on others.
     """
     d = draw(st.floats(0.3, 3.0))
     spec = StringSpec(
@@ -83,8 +93,13 @@ def cases(draw):
     except DomainError:
         scale = 2.0 * params.theta_star
     thetas = [f * scale for f in draw(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=30))]
-    for extra in draw(st.lists(st.sampled_from(["star", "negative", "capacity"]), max_size=2)):
-        value = {"star": params.theta_star, "negative": -0.5, "capacity": 1.01 * scale}[extra]
+    for extra in draw(st.lists(st.sampled_from(["star", "negative", "capacity", "nan"]), max_size=2)):
+        value = {
+            "star": params.theta_star,
+            "negative": -0.5,
+            "capacity": 1.01 * scale,
+            "nan": math.nan,
+        }[extra]
         thetas.insert(draw(st.integers(0, len(thetas))), value)
     training = draw(
         st.none()
@@ -119,9 +134,8 @@ def test_sample_at_theta_star_takes_the_regular_side():
     profile = twist_profile(SPEC, PARAMS, LOAD, thetas)
     assert profile.overtwist.tolist() == [False, False, True]
     assert profile.coil_count[1] == 0.0
-    assert profile.ratio[1] == transmission_ratio(
-        SPEC, PARAMS, LOAD, PARAMS.theta_star, side="regular"
-    )
+    l1 = profile.length[1]
+    assert profile.ratio[1] == -PARAMS.theta_star * PARAMS.r_eff**2 / l1
     assert_same_bits(scalar_columns(SPEC, PARAMS, LOAD, thetas), profile)
 
 
@@ -141,6 +155,13 @@ def test_negative_twist_before_capacity_is_a_domain_error():
     limit = max_theta(SPEC, PARAMS, LOAD)
     with pytest.raises(DomainError, match="twist must be nonnegative"):
         twist_profile(SPEC, PARAMS, LOAD, [1.0, -0.1, limit + 1.0])
+
+
+@pytest.mark.parametrize("thetas", [[np.nan, 1.0], [1.0, 2.0, np.nan]])
+def test_nan_twist_is_a_domain_error(thetas):
+    # NaN first, and NaN after admissible samples: neither may come out as length.
+    with pytest.raises(DomainError, match="twist must be nonnegative"):
+        twist_profile(SPEC, PARAMS, LOAD, thetas)
 
 
 def test_training_gate_blocks_only_overtwisting():
