@@ -14,6 +14,12 @@ moment about the elbow; the sine of the elbow angle cancels between the
 two moment arms, leaving tension = weight * forearm_length * l / (a b),
 valid everywhere except the singular poses where the string line passes
 through the joint.
+
+Fitting the linkage to measured (length, angle) pairs is an exact
+reduction: for fixed arms the angle SSE is a convex quadratic in gamma,
+minimised at a clipped mean, and the arms that close on every observed
+length form a box in (b - a, a + b), so a lattice scan and one
+Nelder-Mead polish over that box fit the two arms alone.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ class BicepGeometry:
     forearm_length: float = 0.0  # joint to payload (mm)
 
     def __post_init__(self):
+        for name in ("a", "b", "gamma", "payload", "forearm_length"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a <= 0 or self.b <= 0:
             raise ParameterError("lever arms must be positive")
         if self.payload < 0 or self.forearm_length < 0:
@@ -73,11 +82,16 @@ def _check_length(geom: BicepGeometry, string_length: float) -> None:
         )
 
 
+def _elbow_deg(a, b, string_length):
+    """Law-of-cosines elbow angle (deg), elementwise; the cosine is clipped."""
+    c = (a * a + b * b - string_length * string_length) / (2.0 * a * b)
+    return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
 def elbow_angle(geom: BicepGeometry, string_length: float) -> float:
     """Interior angle at the joint (deg) for a given string length."""
     _check_length(geom, string_length)
-    c = (geom.a**2 + geom.b**2 - string_length**2) / (2.0 * geom.a * geom.b)
-    return math.degrees(math.acos(min(1.0, max(-1.0, c))))
+    return float(_elbow_deg(geom.a, geom.b, string_length))
 
 
 def angle_from_length(geom: BicepGeometry, string_length: float) -> float:
@@ -109,66 +123,47 @@ class BicepFit:
     consistent: bool         # all pairs within CONSISTENCY_LIMIT_DEG
 
 
-def _pair_sse(a: float, b: float, gamma: float, lengths: np.ndarray, angles: np.ndarray):
-    if a <= 0 or b <= 0:
-        return None
-    lo, hi = abs(a - b), a + b
-    if lengths.min() < lo or lengths.max() > hi:
-        return None
-    c = (a * a + b * b - lengths**2) / (2.0 * a * b)
-    pred = gamma - np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
-    err = pred - angles
-    return float(np.sum(err * err)), err
+def _pair_arrays(pairs):
+    """(lengths, angles) of (string length mm, bending angle deg) pairs, validated."""
+    pts = np.array([(float(l), float(phi)) for l, phi in pairs], dtype=float).reshape(-1, 2)
+    if len(pts) < 3:
+        raise UnderdeterminedError("need at least three (length, angle) pairs")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        l, phi = pts[int(np.argmax(bad))]
+        raise ParameterError(f"pairs must be finite, got {l:g}:{phi:g}")
+    lengths, angles = np.ascontiguousarray(pts.T)
+    if np.unique(lengths).size < 3:
+        raise UnderdeterminedError("pairs must cover at least three distinct lengths")
+    if np.any(lengths <= 0):
+        raise ParameterError("string lengths must be positive")
+    return lengths, angles
 
 
-# Penalty weight on triangle-inequality violations in the polish
-# objective (deg^2 per squared unit of cosine overshoot). Large enough
-# that any leftover violation at the optimum is far below float noise.
-_BOUNDARY_PENALTY = 1e10
+def _fit_errors(a, b, lengths: np.ndarray, angles: np.ndarray):
+    """Best offset gamma and per-pair angle errors (deg) for the arms (a, b).
 
-
-def _soft_sse(x, lengths: np.ndarray, angles: np.ndarray) -> float:
-    """Polish objective: clipped-cosine SSE plus graded boundary penalty.
-
-    The least-squares optimum can sit exactly on a triangle-degenerate
-    boundary (an observed length equal to |a - b| or a + b), where the
-    true SSE has a square-root cusp. A hard infeasibility wall makes
-    simplex descent stall short of such a boundary, so infeasible
-    iterates are scored by clipping the cosine and charging the
-    violation quadratically instead.
+    Broadcasts over leading axes of a and b, with the pairs along the
+    last axis. For fixed arms the SSE is the convex quadratic
+    sum((gamma - t_k)^2), t_k = elbow_k + angle_k, so the best gamma in
+    [0, 360] deg is the clipped mean of t.
     """
-    a, b, gamma = x
-    if a <= 0 or b <= 0 or not 0.0 < gamma < 360.0:
-        return 1e12
-    c = (a * a + b * b - lengths**2) / (2.0 * a * b)
-    pred = gamma - np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
-    err = pred - angles
-    overshoot = np.maximum(np.abs(c) - 1.0, 0.0)
-    return float(np.sum(err * err) + _BOUNDARY_PENALTY * np.sum(overshoot**2))
+    elbow = _elbow_deg(a, b, lengths)
+    gamma = np.clip(np.mean(elbow + angles, axis=-1, keepdims=True), 0.0, 360.0)
+    return gamma, gamma - elbow - angles
 
 
-def _snap_feasible(a: float, b: float, lengths: np.ndarray):
-    """Nudge (a, b) minimally so every observed length is admissible.
+def _arms(u: float, v: float, lo: float, hi: float):
+    """Float arms a <= b for the box point u = b - a <= lo, v = a + b >= hi.
 
-    The graded boundary penalty can leave the polished geometry a float
-    hair outside the closed admissible interval; shift both lever arms
-    toward feasibility with a relative margin so the reported geometry
-    evaluates every observation.
+    Rounding can leave the computed b - a a float above lo, or a + b one
+    below hi. Raising a shortens the first and lengthens the second, and
+    a = b is admissible, so a rises until every length in [lo, hi] is.
     """
-    for _ in range(3):
-        gap_lo = abs(a - b) - lengths.min()
-        if gap_lo > 0:
-            shift = 0.5 * gap_lo * (1.0 + 1e-12) + 1e-15
-            if a > b:
-                a, b = a - shift, b + shift
-            else:
-                a, b = a + shift, b - shift
-        gap_hi = lengths.max() - (a + b)
-        if gap_hi > 0:
-            grow = 0.5 * gap_hi * (1.0 + 1e-12) + 1e-15
-            a, b = a + grow, b + grow
-        if abs(a - b) <= lengths.min() and lengths.max() <= a + b:
-            break
+    b = 0.5 * (v + u)
+    a = b - u
+    while a < b and not (b - a <= lo and hi <= a + b):
+        a = min(b, math.nextafter(a + max(b - a - lo, hi - (a + b)), b))
     return a, b
 
 
@@ -192,59 +187,61 @@ def _grid_scan(lengths: np.ndarray, angles: np.ndarray, arm_step: float, gamma_s
     return best
 
 
-def fit_bicep(
-    pairs,
-    payload: float = 0.0,
-    forearm_length: float = 0.0,
-    arm_step: float = 4.0,
-    gamma_step: float = 2.0,
-) -> BicepFit:
+def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> BicepFit:
     """Fit (a, b, gamma) to (string length mm, bending angle deg) pairs.
 
-    Dense 3-d grid search over a, b in (0, 400] mm and gamma in
-    (0, 360) deg, polished by Nelder-Mead descent; deterministic, with
-    grid ties resolved toward the lexicographically smallest (a, b,
-    gamma). The lever arms enter the model symmetrically, so the result
-    is canonicalized to a <= b. When any observation misses by more than
-    1.5 deg the linkage model cannot explain the data and the fit is
-    flagged inconsistent.
+    Exact reduction, deterministic. For fixed arms the best gamma is the
+    clipped mean of elbow_k + angle_k. The arms that close on every
+    observed length form a box in u = b - a and v = a + b: u in
+    [0, l_min] and v >= l_max, with a <= b canonical. The admissible
+    cells of bicep_grid_oracle's 4 mm lattice in (0, 400] mm are scored
+    in one pass, ties going to the smallest (a, b), and the best starts
+    one Nelder-Mead polish over the box, so the fit never loses to that
+    oracle. An optimum on the folded (b - a = l_min) or fully extended
+    (a + b = l_max) boundary is a face of the box, and the reported arms
+    admit every observed length in floating point. When any observation
+    misses by more than 1.5 deg the linkage model cannot explain the
+    data and the fit is flagged inconsistent.
     """
-    pts = [(float(l), float(phi)) for l, phi in pairs]
-    if len(pts) < 3:
-        raise UnderdeterminedError("need at least three (length, angle) pairs")
-    lengths = np.array([p[0] for p in pts])
-    angles = np.array([p[1] for p in pts])
-    if len(set(lengths.tolist())) < 3:
-        raise UnderdeterminedError("pairs must cover at least three distinct lengths")
-    if np.any(lengths <= 0):
-        raise ParameterError("string lengths must be positive")
+    lengths, angles = _pair_arrays(pairs)
+    lo, hi = float(lengths.min()), float(lengths.max())
 
-    best = _grid_scan(lengths, angles, arm_step, gamma_step)
-    if best is None:
+    # The a <= b half of the oracle's lattice: the SSE is symmetric in
+    # the arms, bit for bit, so C-order ties already go to a <= b.
+    axis = np.arange(4.0, 400.0 + 1e-9, 4.0)
+    a, b = np.meshgrid(axis, axis, indexing="ij")
+    keep = (a <= b) & (b - a <= lo) & (hi <= a + b)
+    if not keep.any():
         raise UnderdeterminedError("no admissible geometry covers the observed lengths")
+    a, b = a[keep], b[keep]
+    _, err = _fit_errors(a[:, None], b[:, None], lengths, angles)
+    k = int(np.argmin(np.sum(err * err, axis=1)))
 
-    options = {"maxiter": 20000, "maxfev": 20000, "xatol": 1e-10, "fatol": 1e-12}
-    start = np.array(best[1])
-    # Restarted simplex descent: a second pass from the first optimum
-    # recovers the progress a collapsed simplex leaves on the table.
-    for _ in range(2):
-        polish = minimize(
-            _soft_sse, start, args=(lengths, angles), method="Nelder-Mead",
-            options=options,
-        )
-        start = polish.x
-    a, b, gamma = (float(v) for v in polish.x)
-    if a > b:
-        a, b = b, a
-    a, b = _snap_feasible(a, b, lengths)
-    sse, errors = _pair_sse(a, b, gamma, lengths, angles)
+    # The polish runs unconstrained over (tau, s) with u = |lo cos tau|
+    # and v = hi + s^2, which stay in the box. Both maps square away the
+    # square-root cusp of the elbow angle at the box faces, where a
+    # simplex clipped to the bounds collapses onto the face instead.
+    def arms(x):
+        tau, s = x.tolist()
+        return _arms(abs(lo * math.cos(tau)), hi + s * s, lo, hi)
+
+    def sse(x):
+        _, err = _fit_errors(*arms(x), lengths, angles)
+        return float(np.sum(err * err))
+
+    polish = minimize(
+        sse, (math.acos((b[k] - a[k]) / lo), math.sqrt(a[k] + b[k] - hi)),
+        method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 20000},
+    )
+    a, b = arms(polish.x)
+    gamma, errors = _fit_errors(a, b, lengths, angles)
     geometry = BicepGeometry(
-        a=a, b=b, gamma=gamma, payload=payload, forearm_length=forearm_length
+        a=a, b=b, gamma=float(gamma[0]), payload=payload, forearm_length=forearm_length
     )
     return BicepFit(
         geometry=geometry,
-        sse_deg2=sse,
-        errors_deg=tuple(float(e) for e in errors),
+        sse_deg2=float(np.sum(errors * errors)),
+        errors_deg=tuple(errors.tolist()),
         consistent=bool(np.all(np.abs(errors) <= CONSISTENCY_LIMIT_DEG)),
     )
 
@@ -255,8 +252,7 @@ def bicep_grid_oracle(pairs, arm_step: float = 4.0, gamma_step: float = 2.0):
     Independent check for fit_bicep: the polished solution must never be
     worse than the best grid cell. Returns ((a, b, gamma), sse_deg2).
     """
-    lengths = np.array([float(l) for l, _ in pairs])
-    angles = np.array([float(phi) for _, phi in pairs])
+    lengths, angles = _pair_arrays(pairs)
     best = _grid_scan(lengths, angles, arm_step, gamma_step)
     if best is None:
         raise UnderdeterminedError("no admissible geometry covers the observed lengths")

@@ -5,19 +5,25 @@ boundary poses and a central-difference slope check; the fitter is
 checked against synthetic data it must recover exactly, against the
 unpolished grid scan it must never lose to, and against an independent
 one-dimensional reduction of the measured-pair problem (whose optimum
-rides the fully-folded boundary b - a = min length).
+rides the fully-folded boundary b - a = min length). A property over
+generated linkages, boundary lengths and noise included, checks that
+every fit admits its lengths, recomputes through the public kinematics,
+and never loses to the grid scan.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from tsakit.bicep import (
     CONSISTENCY_LIMIT_DEG,
     BicepFit,
     BicepGeometry,
+    _arms,
     angle_from_length,
     bicep_grid_oracle,
     dlength_dangle,
@@ -32,6 +38,7 @@ from tsakit.errors import (
     ParameterError,
     SingularConfigurationError,
     TriangleRangeError,
+    TsaError,
     UnderdeterminedError,
 )
 from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams
@@ -41,6 +48,11 @@ GEOM = BicepGeometry(a=83.0, b=151.0, gamma=142.5, payload=500.0, forearm_length
 
 # Measured (string length mm, bending angle deg) pairs of the testbed arm.
 PAIRS = [(215.0, 13.1), (135.0, 73.4), (68.0, 147.1)]
+
+# Pairs whose optimum rides the folded boundary b - a = 162.1 mm with
+# arms past the 400 mm lattice; a one-ulp miss of that boundary once
+# crashed the fit.
+FOLDED_PAIRS = [(162.1, 59.0), (172.5, 47.79), (178.4, 50.08), (188.8, 44.37)]
 
 
 def boundary_oracle(pairs):
@@ -121,6 +133,14 @@ class TestTriangleKinematics:
         with pytest.raises(ParameterError):
             BicepGeometry(a=80.0, b=150.0, gamma=140.0, payload=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["a", "b", "gamma", "payload", "forearm_length"])
+    def test_rejects_non_finite_geometry(self, name, value):
+        fields = dict(a=80.0, b=150.0, gamma=140.0, payload=500.0, forearm_length=120.0)
+        fields[name] = value
+        with pytest.raises(ParameterError, match=f"^{name} must be finite"):
+            BicepGeometry(**fields)
+
 
 class TestSlopeAndStatics:
     @pytest.mark.parametrize("angle", [20.0, 60.0, 100.0, 130.0])
@@ -180,6 +200,7 @@ class TestFitBicep:
         pairs = [(length_from_angle(truth, phi), phi) for phi in angles]
         fit = fit_bicep(pairs)
         assert isinstance(fit, BicepFit)
+        assert all(type(v) is float for v in (fit.geometry.a, fit.geometry.b, fit.geometry.gamma))
         assert fit.consistent
         assert fit.sse_deg2 < 1e-10
         assert fit.geometry.a == pytest.approx(truth.a, rel=1e-3)
@@ -223,12 +244,100 @@ class TestFitBicep:
         assert fit.sse_deg2 == pytest.approx(sse_star, abs=1e-6)
         assert fit.sse_deg2 == pytest.approx(64.5859, abs=0.01)
 
+    def test_three_noisy_pairs_are_interpolated(self):
+        # Three pairs, three parameters: the fit passes through them. The
+        # optimum lies just inside the extended face a + b = 180.3 mm, where
+        # a simplex clipped to the box bounds collapses onto the face and
+        # stops at SSE 0.93.
+        fit = fit_bicep([(131.1, 31.22), (171.3, -33.8), (180.3, -75.24)])
+        assert fit.geometry.a + fit.geometry.b > 180.3
+        assert fit.sse_deg2 < 1e-12
+
+    @pytest.mark.parametrize("shift, bound", [(300.0, 360.0), (-300.0, 0.0)])
+    def test_offset_is_clipped_to_one_turn(self, shift, bound):
+        truth = BicepGeometry(a=80.0, b=150.0, gamma=140.0)
+        pairs = [
+            (length_from_angle(truth, phi), phi + shift)
+            for phi in [10.0, 40.0, 70.0, 100.0, 130.0]
+        ]
+        fit = fit_bicep(pairs)
+        assert fit.geometry.gamma == bound
+        assert not fit.consistent
+
+    @pytest.mark.parametrize("fit", [fit_bicep, bicep_grid_oracle])
+    @pytest.mark.parametrize("pair", [(math.nan, 73.4), (135.0, math.inf), (-math.inf, math.nan)])
+    def test_rejects_non_finite_pairs(self, fit, pair):
+        with pytest.raises(ParameterError, match="pairs must be finite"):
+            fit([PAIRS[0], pair, PAIRS[2]])
+
+    def test_folded_optimum_beyond_lattice_admits_every_length(self):
+        fit = fit_bicep(FOLDED_PAIRS)
+        lengths = [l for l, _ in FOLDED_PAIRS]
+        for l in lengths:
+            elbow_angle(fit.geometry, l)
+        assert fit.geometry.b - fit.geometry.a == pytest.approx(min(lengths), abs=1e-9)
+        assert fit.geometry.b > 400.0
+        _, grid_sse = bicep_grid_oracle(FOLDED_PAIRS)
+        assert fit.sse_deg2 < grid_sse
+
     def test_fit_never_loses_to_grid_scan(self):
         (a, b, gamma), grid_sse = bicep_grid_oracle(PAIRS)
         assert (a, b, gamma) == (84.0, 152.0, 142.0)
         assert grid_sse == pytest.approx(67.8046054199, rel=1e-9)
         fit = fit_bicep(PAIRS)
         assert fit.sse_deg2 <= grid_sse
+
+
+@st.composite
+def linkages(draw):
+    """Pairs of a generated linkage: 3-7 distinct admissible lengths,
+    the folded and extended ones among them whenever a drawn fraction is
+    0 or 1, and up to 6 deg of angle noise."""
+    a = draw(st.floats(10.0, 250.0))
+    b = draw(st.floats(10.0, 250.0))
+    assume(abs(a - b) >= 1.0)
+    truth = BicepGeometry(a=a, b=b, gamma=draw(st.floats(60.0, 220.0)))
+    lo, hi = truth.admissible_lengths
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=7, unique=True))
+    lengths = sorted({min(hi, lo + f * (hi - lo)) for f in fractions})
+    assume(len(lengths) >= 3)
+    noise = draw(st.floats(0.0, 6.0))
+    units = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(lengths), max_size=len(lengths)))
+    return [(l, angle_from_length(truth, l) + noise * e) for l, e in zip(lengths, units)]
+
+
+class TestFitProperties:
+    # The grid oracle takes about 0.15 s per call.
+    @settings(max_examples=25)
+    @given(pairs=linkages())
+    def test_fit_admits_recomputes_and_never_loses_to_grid(self, pairs):
+        try:
+            fit = fit_bicep(pairs)
+        except TsaError:
+            return
+        geom = fit.geometry
+        assert geom.a <= geom.b
+        errors = [angle_from_length(geom, l) - phi for l, phi in pairs]
+        assert fit.errors_deg == pytest.approx(errors, rel=0, abs=1e-9)
+        assert fit.sse_deg2 == pytest.approx(sum(e * e for e in errors), rel=1e-12, abs=1e-15)
+        assert fit.sse_deg2 <= bicep_grid_oracle(pairs)[1] + 1e-9
+
+    @settings(max_examples=300)
+    @given(
+        lo=st.floats(1e-3, 500.0),
+        gap=st.floats(1e-9, 500.0),
+        u_frac=st.sampled_from([1.0, 0.0]) | st.floats(0.0, 1.0),
+        v_extra=st.sampled_from([0.0]) | st.floats(0.0, 500.0),
+    )
+    def test_box_point_rounds_to_admissible_arms(self, lo, gap, u_frac, v_extra):
+        hi = lo + gap
+        assume(hi > lo)
+        u, v = lo * u_frac, hi + v_extra
+        a, b = _arms(u, v, lo, hi)
+        assert 0.0 < a <= b
+        assert b - a <= lo and hi <= a + b
+        assert abs((b - a) - u) <= 4.0 * math.ulp(v)
+        assert abs((a + b) - v) <= 4.0 * math.ulp(v)
 
 
 class TestSweep:

@@ -496,6 +496,57 @@ class TestBicep:
         assert "fitted geometry: a 83.05 mm, b 151.05 mm" in stdout
         assert "warning: linkage model cannot reproduce the pairs" in stdout
 
+    def test_folded_boundary_fit_exits_ok(self, tmp_path, capsys):
+        # The optimum rides b - a = 162.1 mm; a fit missing that boundary
+        # by one ulp once crashed this command with a traceback. The sweep
+        # stops at 20 rev, where the string is still longer than 162.1 mm.
+        cfg = write(
+            tmp_path,
+            self.bicep_config(
+                "pairs = 162.1:59.0, 172.5:47.79, 178.4:50.08, 188.8:44.37\n"
+                "theta_max_rev = 20\nsamples = 31\n"
+            ),
+            "run.ini",
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert "fitted geometry: a " in capsys.readouterr().out
+        assert len(read_csv_columns(str(out))["angle_deg"]) == 31
+
+    @pytest.mark.parametrize(
+        "key, value, name",
+        [
+            ("a_mm", "nan", "a"),
+            ("b_mm", "inf", "b"),
+            ("gamma_deg", "-inf", "gamma"),
+            ("payload_g", "nan", "payload"),
+            ("forearm_length_mm", "inf", "forearm_length"),
+        ],
+    )
+    def test_non_finite_geometry_rejected(self, tmp_path, capsys, key, value, name):
+        fields = {
+            "a_mm": "83", "b_mm": "151", "gamma_deg": "142.5",
+            "payload_g": "500", "forearm_length_mm": "120",
+        }
+        fields[key] = value
+        body = "".join(f"{k} = {v}\n" for k, v in fields.items())
+        cfg = write(tmp_path, self.bicep_config(body + "theta_max_rev = 30\n"), "run.ini")
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_pairs_rejected(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            self.bicep_config("pairs = 215:nan, 135:73.4, 68:147.1\ntheta_max_rev = 30\n"),
+            "run.ini",
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert "error: pairs must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_theta_max_rejected(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
