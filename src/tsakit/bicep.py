@@ -201,9 +201,17 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     (a + b = l_max) boundary is a face of the box, and the reported arms
     admit every observed length in floating point. When any observation
     misses by more than 1.5 deg the linkage model cannot explain the
-    data and the fit is flagged inconsistent.
+    data and the fit is flagged inconsistent. The angle strictly falls
+    with length, so pairs whose least-squares slope of angle on length
+    is not negative have no finite best fit (the arms run away toward a
+    flat elbow) and raise UnderdeterminedError.
     """
     lengths, angles = _pair_arrays(pairs)
+    if (lengths - lengths.mean()) @ (angles - angles.mean()) >= 0:
+        raise UnderdeterminedError(
+            "bending angles do not fall as the string lengthens; "
+            "no finite linkage fits the pairs"
+        )
     lo, hi = float(lengths.min()), float(lengths.max())
 
     # The a <= b half of the oracle's lattice: the SSE is symmetric in

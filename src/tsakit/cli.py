@@ -27,6 +27,7 @@ from .hysteresis import hysteretic_length
 from .model import Material, Phase, size_for_displacement, strain, twist_profile
 from .sensing import estimate_strain
 from .training import (
+    DEFAULT_TRAINING_SHORTENING,
     TrainingStage,
     TrainingState,
     advance_cycle,
@@ -234,15 +235,15 @@ def cmd_train(args) -> int:
     if spec is not None and spec.material is Material.COMPLIANT:
         print("compliant string: training not required, coiling is available immediately")
         return EXIT_OK
-    trained = cfgmod.training_state(cfg)
-    state = trained[0] if trained else None
-    shortening = trained[1] if trained else None
-    thresholds = state.thresholds if state else (6, 11, 50)
-    load_g = state.trained_load if state else 0.0
+    # Without [training], the toolkit's default stages and shortening.
+    state, shortening = cfgmod.training_state(cfg) or (
+        TrainingState(), DEFAULT_TRAINING_SHORTENING
+    )
+    thresholds = state.thresholds
 
     current = stage_of(0, thresholds)
     print(f"cycle 0: {current.name.lower()}")
-    running = TrainingState(cycles_done=0, trained_load=load_g, thresholds=thresholds)
+    running = TrainingState(trained_load=state.trained_load, thresholds=thresholds)
     for cycle in range(1, args.cycles + 1):
         running = advance_cycle(running)
         if running.stage is not current:
@@ -251,11 +252,7 @@ def cmd_train(args) -> int:
     done = current is TrainingStage.UNIFORM
     print(f"after {args.cycles} cycles: {current.name.lower()}")
     if spec is not None and done:
-        shortening_val = shortening if shortening is not None else 0.02
-        print(
-            "trained untwisted length: "
-            f"{operating_length(spec, running, shortening_val):.6g} mm"
-        )
+        print(f"trained untwisted length: {operating_length(spec, running, shortening):.6g} mm")
     if not done:
         remaining = thresholds[2] - args.cycles
         print(f"{remaining} more cycles until uniform coiling")

@@ -24,7 +24,7 @@ from .errors import ConfigError, CsvFormatError, ParameterError
 from .hysteresis import PIModel
 from .model import LoadCase, Material, StringSpec
 from .sensing import ResistanceParams
-from .training import DEFAULT_TRAINING_SHORTENING, TrainingState
+from .training import DEFAULT_STAGE_THRESHOLDS, DEFAULT_TRAINING_SHORTENING, TrainingState
 from .units import rev_to_rad
 
 # Section -> {key: converter}; None marks an optional section-level choice
@@ -223,8 +223,10 @@ def training_state(cfg: RunConfig):
     if cfg.training is None:
         return None
     block = cfg.training
-    thresholds = tuple(
-        int(v) for v in _float_list(block.get("thresholds", "6,11,50"), "training.thresholds")
+    raw = block.get("thresholds")
+    thresholds = (
+        DEFAULT_STAGE_THRESHOLDS if raw is None
+        else tuple(int(v) for v in _float_list(raw, "training.thresholds"))
     )
     state = TrainingState(
         cycles_done=block.get("cycles", 0),

@@ -4,8 +4,17 @@ Conductive strings double as their own stretch sensor: resistance
 follows strain through an affine baseline, disturbed by a first-order
 transient after each strain step and by a slow creep that accumulates
 with actuation cycles and saturates. The inverse estimator peels those
-effects off in reverse order: detrend the creep, deconvolve the
-transient, invert the baseline.
+effects off in reverse order, each by an exact reduction. The creep
+baseline is fitted through one floor per cycle, where the trace returns
+to slack and only creep moves it: a floor counts once the trace has
+fallen to it and risen from it by h, half the smaller of its largest
+draw-down and largest run-up, which noise and transient dips, far
+smaller than a stroke, do not span. The baseline is one family,
+c0 + c1 * phi_k(t) with phi_k(x) = -expm1(-k x) / k and the straight
+line phi_0(x) = x. For each rate k, (c0, c1) is a closed-form least
+squares (variable projection), so only k is searched: on a fixed log
+grid, then by golden-section search. The transient and its inversion
+are first-order recursions, each solved by one affine doubling scan.
 
 The same saturating creep law doubles as the length-baseline drift of a
 long duration cycling test, where the untwisted length shortens cycle
@@ -18,13 +27,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import InputError, NonInvertibleError, ParameterError
+from .hysteresis import play_responses
 
 _MIN_POINTS = 3
-# Minimum cycle anchors before the saturating baseline fit is attempted.
+# Minimum cycle anchors before the saturating creep members are fitted.
 _MIN_ANCHORS = 4
+# Creep rates scored before refinement, as k times the mean anchor spacing.
+# Creep that saturates within one cycle is unobserved before the first
+# floor, where a faster member only extrapolates noise into an offset.
+_RATE_GRID = np.logspace(-4.0, 0.0, 41)
+_GOLDEN_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -60,13 +74,36 @@ def creep_component(rate: float, saturation: float, cycles) -> np.ndarray:
     an infinite saturation degenerates to a pure linear drift.
     """
     c = np.asarray(cycles, dtype=float)
-    if np.any(c < 0):
-        raise ParameterError("cycle counts must be nonnegative")
+    if not np.all(c >= 0):
+        raise ParameterError("cycle counts must be nonnegative numbers")
     if rate == 0.0:
         return np.zeros_like(c)
     if math.isinf(saturation):
         return rate * c
     return saturation * (1.0 - np.exp(-rate * c / saturation))
+
+
+def _affine_scan(c, u) -> np.ndarray:
+    """s_k = c_k * s_{k-1} + u_k from s_{-1} = 0, by recursive doubling.
+
+    Maps s -> c s + u compose as (c_a, u_a) o (c_b, u_b) = (c_a c_b,
+    c_a u_b + u_a); the pass at stride d composes each sample's map with
+    the one d samples earlier. The sums are grouped by pass, so the
+    result matches a sample loop to rounding, not bit for bit.
+    """
+    c = np.array(c, dtype=float)
+    s = np.array(u, dtype=float)
+    stride = 1
+    while stride < s.size:
+        s[stride:] += c[stride:] * s[:-stride]
+        c[stride:] *= c[:-stride]
+        stride *= 2
+    return s
+
+
+def _decay(times: np.ndarray, tau: float) -> np.ndarray:
+    """Transient decay factor exp(-dt / tau) into each sample (1 at the first)."""
+    return np.exp(-np.diff(times, prepend=times[:1]) / tau)
 
 
 def transient_component(gain: float, tau: float, strains, times) -> np.ndarray:
@@ -79,22 +116,16 @@ def transient_component(gain: float, tau: float, strains, times) -> np.ndarray:
     s = np.asarray(strains, dtype=float)
     t = np.asarray(times, dtype=float)
     _check_series(s, t)
-    out = np.empty_like(s)
-    state = gain * s[0]  # step from the zero pre-history
-    out[0] = state
-    for k in range(1, s.size):
-        state *= math.exp(-(t[k] - t[k - 1]) / tau)
-        state += gain * (s[k] - s[k - 1])
-        out[k] = state
-    return out
+    return _affine_scan(_decay(t, tau), gain * np.diff(s, prepend=0.0))
 
 
 def _check_series(*series):
-    n = {np.asarray(x).shape for x in series}
-    if len(n) != 1 or any(np.asarray(x).ndim != 1 for x in series):
+    arrays = [np.asarray(x, dtype=float) for x in series]
+    if len({a.shape for a in arrays}) != 1 or any(a.ndim != 1 for a in arrays):
         raise InputError("series must be 1-d and of equal length")
-    t = np.asarray(series[-1], dtype=float)
-    if np.any(np.diff(t) <= 0):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InputError("series must be finite (no NaN or inf)")
+    if np.any(np.diff(arrays[-1]) <= 0):
         raise InputError("time must be strictly increasing")
 
 
@@ -115,109 +146,117 @@ def resistance_forward(params: ResistanceParams, strains, times, cycles) -> np.n
     )
 
 
-def _cycle_anchors(values: np.ndarray) -> np.ndarray:
-    """Sample indices where the trace touches its cycle floor.
+def _cycle_anchors(v: np.ndarray) -> np.ndarray:
+    """Sample indices of the cycle floors of a trace whose slack is its floor.
 
-    Interior strict local minima are the trusted anchors: each marks a
-    completed cycle's slack return, where the floor moves by creep
-    alone. When fewer than two exist, boundary samples that sit no
-    higher than their neighbor fill in — trailing end first (a finished
-    run ends slack), start sample last (it carries no cycling history,
-    so its floor is offset from the periodic ones).
+    A play operator of half-width h/2 turns only after the trace reverses
+    by h, so a floor ends each of its downward runs, the last one too (a
+    finished run ends slack). The first sample, a floor when the trace
+    rises first, carries no cycling history and counts only when fewer
+    than two other floors exist.
     """
-    v = values
-    idx = list(np.nonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:]))[0] + 1)
-    if len(idx) < 2 and v[-1] <= v[-2]:
-        idx.append(v.size - 1)
-    if len(idx) < 2 and v[0] <= v[1]:
-        idx.insert(0, 0)
-    return np.array(sorted(set(idx)), dtype=int)
+    h = 0.5 * min(np.max(np.maximum.accumulate(v) - v), np.max(v - np.minimum.accumulate(v)))
+    if not h > 0:
+        return np.empty(0, dtype=int)
+    steps = np.diff(play_responses([0.0, 0.5 * h], v, states=[v[0], v[0]])[:, 1])
+    moves = np.flatnonzero(steps)
+    down = steps[moves] < 0
+    floors = moves[:-1][down[:-1] & ~down[1:]] + 1
+    if down.size and down[-1]:
+        floors = np.append(floors, moves[-1] + 1)
+    if floors.size < 2 and down.size and not down[0]:
+        floors = np.insert(floors, 0, 0)
+    return floors
 
 
-def _saturating(t, amplitude, rate, offset):
-    return offset + amplitude * (1.0 - np.exp(-rate * t))
+def _phi(rate: float, x: np.ndarray) -> np.ndarray:
+    """Creep shape -expm1(-rate x) / rate, the straight line x at rate 0."""
+    return x if rate == 0.0 else -np.expm1(-rate * x) / rate
+
+
+def _fit_creep(x: np.ndarray, r: np.ndarray):
+    """(rate, c1) of the least-squares c0 + c1 * phi_rate(x) through (x, r).
+
+    The rate is 0 or the best of the grid, refined between its grid
+    neighbours; fewer than _MIN_ANCHORS points fit the line only.
+    """
+    rc = r - r.mean()
+
+    def fit(rate):
+        p = _phi(rate, x)
+        p = p - p.mean()
+        c1 = (p @ rc) / (p @ p) if p @ p > 0 else 0.0
+        res = rc - c1 * p
+        return float(res @ res), rate, c1
+
+    if x.size < _MIN_ANCHORS:
+        return fit(0.0)[1:]
+    rates = np.concatenate(([0.0], _RATE_GRID * (x.size - 1) / (x[-1] - x[0])))
+    i = int(np.argmin([fit(k)[0] for k in rates]))
+    best = fit(rates[i])
+    if i > 0:
+        lo, hi = np.log(rates[[max(i - 1, 1), min(i + 1, rates.size - 1)]])
+        g = (math.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(_GOLDEN_STEPS):
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, b) if fit(math.exp(a)) <= fit(math.exp(b)) else (a, hi)
+        best = min(best, fit(math.exp(0.5 * (lo + hi))))
+    return best[1:]
 
 
 def detrend_creep(resistances, times) -> np.ndarray:
     """Remove the slow creep trend from a resistance trace.
 
-    The baseline is fitted through the cycle minima (every actuation
-    cycle revisits its slack point, where only creep moves the floor),
-    as a saturating exponential with a linear fallback; whichever fits
-    the anchors better wins. The fitted baseline is subtracted relative
-    to its initial value, so a trend-free trace passes through unchanged.
+    The creep baseline is fitted through the cycle floors, the trace's
+    minima, or through the whole trace when fewer than two floors show
+    that it never cycles. It is subtracted relative to its initial value,
+    so a trend-free trace passes through unchanged.
     """
     r = np.asarray(resistances, dtype=float)
     t = np.asarray(times, dtype=float)
     _check_series(r, t)
     if r.size < _MIN_POINTS:
         raise InputError(f"need at least {_MIN_POINTS} points to detrend")
-
-    # Fewer than two cycle floors means the trace never cycles; only
-    # then is the whole trace treated as drift (the linear fallback
-    # that makes a pure ramp come out flat).
     anchors = _cycle_anchors(r)
     if anchors.size < 2:
         anchors = np.arange(r.size)
-    ra = r[anchors]
-    ts = t[anchors] - t[0]
-
-    # Linear fallback, exact for drift-free and purely linear traces.
-    slope, intercept = np.polyfit(ts, ra, 1)
-    lin_sse = float(np.sum((intercept + slope * ts - ra) ** 2))
-    best = ("linear", lin_sse)
-
-    # The three-parameter saturating baseline needs enough anchors to
-    # be determined; below that the linear form always stands.
-    sat_popt = None
-    span = float(ra[-1] - ra[0])
-    if anchors.size >= _MIN_ANCHORS and ts[-1] > 0:
-        try:
-            sat_popt, _ = curve_fit(
-                _saturating,
-                ts,
-                ra,
-                p0=(span if span != 0 else 1.0, 2.0 / ts[-1], float(ra[0])),
-                maxfev=10000,
-            )
-            sat_sse = float(np.sum((_saturating(ts, *sat_popt) - ra) ** 2))
-            if np.all(np.isfinite(sat_popt)) and sat_sse < lin_sse:
-                best = ("saturating", sat_sse)
-        except (RuntimeError, ValueError):
-            sat_popt = None
-
-    if best[0] == "saturating":
-        baseline = _saturating(t - t[0], *sat_popt)
-    else:
-        baseline = intercept + slope * (t - t[0])
-    return r - (baseline - baseline[0])
+    x = t - t[0]
+    rate, c1 = _fit_creep(x[anchors], r[anchors])
+    return r - c1 * _phi(rate, x)
 
 
 def estimate_strain(params: ResistanceParams, resistances, times) -> np.ndarray:
     """Strain history (percent) recovered from a resistance trace.
 
-    Runs detrend_creep, then deconvolves the first-order transient
-    sample by sample, then inverts the affine baseline.
+    Strains are negative when contracted, so slack is the floor of the
+    trace times -sign(S + g), S the sensitivity and g the transient gain,
+    and the trace is detrended in that orientation. With y the detrended
+    trace minus r0 and a_k the transient decay into sample k, the
+    transient and the baseline invert as one recursion, s_k = ((a_k S +
+    g) s_{k-1} + y_k - a_k y_{k-1}) / (S + g). A strain outside
+    (-100, 100) % raises NonInvertibleError.
     """
-    if abs(params.sensitivity + params.transient_gain) < 1e-12:
+    gain = params.transient_gain
+    denom = params.sensitivity + gain
+    if abs(denom) < 1e-12:
         raise NonInvertibleError(
             "sensitivity and transient gain cancel; strain steps are unobservable"
         )
-    r = detrend_creep(resistances, times)
+    sign = -1.0 if denom > 0 else 1.0
     t = np.asarray(times, dtype=float)
-    y = r - params.r0
-
-    gain = params.transient_gain
-    tau = params.tau_transient
-    denom = params.sensitivity + gain
-    s = np.empty_like(y)
-    s_prev = 0.0
-    state = 0.0  # transient state carried between samples
-    for k in range(y.size):
-        decayed = state * math.exp(-(t[k] - t[k - 1]) / tau) if k else 0.0
-        s[k] = (y[k] - decayed + gain * s_prev) / denom
-        state = decayed + gain * (s[k] - s_prev)
-        s_prev = s[k]
+    y = sign * detrend_creep(sign * np.asarray(resistances, dtype=float), t) - params.r0
+    a = _decay(t, params.tau_transient)
+    u = (y - a * np.append(0.0, y[:-1])) / denom
+    s = _affine_scan((a * params.sensitivity + gain) / denom, u)
+    # No string shortens to zero length, and no toolkit model stretches
+    # one to double its length.
+    outside = np.flatnonzero(~(np.abs(s) < 100.0))
+    if outside.size:
+        k = outside[0]
+        raise NonInvertibleError(
+            f"recovered strain {s[k]:.6g}% at time {t[k]:.6g} s is outside (-100, 100)%; "
+            "the sensing parameters do not explain this log"
+        )
     return s
 
 
@@ -230,6 +269,6 @@ def length_baseline(
     electrical creep: fastest on early cycles, leveling off at
     ``initial_length - saturation``.
     """
-    if initial_length <= 0:
-        raise ParameterError("initial length must be positive")
+    if not 0.0 < initial_length < math.inf:
+        raise ParameterError("initial length must be positive and finite")
     return initial_length - creep_component(rate, saturation, cycles)

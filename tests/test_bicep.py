@@ -54,6 +54,13 @@ PAIRS = [(215.0, 13.1), (135.0, 73.4), (68.0, 147.1)]
 # crashed the fit.
 FOLDED_PAIRS = [(162.1, 59.0), (172.5, 47.79), (178.4, 50.08), (188.8, 44.37)]
 
+# Angles that do not fall as the string lengthens (least-squares slope 0
+# and +0.2 deg/mm): the fit's arms once ran away to about 7e9 mm.
+RUNAWAY_PAIRS = {
+    "flat": [(100.0, 50.0), (110.0, 50.0), (120.0, 50.0)],
+    "rising": [(100.0, 50.0), (110.0, 52.0), (120.0, 54.0)],
+}
+
 
 def boundary_oracle(pairs):
     """Independent 1-d solution of the measured-pair fit.
@@ -279,6 +286,14 @@ class TestFitBicep:
         assert fit.geometry.b > 400.0
         _, grid_sse = bicep_grid_oracle(FOLDED_PAIRS)
         assert fit.sse_deg2 < grid_sse
+
+    @pytest.mark.parametrize("name", sorted(RUNAWAY_PAIRS))
+    def test_angles_not_falling_with_length_have_no_fit(self, name):
+        with pytest.raises(UnderdeterminedError, match="do not fall"):
+            fit_bicep(RUNAWAY_PAIRS[name])
+        # The oracle still scores its lattice; its best cell is finite.
+        (a, b, _), _ = bicep_grid_oracle(RUNAWAY_PAIRS[name])
+        assert a <= 400.0 and b <= 400.0
 
     def test_fit_never_loses_to_grid_scan(self):
         (a, b, gamma), grid_sse = bicep_grid_oracle(PAIRS)

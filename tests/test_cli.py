@@ -496,6 +496,21 @@ class TestBicep:
         assert "fitted geometry: a 83.05 mm, b 151.05 mm" in stdout
         assert "warning: linkage model cannot reproduce the pairs" in stdout
 
+    @pytest.mark.parametrize(
+        "pairs", ["100:50, 110:50, 120:50", "100:50, 110:52, 120:54"], ids=["flat", "rising"]
+    )
+    def test_runaway_pairs_rejected(self, tmp_path, capsys, pairs):
+        cfg = write(
+            tmp_path, self.bicep_config(f"pairs = {pairs}\ntheta_max_rev = 20\n"), "run.ini"
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: bending angles do not fall as the string lengthens; "
+            "no finite linkage fits the pairs\n"
+        )
+        assert not out.exists()
+
     def test_folded_boundary_fit_exits_ok(self, tmp_path, capsys):
         # The optimum rides b - a = 162.1 mm; a fit missing that boundary
         # by one ulp once crashed this command with a traceback. The sweep

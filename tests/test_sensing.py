@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsakit.errors import InputError, NonInvertibleError, ParameterError
 from tsakit.sensing import (
     ResistanceParams,
+    _cycle_anchors,
     creep_component,
     detrend_creep,
     estimate_strain,
@@ -15,6 +18,51 @@ from tsakit.sensing import (
     resistance_forward,
     transient_component,
 )
+
+# The affine scan groups its sums by doubling pass, not in the order of a
+# sample loop, so it matches the loops below to rounding: within this
+# share of the largest loop output.
+SCAN_RTOL = 1e-10
+
+
+def loop_transient(gain, tau, strains, times):
+    """Reference oracle: the per-sample loop transient_component replaced."""
+    s = np.asarray(strains, dtype=float)
+    t = np.asarray(times, dtype=float)
+    out = np.empty_like(s)
+    state = gain * s[0]
+    out[0] = state
+    for k in range(1, s.size):
+        state *= math.exp(-(t[k] - t[k - 1]) / tau)
+        state += gain * (s[k] - s[k - 1])
+        out[k] = state
+    return out
+
+
+def loop_inversion(params, detrended, times):
+    """Reference oracle: the per-sample deconvolution estimate_strain replaced."""
+    y = np.asarray(detrended, dtype=float) - params.r0
+    t = np.asarray(times, dtype=float)
+    gain = params.transient_gain
+    denom = params.sensitivity + gain
+    s = np.empty_like(y)
+    s_prev = 0.0
+    state = 0.0
+    for k in range(y.size):
+        decayed = state * math.exp(-(t[k] - t[k - 1]) / params.tau_transient) if k else 0.0
+        s[k] = (y[k] - decayed + gain * s_prev) / denom
+        state = decayed + gain * (s[k] - s_prev)
+        s_prev = s[k]
+    return s
+
+
+def slack_orientation(params):
+    """The sign that turns a trace so that slack, strain 0, is its floor."""
+    return -1.0 if params.sensitivity + params.transient_gain > 0 else 1.0
+
+
+def assert_scan_matches(scan, loop):
+    assert np.max(np.abs(scan - loop)) <= SCAN_RTOL * max(np.max(np.abs(loop)), 1e-300)
 
 
 def make_params(**overrides):
@@ -33,6 +81,35 @@ def make_params(**overrides):
 def triangle_strain(times, amplitude=-35.0, period=120.0):
     position = (times / period) % 1.0
     return amplitude * (1.0 - np.abs(2.0 * position - 1.0))
+
+
+def trapezoid_strain(times, amplitude, period):
+    """Ramp out, hold, ramp back to slack and hold there, a quarter period each."""
+    position = (times / period) % 1.0
+    return amplitude * np.interp(position, [0.0, 0.25, 0.5, 0.75, 1.0], [0, 1, 1, 0, 0])
+
+
+# Slack floor of cycle k (k = 0, 1, ...) as a fraction of the period.
+SLACK_PHASE = {triangle_strain: 1.0, trapezoid_strain: 0.75}
+
+
+def cycling_log(shape, sign, cycles, dt, noise, stroke=5.0, period=40.0, seed=0):
+    """Params, times, true strains and resistance of a cycling test.
+
+    The creep is the benchmark's: 0.9 ohm per cycle, saturating at 4.5 ohm.
+    """
+    params = make_params(
+        sensitivity=0.8 * sign, transient_gain=0.25 * sign, creep_rate=0.9, creep_saturation=4.5
+    )
+    times = np.arange(round(cycles * period / dt) + 1) * dt
+    strains = shape(times, -stroke, period)
+    r = resistance_forward(params, strains, times, times / period)
+    r = r + np.random.default_rng(seed).normal(0.0, noise, times.size)
+    return params, times, strains, r
+
+
+def rmse(a, b):
+    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 class TestForwardModel:
@@ -134,7 +211,7 @@ class TestDetrendCreep:
         times = np.linspace(0.0, 100.0, 200)
         drift = 3.0 + 0.04 * times
         out = detrend_creep(drift, times)
-        # The linear fallback is exact: only the anchor offset remains.
+        # The straight line, the creep family at rate 0, fits a ramp exactly.
         assert np.std(out - out[0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_recovers_creep_free_trace(self):
@@ -223,3 +300,173 @@ class TestLengthBaseline:
     def test_positive_initial_length_required(self):
         with pytest.raises(ParameterError):
             length_baseline(0.0, 0.1, 5.0, [0.0])
+
+
+class TestScanMatchesLoop:
+    @settings(max_examples=100)
+    @given(
+        steps=st.lists(st.floats(1e-3, 5.0), min_size=0, max_size=300),
+        strain_seed=st.integers(0, 2**32 - 1),
+        gain=st.floats(-1.0, 1.0),
+        tau=st.floats(0.05, 50.0),
+    )
+    def test_transient_component(self, steps, strain_seed, gain, tau):
+        times = np.concatenate(([0.0], np.cumsum(steps)))
+        strains = np.random.default_rng(strain_seed).uniform(-60.0, 0.0, times.size)
+        assert_scan_matches(
+            transient_component(gain, tau, strains, times),
+            loop_transient(gain, tau, strains, times),
+        )
+
+    @settings(max_examples=60)
+    @given(
+        shape=st.sampled_from([triangle_strain, trapezoid_strain]),
+        sign=st.sampled_from([-1.0, 1.0]),
+        sensitivity=st.floats(0.2, 2.0),
+        gain_share=st.floats(0.0, 1.0),
+        tau=st.floats(0.5, 20.0),
+        stroke=st.floats(1.0, 40.0),
+        cycles=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimate_strain(
+        self, shape, sign, sensitivity, gain_share, tau, stroke, cycles, seed
+    ):
+        # Same-sign gains keep the inversion contractive, as in the toolkit's
+        # strings; the loop gets the trace estimate_strain detrends.
+        params = make_params(
+            sensitivity=sign * sensitivity,
+            transient_gain=sign * sensitivity * gain_share,
+            tau_transient=tau,
+        )
+        times = np.arange(40 * cycles + 1) * 0.5
+        strains = shape(times, -stroke, 20.0)
+        r = resistance_forward(params, strains, times, times / 20.0)
+        r = r + np.random.default_rng(seed).normal(0.0, 0.01, times.size)
+        orient = slack_orientation(params)
+        detrended = orient * detrend_creep(orient * r, times)
+        assert_scan_matches(
+            estimate_strain(params, r, times), loop_inversion(params, detrended, times)
+        )
+
+
+class TestCycleAnchorsAndRecovery:
+    # Logs the local curve fit through every strict local minimum got wrong:
+    # 14 anchors and an RMSE of 596 % for the first, 356 anchors and
+    # 1.54 % for the second, 53,304 anchors for the third. Now each has one
+    # anchor per cycle, and RMSEs of 2.9e-5, 4.4e-3 and 3.2e-3 %.
+    @pytest.mark.parametrize(
+        "shape, sign, cycles, dt, noise, bound_pct",
+        [
+            (trapezoid_strain, 1.0, 10, 0.1, 0.0, 1e-3),
+            (trapezoid_strain, -1.0, 10, 0.1, 0.003, 0.02),
+            (triangle_strain, -1.0, 50, 0.01, 0.003, 0.02),
+        ],
+        ids=["trapezoid-positive", "trapezoid-noise", "triangle-200k-noise"],
+    )
+    def test_one_anchor_per_cycle(self, shape, sign, cycles, dt, noise, bound_pct):
+        params, times, strains, r = cycling_log(shape, sign, cycles, dt, noise)
+        anchors = _cycle_anchors(slack_orientation(params) * r)
+        slack = (np.arange(cycles) + SLACK_PHASE[shape]) * 40.0
+        assert times[anchors] == pytest.approx(slack, abs=1.0)
+        assert rmse(estimate_strain(params, r, times), strains) < bound_pct
+
+    @settings(max_examples=40)
+    @given(
+        shape=st.sampled_from([triangle_strain, trapezoid_strain]),
+        sign=st.sampled_from([-1.0, 1.0]),
+        cycles=st.integers(4, 60),
+        stroke=st.floats(3.0, 8.0),
+        noise=st.floats(0.0, 0.01),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recovery_over_signs_shapes_and_noise(self, shape, sign, cycles, stroke, noise, seed):
+        # The benchmark's sensing parameters and stroke range; its bound is
+        # 10 % of stroke. Each floor lies at its cycle's slack.
+        params, times, strains, r = cycling_log(
+            shape, sign, cycles, 0.2, noise, stroke=stroke, seed=seed
+        )
+        anchors = _cycle_anchors(slack_orientation(params) * r)
+        slack = (np.arange(cycles) + SLACK_PHASE[shape]) * 40.0
+        assert times[anchors] == pytest.approx(slack, abs=2.0)
+        assert rmse(estimate_strain(params, r, times), strains) < 0.05 * stroke
+
+    @pytest.mark.parametrize("shape", [triangle_strain, trapezoid_strain])
+    def test_three_cycles_fit_the_line(self, shape):
+        # Three floors are too few for the saturating creep members, and
+        # the straight line through them misses the creep's curvature back
+        # to the first sample: about 9 % of a 3 % stroke.
+        params, times, strains, r = cycling_log(shape, -1.0, 3, 0.2, 0.0, stroke=3.0)
+        assert _cycle_anchors(r).size == 3
+        assert rmse(estimate_strain(params, r, times), strains) < 0.1 * 3.0
+
+    def test_flat_trace_has_no_anchors(self):
+        assert _cycle_anchors(np.full(50, 120.0)).size == 0
+        assert _cycle_anchors(np.linspace(120.0, 121.0, 50)).size == 0
+
+
+class TestPlausibilityGate:
+    def unexplained_log(self):
+        """A 5 ohm swing read with a 0.01 ohm-per-percent sensitivity, and the
+        time of the first strain the loop puts outside (-100, 100) %."""
+        params = make_params(sensitivity=-0.01, transient_gain=0.0)
+        times = np.linspace(0.0, 240.0, 481)
+        r = 120.0 + 5.0 * (1.0 - np.abs(2.0 * ((times / 60.0) % 1.0) - 1.0))
+        loop = loop_inversion(params, detrend_creep(r, times), times)
+        return params, times, r, times[np.argmax(np.abs(loop) >= 100.0)]
+
+    def test_strain_outside_physical_range_raises(self):
+        params, times, r, first = self.unexplained_log()
+        with pytest.raises(NonInvertibleError, match=rf"at time {first:g} s is outside"):
+            estimate_strain(params, r, times)
+
+    def test_cli_exits_two(self, tmp_path, capsys):
+        from tsakit.cli import EXIT_INPUT, main
+
+        _, times, r, first = self.unexplained_log()
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[sensing]\nr0_ohm = 120\nsensitivity_ohm_per_pct = -0.01\ntau_transient_s = 4\n",
+            encoding="utf-8",
+        )
+        log = tmp_path / "log.csv"
+        rows = "".join(f"{t!r},{v!r}\n" for t, v in zip(times.tolist(), r.tolist()))
+        log.write_text("time_s,resistance_ohm\n" + rows, encoding="utf-8")
+        out = tmp_path / "strain.csv"
+        code = main(["sense", str(log), "--config", str(config), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: recovered strain ")
+        assert err.endswith(
+            f" at time {first:g} s is outside (-100, 100)%; "
+            "the sensing parameters do not explain this log\n"
+        )
+        assert not out.exists()
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["resistance", "time"])
+    def test_estimate_strain_rejects(self, bad, column):
+        times = np.linspace(0.0, 10.0, 21)
+        r = np.full_like(times, 120.0)
+        (r if column == "resistance" else times)[-1] = bad
+        with pytest.raises(InputError, match="finite"):
+            estimate_strain(make_params(), r, times)
+
+    def test_transient_and_forward_reject_nan(self):
+        times = np.linspace(0.0, 10.0, 5)
+        strains = np.array([0.0, -1.0, math.nan, -1.0, 0.0])
+        with pytest.raises(InputError, match="finite"):
+            transient_component(-0.25, 4.0, strains, times)
+        with pytest.raises(InputError, match="finite"):
+            resistance_forward(make_params(), np.zeros(5), times, [0, 1, math.nan, 3, 4])
+
+    def test_creep_component_rejects_nan_cycles(self):
+        with pytest.raises(ParameterError):
+            creep_component(0.9, 4.5, [0.0, math.nan])
+
+    @pytest.mark.parametrize("initial", [math.nan, math.inf])
+    def test_length_baseline_rejects_non_finite_length(self, initial):
+        with pytest.raises(ParameterError):
+            length_baseline(initial, 0.1, 5.0, [0.0])
