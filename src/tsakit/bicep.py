@@ -201,16 +201,19 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     (a + b = l_max) boundary is a face of the box, and the reported arms
     admit every observed length in floating point. When any observation
     misses by more than 1.5 deg the linkage model cannot explain the
-    data and the fit is flagged inconsistent. The angle strictly falls
-    with length, so pairs whose least-squares slope of angle on length
-    is not negative have no finite best fit (the arms run away toward a
-    flat elbow) and raise UnderdeterminedError.
+    data and the fit is flagged inconsistent. The angle of every linkage
+    strictly falls with length, and as the arms grow every elbow flattens,
+    so angles that do not fall can pull the arms away without bound. By
+    policy, pairs whose least-squares slope of angle on length is not
+    negative raise UnderdeterminedError. The rule is not exact: some such
+    pairs have a finite best fit, and are refused all the same.
     """
     lengths, angles = _pair_arrays(pairs)
     if (lengths - lengths.mean()) @ (angles - angles.mean()) >= 0:
         raise UnderdeterminedError(
-            "bending angles do not fall as the string lengthens; "
-            "no finite linkage fits the pairs"
+            "bending angles do not fall as the string lengthens "
+            "(least-squares slope of angle on length is not negative); "
+            "the linkage angle falls with length, so such pairs are refused"
         )
     lo, hi = float(lengths.min()), float(lengths.max())
 

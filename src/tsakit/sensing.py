@@ -9,7 +9,9 @@ baseline is fitted through one floor per cycle, where the trace returns
 to slack and only creep moves it: a floor counts once the trace has
 fallen to it and risen from it by h, half the smaller of its largest
 draw-down and largest run-up, which noise and transient dips, far
-smaller than a stroke, do not span. The baseline is one family,
+smaller than a stroke, do not span. The log's end is a floor only when
+its last fall is nearly as deep as the one before, not when the log
+stops partway back to slack. The baseline is one family,
 c0 + c1 * phi_k(t) with phi_k(x) = -expm1(-k x) / k and the straight
 line phi_0(x) = x. For each rate k, (c0, c1) is a closed-form least
 squares (variable projection), so only k is searched: on a fixed log
@@ -39,6 +41,11 @@ _MIN_ANCHORS = 4
 # floor, where a faster member only extrapolates noise into an offset.
 _RATE_GRID = np.logspace(-4.0, 0.0, 41)
 _GOLDEN_STEPS = 60
+# Least depth of a log's last fall, as a share of the fall before it, for
+# its end to count as a floor. Creep and noise change one fall from the
+# next by a few percent of a stroke; a log that stops short of slack by
+# more leaves a floor above slack, which the creep fit would bend toward.
+_FALL_SHARE = 0.95
 
 
 @dataclass(frozen=True)
@@ -150,10 +157,11 @@ def _cycle_anchors(v: np.ndarray) -> np.ndarray:
     """Sample indices of the cycle floors of a trace whose slack is its floor.
 
     A play operator of half-width h/2 turns only after the trace reverses
-    by h, so a floor ends each of its downward runs, the last one too (a
-    finished run ends slack). The first sample, a floor when the trace
-    rises first, carries no cycling history and counts only when fewer
-    than two other floors exist.
+    by h, so a floor ends each of its downward runs. The last run may stop
+    partway back to slack, above the floor; it ends a floor only when it
+    falls at least _FALL_SHARE as deep as the run before it. The first
+    sample, a floor when the trace rises first, carries no cycling history
+    and counts only when fewer than two other floors exist.
     """
     h = 0.5 * min(np.max(np.maximum.accumulate(v) - v), np.max(v - np.minimum.accumulate(v)))
     if not h > 0:
@@ -161,10 +169,13 @@ def _cycle_anchors(v: np.ndarray) -> np.ndarray:
     steps = np.diff(play_responses([0.0, 0.5 * h], v, states=[v[0], v[0]])[:, 1])
     moves = np.flatnonzero(steps)
     down = steps[moves] < 0
-    floors = moves[:-1][down[:-1] & ~down[1:]] + 1
-    if down.size and down[-1]:
-        floors = np.append(floors, moves[-1] + 1)
-    if floors.size < 2 and down.size and not down[0]:
+    last = np.append(down[:-1] != down[1:], True)
+    ends, falls = moves[last] + 1, down[last]
+    floors = ends[falls]
+    depth = -np.diff(v[ends])[falls[1:]]
+    if falls[-1] and depth.size >= 2 and depth[-1] < _FALL_SHARE * depth[-2]:
+        floors = floors[:-1]
+    if floors.size < 2 and not down[0]:
         floors = np.insert(floors, 0, 0)
     return floors
 

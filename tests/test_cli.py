@@ -506,8 +506,9 @@ class TestBicep:
         out = tmp_path / "sweep.csv"
         assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "error: bending angles do not fall as the string lengthens; "
-            "no finite linkage fits the pairs\n"
+            "error: bending angles do not fall as the string lengthens "
+            "(least-squares slope of angle on length is not negative); "
+            "the linkage angle falls with length, so such pairs are refused\n"
         )
         assert not out.exists()
 
