@@ -218,7 +218,7 @@ def cmd_simulate(args) -> int:
         "phase",
     )
     out = args.out or "simulation.csv"
-    cfgmod.write_csv(out, header, zip(*(column.tolist() for column in columns)))
+    cfgmod.write_csv(out, header, columns)
     print(f"wrote {times.size} samples to {out}")
     return EXIT_OK
 
@@ -294,14 +294,11 @@ def cmd_bicep(args) -> int:
         raise InputError("[bicep] needs theta_max_rev for the sweep")
     samples = int(block.get("samples", 121))
     grid = np.linspace(0.0, theta_max_rev, samples)
-    trajectory = bicep_mod.sweep(geometry, spec, params, load, grid)
-    rows = []
-    for theta_rev, angle in trajectory:
-        tension = bicep_mod.string_tension(geometry, angle)
-        rows.append((theta_rev, angle, tension))
+    angles = [angle for _, angle in bicep_mod.sweep(geometry, spec, params, load, grid)]
+    tensions = [bicep_mod.string_tension(geometry, angle) for angle in angles]
     out = args.out or "bicep_sweep.csv"
-    cfgmod.write_csv(out, ("theta_rev", "angle_deg", "tension_N"), rows)
-    print(f"wrote {len(rows)} samples to {out}")
+    cfgmod.write_csv(out, ("theta_rev", "angle_deg", "tension_N"), (grid, angles, tensions))
+    print(f"wrote {grid.size} samples to {out}")
     return EXIT_OK
 
 
@@ -311,7 +308,7 @@ def cmd_sense(args) -> int:
     log = cfgmod.read_experiment_log(args.log, required=("time_s", "resistance_ohm"))
     strains = estimate_strain(params, log.resistance, log.time)
     out = args.out or "strain_estimate.csv"
-    cfgmod.write_csv(out, ("time_s", "strain_pct"), zip(log.time.tolist(), strains.tolist()))
+    cfgmod.write_csv(out, ("time_s", "strain_pct"), (log.time, strains))
     print(f"wrote {len(log)} samples to {out}")
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import importlib.resources
 import math
 import warnings
@@ -26,6 +27,15 @@ from .model import LoadCase, Material, StringSpec
 from .sensing import ResistanceParams
 from .training import DEFAULT_STAGE_THRESHOLDS, DEFAULT_TRAINING_SHORTENING, TrainingState
 from .units import rev_to_rad
+
+
+def _unit_fraction(raw: str) -> float:
+    """A fraction in [0, 1); NaN and inf are out of range too."""
+    value = float(raw)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{raw!r} is not in [0, 1)")
+    return value
+
 
 # Section -> {key: converter}; None marks an optional section-level choice
 # validated after parsing.
@@ -66,7 +76,7 @@ _SCHEMA = {
         "cycles": int,
         "trained_load_g": float,
         "thresholds": str,
-        "shortening_fraction": float,
+        "shortening_fraction": _unit_fraction,
     },
     "bicep": {
         "a_mm": float,
@@ -495,23 +505,188 @@ def bundled_compliant_path() -> str:
 # CSV output
 
 def format_number(value) -> str:
+    """A number as every CSV output writes it: %.10g, 10 significant digits."""
     return format(float(value), ".10g")
 
 
-def write_csv(path: str, header, rows) -> None:
-    """Write rows of mixed numbers and strings with stable formatting.
+_CHUNK_ROWS = 8192
+_PAD = 0xFF          # never a byte of UTF-8 text; cut from every formatted chunk
+_NUMBER_BYTES = 17   # the longest %.10g of a double: -1.234567891e-308
 
-    Each column keeps the kind of its first row's cell: a string is
-    written as is, a number as format_number writes it. Plain Python
-    scalars format fastest.
+# Tables of the column formatter. A cell is 16 bytes held as two
+# little-endian uint64 words, (low, high): its first byte is the lowest.
+# numpy shifts by 64 bits or more give 0, which the word carries rely on.
+_U64 = np.uint64
+
+
+def _quads():
+    """The four ASCII digits of 0..9999, first digit in the lowest byte,
+    and the trailing zeros of each (4 for 0)."""
+    digits = [np.arange(10).reshape((10,) + (1,) * (3 - i)) for i in range(4)]
+    text = sum(d + 48 << 8 * i for i, d in enumerate(digits))
+    zeros = 0
+    for d in digits:
+        zeros = (zeros + 1) * (d == 0)
+    return text.ravel().astype(_U64), zeros.ravel()
+
+
+def _low_bytes(k):
+    """The low k bytes of a cell set, k = 0..16, as (low word, high word)."""
+    k8 = (8 * k).astype(_U64)
+    return ~(~_U64(0) << k8), ~(~_U64(0) << k8 - _U64(64)) * (k8 > 64)
+
+
+def _layouts():
+    """The %.10g layout of each class (exponent + 31, digits, negative).
+
+    The ten digits split after the first p, where a point may go. The
+    cell is the digits with a one-byte gap there, shifted left by `shift`
+    bits past the sign and "0.000" prefix, cut to the bytes in `keep`,
+    with `add` laid over them: prefix, point, "e+XX" and the padding.
     """
-    rows = iter(rows)
-    with open(path, "w", newline="\n", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        first = next(rows, None)
-        if first is None:
-            return
-        # "%.10g" % v is format_number(v) for every real number type.
-        line = ",".join("%s" if isinstance(cell, str) else "%.10g" for cell in first) + "\n"
-        handle.write(line % tuple(first))
-        handle.writelines(line % tuple(row) for row in rows)
+    e, nd, neg = np.ix_(np.arange(-31, 32), np.arange(11), np.arange(2))
+    fixed = (e >= -4) & (e < 10)
+    q = np.where(fixed & (e < 0), 1 - e, 0)           # bytes of "0.000" before the digits
+    p = np.where(fixed, np.where(e >= 0, e + 1, nd), 1)
+    point = nd > p
+    before = neg + q
+    k = before + np.where(point, nd + 1, p)           # bytes up to the last digit
+    prefix = np.array(
+        [int.from_bytes(sign + b"0.000"[:i], "little") for sign in (b"", b"-") for i in range(6)],
+        dtype=_U64,
+    )[6 * neg + q]
+    exponent = np.array(
+        [0 if -4 <= i < 10 else int.from_bytes(b"e%+03d" % i, "little") for i in range(-31, 32)],
+        dtype=_U64,
+    )[e + 31]
+    dot = point * _U64(0x2E)
+    dot8, k8 = (8 * (before + p)).astype(_U64), (8 * k).astype(_U64)
+    keep = _low_bytes(k)
+    pad = _low_bytes(k + 4 * ~fixed)
+    add0 = prefix | dot << dot8 | exponent << k8 | ~pad[0]
+    add1 = (dot << dot8 - _U64(64) | exponent >> _U64(64) - k8 | exponent << k8 - _U64(64)
+            | ~pad[1])
+    return tuple(
+        np.broadcast_to(a, k.shape).ravel()
+        for a in (*_low_bytes(p), (8 * before).astype(_U64), *keep, add0, add1)
+    )
+
+
+@functools.cache
+def _tables():
+    """The formatter's tables, built on first use: about 2 ms in a fresh
+    process, which importing tsakit for commands that write no CSV skips."""
+    pow10 = np.array([float(f"1e{k}") for k in range(-21, 41)])   # 10**k at [k + 21]
+    return (pow10, *_quads(), *_layouts())
+
+
+def _format_numbers(x: np.ndarray, out: np.ndarray) -> None:
+    """Write format_number of each float into out, (n, 17) bytes padded with _PAD.
+
+    Float arithmetic gives each value's decimal exponent e and its
+    10-digit mantissa r = round(|x| * 10**(9 - e)). The digits of r and
+    the %g layout are then integer operations on the two words of a cell.
+    A value keeps that result only where it is provably format_number's:
+    1e-30 <= |x| < 1e30, so that the scaling is off by at most a few ulp
+    of r, and the fraction being rounded lies at least 1e-5 from 1/2,
+    which that error cannot cross. The rest (ties, tiny, huge, inf and
+    nan) go through format_number one by one; zeros need neither.
+    """
+    pow10, quad_text, quad_zeros, gap0, gap1, shifts, keep0, keep1, add0, add1 = _tables()
+    mag = np.abs(x)
+    fast = (mag >= 1e-30) & (mag < 1e30)
+    zero = x == 0
+    mag = np.where(fast, mag, 0.0)
+    # 2**(b-1) <= mag < 2**b gives e or e - 1; the scaled mantissa says which.
+    e = np.floor((np.frexp(mag)[1] - 1) * 0.3010299956639812).astype(np.intp)
+    e[zero] = 0
+    m = mag * pow10[30 - e]
+    e += m >= 1e10
+    m = mag * pow10[30 - e]
+    r = np.rint(m)
+    fast &= np.abs(m - np.floor(m) - 0.5) >= 1e-5
+    carry = r >= 1e10                 # 9999999999.5 rounds up to 1e+10
+    r[carry] = 1e9
+    e += carry
+
+    # The ten ASCII digits of r, by groups of four from the digit table.
+    head = np.floor(r / 1e8)
+    tail = r - head * 1e8
+    upper = np.floor(tail / 1e4)
+    lower = (tail - upper * 1e4).astype(np.intp)
+    head, upper = head.astype(np.intp), upper.astype(np.intp)
+    last = quad_text[lower]
+    d0 = quad_text[head] >> _U64(16) | quad_text[upper] << _U64(16) | last << _U64(48)
+    d1 = last >> _U64(16)
+    # Significant digits once trailing zeros go; r == 0 counts 12 zeros.
+    zeros = quad_zeros[lower] + (lower == 0) * (
+        quad_zeros[upper] + (upper == 0) * quad_zeros[head]
+    )
+    nd = np.maximum(10 - zeros, 1)
+
+    # %g layout from the class tables: a gap for the point after p
+    # digits, the shift past the prefix, then the added bytes.
+    cls = (e + 31) * 22 + nd * 2 + np.signbit(x)
+    low0, low1 = gap0[cls], gap1[cls]
+    rest = d0 & ~low0
+    w0 = d0 & low0 | rest << _U64(8)
+    w1 = d1 & low1 | (d1 & ~low1) << _U64(8) | rest >> _U64(56)
+    shift = shifts[cls]
+    words = out[:, :16].view("<u8")    # little-endian on any host
+    words[:, 0] = w0 << shift & keep0[cls] | add0[cls]
+    words[:, 1] = (w1 << shift | w0 >> _U64(64) - shift) & keep1[cls] | add1[cls]
+    out[:, 16] = _PAD
+    for i in np.flatnonzero(~(fast | zero)):
+        text = format_number(x[i]).encode("ascii")
+        out[i] = _PAD
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+
+
+def _text_cells(column) -> np.ndarray:
+    """str(cell) of each cell in UTF-8, as (n, width) bytes padded with _PAD."""
+    cells = None
+    if isinstance(column, np.ndarray) and column.dtype.kind == "U":
+        codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
+        if codes.max() < 128:    # ASCII: one byte per code point
+            cells, sizes = codes.astype(np.uint8), np.char.str_len(column)
+    if cells is None:    # a list of str may end in NULs, which numpy strings drop
+        encoded = [str(cell).encode("utf-8") for cell in column]
+        text = np.array(encoded, dtype=np.bytes_)
+        cells = text.view(np.uint8).reshape(len(encoded), text.dtype.itemsize)
+        sizes = np.array([len(cell) for cell in encoded])
+    cells[np.arange(cells.shape[1]) >= sizes[:, None]] = _PAD
+    return cells
+
+
+def write_csv(path: str, header, columns) -> None:
+    """Write equal-length columns under a header row.
+
+    columns is any iterable of 1-D columns (arrays or sequences). A
+    column whose first cell is a string is written as is, in UTF-8; any
+    other column is read as float64 and written as format_number writes
+    each cell (%.10g, 10 significant digits), so a re-run writes the same
+    bytes. Numbers are formatted a chunk of rows at a time in numpy.
+    """
+    columns = [
+        _text_cells(c) if len(c) and isinstance(c[0], str) else np.asarray(c, dtype=np.float64)
+        for c in columns
+    ]
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("write_csv columns must have equal length")
+    rows = len(columns[0]) if columns else 0
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
+        for start in range(0, rows, _CHUNK_ROWS):
+            chunk = [c[start : start + _CHUNK_ROWS] for c in columns]
+            widths = [_NUMBER_BYTES if c.ndim == 1 else c.shape[1] for c in chunk]
+            table = np.empty((len(chunk[0]), sum(widths) + len(widths)), np.uint8)
+            at = 0
+            for cells, width in zip(chunk, widths):
+                if cells.ndim == 1:
+                    _format_numbers(cells, table[:, at : at + width])
+                else:
+                    table[:, at : at + width] = cells
+                at += width + 1
+                table[:, at - 1] = ord(",")
+            table[:, -1] = ord("\n")
+            handle.write(table.tobytes().translate(None, bytes([_PAD])))

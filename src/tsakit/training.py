@@ -8,6 +8,7 @@ are cycle-count thresholds, configurable per string batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -53,8 +54,8 @@ class TrainingState:
 
     def __post_init__(self):
         stage_of(self.cycles_done, self.thresholds)  # validates both fields
-        if self.trained_load < 0:
-            raise ParameterError("trained load must be nonnegative")
+        if not 0 <= self.trained_load < math.inf:
+            raise ParameterError("trained load must be nonnegative and finite")
 
     @property
     def stage(self) -> TrainingStage:

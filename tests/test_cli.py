@@ -374,6 +374,45 @@ class TestTrain:
         assert "trained untwisted length: 210.014 mm" in capsys.readouterr().out
 
 
+class TestStrictTraining:
+    """[training] values are checked when the config is read, by every command."""
+
+    STIFF = "[string]\ndiameter_mm = 1.3\ninitial_length_mm = 214.3\nmaterial = stiff\n"
+
+    def simulate(self, tmp_path, training):
+        cfg = write(tmp_path, MODEL_CONFIG + "\n[training]\ncycles = 60\n" + training, "run.ini")
+        return main(
+            [
+                "simulate",
+                "triangle:amplitude_rev=20,period_s=60,samples=41",
+                "--config",
+                cfg,
+                "--out",
+                str(tmp_path / "sim.csv"),
+            ]
+        )
+
+    @pytest.mark.parametrize("value", ["5.0", "1.0", "-0.5", "nan", "inf"])
+    def test_train_rejects_shortening_fraction_outside_unit_interval(self, tmp_path, capsys, value):
+        cfg = write(tmp_path, self.STIFF + f"\n[training]\nshortening_fraction = {value}\n", "run.ini")
+        assert main(["train", "2", "--config", cfg]) == EXIT_INPUT
+        assert "training.shortening_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "5.0"])
+    def test_simulate_rejects_shortening_fraction_it_does_not_use(self, tmp_path, capsys, value):
+        assert self.simulate(tmp_path, f"shortening_fraction = {value}\n") == EXIT_INPUT
+        assert "training.shortening_fraction" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_train_and_simulate_reject_bad_trained_load(self, tmp_path, capsys, value):
+        assert self.simulate(tmp_path, f"trained_load_g = {value}\n") == EXIT_INPUT
+        assert "trained load must be nonnegative and finite" in capsys.readouterr().err
+        cfg = write(tmp_path, self.STIFF + f"\n[training]\ntrained_load_g = {value}\n", "train.ini")
+        assert main(["train", "60", "--config", cfg]) == EXIT_INPUT
+        assert "trained load must be nonnegative and finite" in capsys.readouterr().err
+
+
 class TestCalibrate:
     def test_fits_bundled_rows_and_writes_params(self, tmp_path, capsys):
         out = str(tmp_path / "params.ini")

@@ -216,6 +216,17 @@ class TestSectionBuilders:
         assert state.thresholds == (6, 11, 50)
         assert shortening == 0.03
 
+    @pytest.mark.parametrize("value", ["0", "0.999"])
+    def test_shortening_fraction_in_unit_interval_accepted(self, tmp_path, value):
+        cfg = parse_config(write(tmp_path, f"[training]\nshortening_fraction = {value}\n"))
+        assert training_state(cfg)[1] == float(value)
+
+    @pytest.mark.parametrize("value", ["1", "5.0", "-0.1", "nan", "inf", "-inf"])
+    def test_shortening_fraction_outside_unit_interval_rejected(self, tmp_path, value):
+        path = write(tmp_path, f"[training]\nshortening_fraction = {value}\n")
+        with pytest.raises(ConfigError, match="training.shortening_fraction"):
+            parse_config(path)
+
     def test_bicep_geometry_requires_full_triple(self, tmp_path):
         text = "[bicep]\na_mm = 83\nb_mm = 151\ntheta_max_rev = 30\n"
         assert bicep_geometry(parse_config(write(tmp_path, text))) is None
@@ -364,8 +375,13 @@ FIELDS = {
     "force_n": "force",
     "resistance_ohm": "resistance",
 }
+# Every double, each binary exponent about equally likely.
+ANY_DOUBLE = st.integers(0, 2**64 - 1).map(
+    lambda bits: np.array(bits, np.uint64).view(np.float64).item()
+)
 WRITE_KINDS = {
     "float": st.floats(),
+    "double": ANY_DOUBLE,
     "int": st.integers(-(10**20), 10**20),
     "bool": st.booleans(),
     "float64": st.floats().map(np.float64),
@@ -373,13 +389,46 @@ WRITE_KINDS = {
     "float32": st.floats(width=32).map(np.float32),
     "str": st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
 }
+# A column is passed as it is drawn: a list, a tuple or a numpy array of its cells.
+CONTAINERS = (list, tuple, np.array)
 
 
 @st.composite
 def tables(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(WRITE_KINDS)), min_size=1, max_size=5))
     count = draw(st.integers(0, 12))
-    return kinds, [tuple(draw(WRITE_KINDS[kind]) for kind in kinds) for _ in range(count)]
+    return [
+        draw(st.sampled_from(CONTAINERS))([draw(WRITE_KINDS[kind]) for _ in range(count)])
+        for kind in kinds
+    ]
+
+
+def per_cell_text(header, columns):
+    """The reference CSV text: each cell by itself, a string as is, a number by format_number."""
+    rows = zip(*columns)
+    return ",".join(header) + "\n" + "".join(
+        ",".join(cell if isinstance(cell, str) else format_number(cell) for cell in row) + "\n"
+        for row in rows
+    )
+
+
+def written(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path / "out.csv"
+    write_csv(str(path), header, iter(columns))
+    return path.read_bytes(), per_cell_text(header, columns).encode("utf-8")
+
+
+@st.composite
+def written_logs(draw):
+    """Columns of a log whose time stays strictly increasing once written."""
+    header = ["time_s", *draw(st.lists(st.sampled_from(OPTIONAL_COLUMNS), unique=True))]
+    times = []
+    for time in sorted(draw(st.lists(FINITE, min_size=1, max_size=30, unique=True))):
+        if not times or float(format_number(time)) > float(format_number(times[-1])):
+            times.append(time)
+    columns = [times] + [[draw(FINITE) for _ in times] for _ in header[1:]]
+    return header, [draw(st.sampled_from(CONTAINERS))(column) for column in columns]
 
 
 @st.composite
@@ -445,16 +494,19 @@ class TestCsvProperties:
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=tables())
     def test_writer_matches_per_cell_format_number(self, tmp_path, table):
-        kinds, rows = table
-        header = [f"c{i}" for i in range(len(kinds))]
-        path = tmp_path / "out.csv"
-        write_csv(str(path), header, iter(rows))
-        expected = ",".join(header) + "\n" + "".join(
-            ",".join(cell if isinstance(cell, str) else format_number(cell) for cell in row)
-            + "\n"
-            for row in rows
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
+        got, expected = written(tmp_path, table)
+        assert got == expected
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(log=written_logs())
+    def test_written_log_reads_back_as_formatted(self, tmp_path, log):
+        header, columns = log
+        path = tmp_path / "log.csv"
+        write_csv(str(path), header, columns)
+        back = read_experiment_log(str(path))
+        for name, column in zip(header, columns):
+            expected = np.array([float(format_number(v)) for v in column])
+            assert getattr(back, FIELDS[name]).tobytes() == expected.tobytes()
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=finite_logs())
@@ -536,13 +588,71 @@ class TestObservations:
             read_observations(path)
 
 
+# Values at the edges of the formatter: signed zeros, subnormals, non-finite
+# values, three-digit exponents, the bounds of the fixed notation, the carry
+# into an 11th digit and exact ties, which %.10g rounds half to even. In the
+# last three the scaled 10-digit mantissa lands an ulp on the wrong side of
+# its rounding tie (409733527050000 is an exact tie scaled to ...270.5000005).
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.5e-310, math.inf, -math.inf,
+    math.nan, -math.nan, 1e100, -2.5e-300, 1.7976931348623157e308, 1e-30, 1e30, 9.99999999995e29,
+    9999999999.5, -9999999999.5, 0.00009999999999, 0.00099999999995, 0.0001, 1e-5,
+    999999999.95, 1234567890.0, 12345678901.0, 12345678905.0, 12345678915.0, 0.5, 2.5,
+    1.0 / 3.0, -2.0 / 3.0, 214.3, -12.25,
+    409733527050000.0, 6.9530896595e-16, 7.2697760705e-14,
+]
+
+
 class TestCsvOutput:
+    @pytest.mark.parametrize("container", CONTAINERS)
+    def test_edge_values_match_format_number(self, tmp_path, container):
+        values = np.array(EDGE_VALUES)
+        with np.errstate(over="ignore"):    # the neighbour of the largest double is inf
+            near = [np.nextafter(values, -math.inf), values, np.nextafter(values, math.inf)]
+        got, expected = written(tmp_path, [container(column.tolist()) for column in near])
+        assert got == expected
+
+    def test_numeric_columns_led_by_bool_or_int(self, tmp_path):
+        columns = [[True, 2.5, False], [3, 1e-310, -0.0], [10**20, -7, 0.1], np.array([1, 0, 2])]
+        got, expected = written(tmp_path, columns)
+        assert got == expected
+        assert got.splitlines()[1] == b"1,3,1e+20,1"
+
+    def test_many_chunks_match_format_number(self, tmp_path):
+        rng = np.random.default_rng(5)
+        count = 20_000    # crosses the writer's row chunks
+        bits = np.frombuffer(rng.bytes(8 * count), np.float64)
+        scaled = rng.standard_normal(count) * 10.0 ** rng.integers(-35, 35, count)
+        decimals = np.rint(rng.standard_normal(count) * 1e6) / 10.0 ** rng.integers(0, 12, count)
+        phases = np.where(rng.random(count) < 0.5, "regular", "overtwist")
+        got, expected = written(tmp_path, [bits, scaled, phases, decimals])
+        assert got == expected
+
+    def test_text_columns_written_as_given(self, tmp_path):
+        columns = [
+            np.array(["regular", "", "overtwist"]),    # ASCII numpy strings
+            np.array(["é", "a", "漢字"]),               # non-ASCII numpy strings
+            ["x\x00", "", "\x00y"],                     # a list keeps its NULs
+        ]
+        got, expected = written(tmp_path, columns)
+        assert got == expected
+        assert got.splitlines()[1] == "regular,é,x\x00".encode("utf-8")
+
+    def test_columns_must_have_equal_length(self, tmp_path):
+        with pytest.raises(ValueError, match="equal length"):
+            write_csv(str(tmp_path / "out.csv"), ["a", "b"], [[1.0, 2.0], [1.0]])
+
+    def test_header_only_without_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(str(path), ["a", "b"], [np.array([]), []])
+        assert path.read_bytes() == b"a,b\n"
+
     def test_write_and_read_back(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_csv(
             path,
             ["time_s", "theta_rev", "length_mm"],
-            [(0.0, 0.0, 214.3), (0.5, 1.25, 210.0)],
+            [np.array([0.0, 0.5]), [0.0, 1.25], (214.3, 210.0)],
         )
         log = read_experiment_log(path, required=("time_s", "theta_rev", "length_mm"))
         assert log.theta.tolist() == [0.0, 1.25]

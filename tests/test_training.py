@@ -1,5 +1,7 @@
 """Training state machine and the stiff-string coiling gate."""
 
+import math
+
 import pytest
 
 from tsakit.errors import ParameterError, TrainingGateError
@@ -47,6 +49,11 @@ class TestStageOf:
             stage_of(0, (0, 11, 50))
         with pytest.raises(ParameterError):
             stage_of(-1)
+
+    @pytest.mark.parametrize("load", [-1.0, math.nan, math.inf])
+    def test_trained_load_must_be_nonnegative_and_finite(self, load):
+        with pytest.raises(ParameterError, match="trained load"):
+            TrainingState(trained_load=load)
 
 
 class TestAdvanceCycle:
