@@ -13,10 +13,7 @@ from .bicep import (
     BicepFit,
     BicepGeometry,
     angle_from_length,
-    bicep_grid_oracle,
-    dlength_dangle,
     fit_bicep,
-    gravity_torque,
     length_from_angle,
     string_tension,
     sweep,
@@ -25,7 +22,6 @@ from .calibration import (
     FitResult,
     ObservedEndpoints,
     ParamBounds,
-    endpoints_from_params,
     fit_two_phase,
     grid_oracle,
     predict_endpoints,
@@ -64,9 +60,6 @@ from .model import (
     bundle_diameter,
     contraction,
     effective_length,
-    length,
-    length_regular,
-    max_theta,
     size_for_displacement,
     strain,
     twist_profile,
@@ -121,34 +114,27 @@ __all__ = [
     "UnderdeterminedError",
     "advance_cycle",
     "angle_from_length",
-    "bicep_grid_oracle",
     "bundle_diameter",
     "coiling_available",
     "contraction",
     "creep_component",
     "default_thresholds",
     "detrend_creep",
-    "dlength_dangle",
     "effective_length",
-    "endpoints_from_params",
     "estimate_strain",
     "fit_bicep",
     "fit_two_phase",
-    "gravity_torque",
     "grid_oracle",
     "hysteretic_length",
     "identify_length_correction",
-    "length",
     "length_baseline",
     "length_from_angle",
-    "length_regular",
-    "max_theta",
     "operating_length",
     "pi_apply",
     "pi_identify",
     "predict_endpoints",
-    "resistance_forward",
     "residual",
+    "resistance_forward",
     "size_for_displacement",
     "stage_of",
     "strain",

@@ -167,46 +167,26 @@ def _arms(u: float, v: float, lo: float, hi: float):
     return a, b
 
 
-def _grid_scan(lengths: np.ndarray, angles: np.ndarray, arm_step: float, gamma_step: float):
-    # Vectorized over gamma via sse(g) = sum((g - t_k)^2), t_k = elbow_k + phi_k.
-    arm_axis = np.arange(arm_step, 400.0 + 1e-9, arm_step)
-    gamma_axis = np.arange(gamma_step, 360.0, gamma_step)
-    best = None
-    for a in arm_axis:
-        for b in arm_axis:
-            lo, hi = abs(a - b), a + b
-            if lengths.min() < lo or lengths.max() > hi:
-                continue
-            c = (a * a + b * b - lengths**2) / (2.0 * a * b)
-            t = np.degrees(np.arccos(np.clip(c, -1.0, 1.0))) + angles
-            sse = ((gamma_axis[:, None] - t[None, :]) ** 2).sum(axis=1)
-            i = int(np.argmin(sse))
-            key = (float(sse[i]), (float(a), float(b), float(gamma_axis[i])))
-            if best is None or key < best:
-                best = key
-    return best
-
-
 def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> BicepFit:
     """Fit (a, b, gamma) to (string length mm, bending angle deg) pairs.
 
     Exact reduction, deterministic. For fixed arms the best gamma is the
     clipped mean of elbow_k + angle_k. The arms that close on every
-    observed length form a box in u = b - a and v = a + b: u in
-    [0, l_min] and v >= l_max, with a <= b canonical. The admissible
-    cells of bicep_grid_oracle's 4 mm lattice in (0, 400] mm are scored
-    in one pass, ties going to the smallest (a, b), and the best starts
-    one Nelder-Mead polish over the box, so the fit never loses to that
-    oracle. An optimum on the folded (b - a = l_min) or fully extended
-    (a + b = l_max) boundary is a face of the box, and the reported arms
-    admit every observed length in floating point. When any observation
-    misses by more than 1.5 deg the linkage model cannot explain the
-    data and the fit is flagged inconsistent. The angle of every linkage
-    strictly falls with length, and as the arms grow every elbow flattens,
-    so angles that do not fall can pull the arms away without bound. By
-    policy, pairs whose least-squares slope of angle on length is not
-    negative raise UnderdeterminedError. The rule is not exact: some such
-    pairs have a finite best fit, and are refused all the same.
+    observed length form a box in u = b - a and v = a + b: u in [0, l_min]
+    and v >= l_max, with a <= b canonical. The admissible cells of a 4 mm
+    arm lattice in (0, 400] mm are scored in one pass, ties going to the
+    smallest (a, b), and the best starts one Nelder-Mead polish over the
+    box, so the fit never loses to a grid scan of that lattice. An optimum
+    on the folded (b - a = l_min) or fully extended (a + b = l_max)
+    boundary is a face of the box, and the reported arms admit every
+    observed length in floating point. When any observation misses by more
+    than 1.5 deg the linkage model cannot explain the data and the fit is
+    flagged inconsistent. The angle of every linkage strictly falls with
+    length, and as the arms grow every elbow flattens, so angles that do
+    not fall can pull the arms away without bound. By policy, pairs whose
+    least-squares slope of angle on length is not negative raise
+    UnderdeterminedError. The rule is not exact: some such pairs have a
+    finite best fit, and are refused all the same.
     """
     lengths, angles = _pair_arrays(pairs)
     if (lengths - lengths.mean()) @ (angles - angles.mean()) >= 0:
@@ -217,7 +197,7 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
         )
     lo, hi = float(lengths.min()), float(lengths.max())
 
-    # The a <= b half of the oracle's lattice: the SSE is symmetric in
+    # The a <= b half of the 4 mm lattice: the SSE is symmetric in
     # the arms, bit for bit, so C-order ties already go to a <= b.
     axis = np.arange(4.0, 400.0 + 1e-9, 4.0)
     a, b = np.meshgrid(axis, axis, indexing="ij")
@@ -257,30 +237,6 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     )
 
 
-def bicep_grid_oracle(pairs, arm_step: float = 4.0, gamma_step: float = 2.0):
-    """Best grid cell of the 3-d scan, without polishing.
-
-    Independent check for fit_bicep: the polished solution must never be
-    worse than the best grid cell. Returns ((a, b, gamma), sse_deg2).
-    """
-    lengths, angles = _pair_arrays(pairs)
-    best = _grid_scan(lengths, angles, arm_step, gamma_step)
-    if best is None:
-        raise UnderdeterminedError("no admissible geometry covers the observed lengths")
-    return best[1], best[0]
-
-
-def gravity_torque(geom: BicepGeometry, angle: float) -> float:
-    """Payload gravity moment about the joint (N mm) at a bending angle.
-
-    The upper arm hangs vertically, so the payload lever is the forearm
-    length times the cosine of the forearm's inclination from the
-    horizontal, which equals sin of the elbow angle.
-    """
-    psi = math.radians(geom.gamma - angle)
-    return grams_to_newtons(geom.payload) * geom.forearm_length * abs(math.sin(psi))
-
-
 def string_tension(geom: BicepGeometry, angle: float) -> float:
     """Quasi-static string tension (N) holding a bending angle (deg).
 
@@ -297,15 +253,6 @@ def string_tension(geom: BicepGeometry, angle: float) -> float:
         )
     weight = grams_to_newtons(geom.payload)
     return weight * geom.forearm_length * l / (geom.a * geom.b)
-
-
-def dlength_dangle(geom: BicepGeometry, angle: float) -> float:
-    """Analytic dl/dphi (mm per degree) at a bending angle."""
-    psi_rad = math.radians(geom.gamma - angle)
-    l = length_from_angle(geom, angle)
-    if l == 0:
-        raise SingularConfigurationError("degenerate triangle")
-    return -(geom.a * geom.b * math.sin(psi_rad) / l) * math.pi / 180.0
 
 
 def sweep(

@@ -288,10 +288,6 @@ def params_from_vector(vector) -> TwoPhaseParams:
     return TwoPhaseParams(**dict(zip(PARAM_ORDER, (float(x) for x in v))))
 
 
-def params_to_vector(params: TwoPhaseParams) -> np.ndarray:
-    return np.array([getattr(params, n) for n in PARAM_ORDER])
-
-
 @dataclass(frozen=True)
 class FitResult:
     params: TwoPhaseParams
@@ -459,29 +455,3 @@ def grid_oracle(
             best, best_value = start * block + k, float(values.flat[k])
     winner = [axis[i] for axis, i in zip(axes, np.unravel_index(best, shape))]
     return params_from_vector(winner), best_value
-
-
-def endpoints_from_params(
-    spec: StringSpec,
-    params: TwoPhaseParams,
-    load: LoadCase,
-    theta_max_rev: float,
-    motor_speed_rev_s: float | None = None,
-    include_speeds: bool = True,
-    include_torques: bool = True,
-) -> ObservedEndpoints:
-    """Synthesize the endpoints a given model would produce (for tests
-    and round-trip checks)."""
-    pred = predict_endpoints(spec, params, load, theta_max_rev, motor_speed_rev_s)
-    return ObservedEndpoints(
-        spec=spec,
-        load=load,
-        theta_max_rev=theta_max_rev,
-        contraction_regular_pct=pred["contraction_regular_pct"],
-        contraction_total_pct=pred["contraction_total_pct"],
-        max_speed_regular_mm_s=pred["speed_regular"] if include_speeds else None,
-        max_speed_overtwist_mm_s=pred["speed_overtwist"] if include_speeds else None,
-        max_torque_regular_nm=pred["torque_regular_nm"] if include_torques else None,
-        max_torque_overtwist_nm=pred["torque_overtwist_nm"] if include_torques else None,
-        motor_speed_rev_s=motor_speed_rev_s,
-    )

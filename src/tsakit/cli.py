@@ -9,6 +9,7 @@ byte-identical across re-runs. Exit codes: 0 success, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -64,6 +65,8 @@ def _params_for(cfg: cfgmod.RunConfig):
 
 
 def cmd_calibrate(args) -> int:
+    if args.max_iter < 0:
+        raise InputError(f"--max-iter must be nonnegative, got {args.max_iter}")
     observations = cfgmod.read_observations(args.observations)
     lines = []
     any_failed = False
@@ -133,11 +136,29 @@ def _generated_profile(spec_text: str):
             raise InputError(f"profile {name!r} requires {key}")
         return default
 
+    def finite(key):
+        value = take(key)
+        if not math.isfinite(value):
+            raise InputError(f"profile option {key} must be finite, got {value:g}")
+        return value
+
+    def positive(key):
+        value = take(key)
+        if not 0.0 < value < math.inf:
+            raise InputError(f"profile option {key} must be positive and finite, got {value:g}")
+        return value
+
+    def count(key, default):
+        value = take(key, default)
+        if not (value >= 1.0 and value.is_integer()):
+            raise InputError(f"profile option {key} must be a whole number >= 1, got {value:g}")
+        return int(value)
+
     if name == "triangle":
-        amplitude = take("amplitude_rev")
-        period = take("period_s")
-        cycles = int(take("cycles", 1.0))
-        samples = int(take("samples", 201.0))
+        amplitude = finite("amplitude_rev")
+        period = positive("period_s")
+        cycles = count("cycles", 1.0)
+        samples = count("samples", 201.0)
         if options:
             raise InputError(f"unknown profile options {sorted(options)}")
         times = np.linspace(0.0, period * cycles, samples)
@@ -146,9 +167,9 @@ def _generated_profile(spec_text: str):
         # np.linspace endpoint lands exactly on a cycle boundary; keep it 0.
         return times, theta
     if name == "ramp":
-        rate = take("rate_rev_s")
-        duration = take("duration_s")
-        samples = int(take("samples", 201.0))
+        rate = finite("rate_rev_s")
+        duration = positive("duration_s")
+        samples = count("samples", 201.0)
         if options:
             raise InputError(f"unknown profile options {sorted(options)}")
         times = np.linspace(0.0, duration, samples)
@@ -230,6 +251,8 @@ def cmd_size(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.cycles < 0:
+        raise InputError(f"cycles must be nonnegative, got {args.cycles}")
     cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.RunConfig()
     spec = cfgmod.string_spec(cfg) if cfg.string else None
     if spec is not None and spec.material is Material.COMPLIANT:

@@ -37,6 +37,18 @@ def _unit_fraction(raw: str) -> float:
     return value
 
 
+def _count(minimum: int):
+    """Converter of a whole number no less than minimum."""
+
+    def convert(raw: str) -> int:
+        value = int(raw)
+        if value < minimum:
+            raise ValueError(f"{raw!r} is below {minimum}")
+        return value
+
+    return convert
+
+
 # Section -> {key: converter}; None marks an optional section-level choice
 # validated after parsing.
 _SCHEMA = {
@@ -58,7 +70,7 @@ _SCHEMA = {
     "calibration": {
         "observations": str,
         "row": int,
-        "max_iter": int,
+        "max_iter": _count(0),
     },
     "hysteresis": {
         "thresholds_rev": str,
@@ -73,7 +85,7 @@ _SCHEMA = {
         "creep_saturation_ohm": float,
     },
     "training": {
-        "cycles": int,
+        "cycles": _count(0),
         "trained_load_g": float,
         "thresholds": str,
         "shortening_fraction": _unit_fraction,
@@ -86,7 +98,7 @@ _SCHEMA = {
         "payload_g": float,
         "forearm_length_mm": float,
         "theta_max_rev": float,
-        "samples": int,
+        "samples": _count(1),
     },
 }
 

@@ -83,21 +83,6 @@ class PIModel:
             raise ParameterError("weights must be nonnegative and finite")
         self.states = _validate_states(self.states, self.thresholds)
 
-    @classmethod
-    def zeros(cls, thresholds) -> "PIModel":
-        t = _validate_thresholds(np.asarray(thresholds, dtype=float))
-        return cls(thresholds=t, weights=np.zeros_like(t))
-
-    def reset(self) -> None:
-        self.states = np.zeros_like(self.thresholds)
-
-    def copy(self) -> "PIModel":
-        return PIModel(self.thresholds.copy(), self.weights.copy(), self.states.copy())
-
-    def step(self, x: float) -> float:
-        """Advance every operator by one sample, return the weighted sum."""
-        return float(pi_apply(self, [x])[0])
-
 
 def _advance(model: PIModel, xs: np.ndarray) -> np.ndarray:
     """Play outputs of the model's operators over xs, starting from and
@@ -172,12 +157,6 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     return np.maximum(lo, hi, out=hi)
 
 
-def stop_responses(thresholds, inputs) -> np.ndarray:
-    """Complementary stop operator outputs, x - play(x), bounded by the threshold."""
-    xs = np.asarray(inputs, dtype=float)
-    return xs[:, None] - play_responses(thresholds, xs)
-
-
 def _nnls_fit(regressors: np.ndarray, targets: np.ndarray):
     if np.linalg.matrix_rank(regressors) < regressors.shape[1]:
         warnings.warn(
@@ -238,7 +217,7 @@ def identify_length_correction(
             f"need at least {4 * t.size} samples to identify {t.size} weights"
         )
     backbone = twist_profile(spec, params, load, xs).length
-    basis = stop_responses(t, xs)
+    basis = xs[:, None] - play_responses(t, xs)
     # The zero-threshold stop operator is identically zero (play is the
     # identity there), so that column is structurally unidentifiable;
     # pin its weight and fit the rest.

@@ -17,9 +17,9 @@ a steeper torque requirement. This module models both regimes:
   while occupying only coil_pitch axially, so the length drops linearly
   with the coil count.
 
-length evaluates the law at one twist; twist_profile evaluates it over a
-twist array in one pass, with phase, coil count, ratio dL/dtheta (its
-regular side at theta_star, where it jumps) and torque per sample.
+twist_profile evaluates the law over a twist array in one pass, with
+phase, coil count, ratio dL/dtheta (its regular side at theta_star, where
+it jumps) and torque per sample.
 
 Lengths are millimeters, angles radians, masses grams, torques newton
 meters. Twist below zero or NaN is rejected rather than wrapped.
@@ -40,7 +40,7 @@ from .errors import (
     ParameterError,
     TrainingGateError,
 )
-from .units import TWO_PI, grams_to_newtons
+from .units import TWO_PI
 
 # Lower clamp used where a strictly positive length is required.
 LENGTH_FLOOR = 1e-9
@@ -183,64 +183,6 @@ def _gate_open(spec, load, training) -> bool:
     return coiling_available(spec, training, load)
 
 
-def length_regular(
-    spec: StringSpec, params: TwoPhaseParams, load: LoadCase, theta: float
-) -> float:
-    """Axial length during regular twisting (mm), 0 <= theta <= theta_star."""
-    if not theta >= 0:  # NaN included
-        raise DomainError("twist must be nonnegative")
-    if theta > params.theta_star:
-        raise DomainError("theta beyond the regular phase; use length")
-    l_eff = effective_length(spec, params, load)
-    wound = theta * params.r_eff
-    if wound >= l_eff:
-        raise DomainError(
-            "helix winding consumed the whole string before theta was reached"
-        )
-    return math.sqrt(l_eff * l_eff - wound * wound)
-
-
-def max_theta(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -> float:
-    """Largest admissible twist before coils consume the whole bundle (rad)."""
-    l1 = length_regular(spec, params, load, params.theta_star)
-    return params.theta_star + TWO_PI * l1 / params.coil_circumference
-
-
-def length(
-    spec: StringSpec,
-    params: TwoPhaseParams,
-    load: LoadCase,
-    theta: float,
-    training=None,
-) -> float:
-    """Axial length at any admissible twist (mm). Piecewise two-phase law.
-
-    Past theta_star one coil forms per revolution. Raises DomainError for
-    a negative or NaN twist, and CoilCapacityError (carrying the maximum
-    admissible twist) once the coils would consume more bundle than the
-    regular phase left over.
-    """
-    if not theta >= 0:  # NaN included
-        raise DomainError("twist must be nonnegative")
-    if theta <= params.theta_star:
-        return length_regular(spec, params, load, theta)
-    if not _gate_open(spec, load, training):
-        raise TrainingGateError(
-            "overtwisting a stiff string requires training to the uniform "
-            "stage at a load no larger than the operating load"
-        )
-    l1 = length_regular(spec, params, load, params.theta_star)
-    coils = (theta - params.theta_star) / TWO_PI
-    if coils * params.coil_circumference > l1:
-        limit = max_theta(spec, params, load)
-        raise CoilCapacityError(
-            f"twist {theta:.6g} rad exceeds the coil capacity limit "
-            f"{limit:.6g} rad",
-            theta_max=limit,
-        )
-    return l1 - coils * params.per_coil_shortening
-
-
 def strain(length_mm: float, initial_length_mm: float) -> float:
     """Engineering strain in percent, negative when contracted."""
     if initial_length_mm <= 0:
@@ -272,12 +214,15 @@ def twist_profile(
 ) -> TwistProfile:
     """The two-phase law over a whole twist array, in one numpy pass.
 
-    The length column equals the scalar length sample by sample; the
-    ratio is -theta * r_eff^2 / length in the regular phase and
-    -per_coil_shortening / 2 pi past theta_star. An inadmissible sample
-    (negative, NaN, past the helix limit or the coil capacity, or gated
-    by training) raises the error the scalar length raises at the first
-    such sample.
+    The length is sqrt(L_eff^2 - (theta r_eff)^2) up to theta_star and
+    falls by per_coil_shortening per revolution past it; the ratio is
+    -theta * r_eff^2 / length in the regular phase and
+    -per_coil_shortening / 2 pi past theta_star. The first inadmissible
+    sample raises, checked in this order: a negative or NaN twist
+    (DomainError), overtwisting gated by training (TrainingGateError), a
+    helix wound past L_eff (DomainError), and coils that would consume
+    more bundle than the regular phase left (CoilCapacityError, carrying
+    the largest admissible twist).
     """
     theta = np.asarray(thetas, dtype=float)
     over = theta > params.theta_star
@@ -288,10 +233,28 @@ def twist_profile(
     with np.errstate(invalid="ignore"):
         regular = np.sqrt(l_eff * l_eff - wound * wound)
     bad = ~(theta >= 0) | (wound >= l_eff) | (coils * params.coil_circumference > regular)
-    if over.any() and not _gate_open(spec, load, training):
+    gated = over.any() and not _gate_open(spec, load, training)
+    if gated:
         bad |= over
-    if bad.any():  # the scalar law raises at the first inadmissible sample
-        length(spec, params, load, float(theta.flat[bad.argmax()]), training=training)
+    if bad.any():
+        k = bad.argmax()
+        if not theta.flat[k] >= 0:
+            raise DomainError("twist must be nonnegative")
+        if gated and over.flat[k]:
+            raise TrainingGateError(
+                "overtwisting a stiff string requires training to the uniform "
+                "stage at a load no larger than the operating load"
+            )
+        if wound.flat[k] >= l_eff:
+            raise DomainError(
+                "helix winding consumed the whole string before theta was reached"
+            )
+        limit = params.theta_star + TWO_PI * float(regular.flat[k]) / params.coil_circumference
+        raise CoilCapacityError(
+            f"twist {float(theta.flat[k]):.6g} rad exceeds the coil capacity limit "
+            f"{limit:.6g} rad",
+            theta_max=limit,
+        )
     lengths = regular - coils * params.per_coil_shortening
     ratio = np.where(
         over, -params.per_coil_shortening / TWO_PI, -theta * params.r_eff**2 / lengths

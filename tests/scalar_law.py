@@ -1,0 +1,64 @@
+"""The two-phase law at one twist: the reference for twist_profile.
+
+A direct scalar transcription of the model. Its lengths, its errors and
+their order are what twist_profile must reproduce sample by sample, and
+what the kinematics tests check against geometric oracles.
+"""
+
+import math
+
+from tsakit.errors import CoilCapacityError, DomainError, TrainingGateError
+from tsakit.model import effective_length
+from tsakit.training import coiling_available
+from tsakit.units import TWO_PI
+
+
+def length_regular(spec, params, load, theta):
+    """Axial length during regular twisting (mm), 0 <= theta <= theta_star."""
+    if not theta >= 0:  # NaN included
+        raise DomainError("twist must be nonnegative")
+    if theta > params.theta_star:
+        raise DomainError("theta beyond the regular phase; use length")
+    l_eff = effective_length(spec, params, load)
+    wound = theta * params.r_eff
+    if wound >= l_eff:
+        raise DomainError(
+            "helix winding consumed the whole string before theta was reached"
+        )
+    return math.sqrt(l_eff * l_eff - wound * wound)
+
+
+def max_theta(spec, params, load):
+    """Largest admissible twist before coils consume the whole bundle (rad)."""
+    l1 = length_regular(spec, params, load, params.theta_star)
+    return params.theta_star + TWO_PI * l1 / params.coil_circumference
+
+
+def length(spec, params, load, theta, training=None):
+    """Axial length at any admissible twist (mm). Piecewise two-phase law.
+
+    Past theta_star one coil forms per revolution, once training (when
+    given) has opened the gate. Raises DomainError for a negative or NaN
+    twist, TrainingGateError for a gated overtwist, and CoilCapacityError
+    (carrying the maximum admissible twist) once the coils would consume
+    more bundle than the regular phase left over.
+    """
+    if not theta >= 0:  # NaN included
+        raise DomainError("twist must be nonnegative")
+    if theta <= params.theta_star:
+        return length_regular(spec, params, load, theta)
+    if training is not None and not coiling_available(spec, training, load):
+        raise TrainingGateError(
+            "overtwisting a stiff string requires training to the uniform "
+            "stage at a load no larger than the operating load"
+        )
+    l1 = length_regular(spec, params, load, params.theta_star)
+    coils = (theta - params.theta_star) / TWO_PI
+    if coils * params.coil_circumference > l1:
+        limit = max_theta(spec, params, load)
+        raise CoilCapacityError(
+            f"twist {theta:.6g} rad exceeds the coil capacity limit "
+            f"{limit:.6g} rad",
+            theta_max=limit,
+        )
+    return l1 - coils * params.per_coil_shortening

@@ -17,8 +17,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from tsakit.bicep import bicep_grid_oracle, fit_bicep
-from tsakit.calibration import fit_two_phase, params_to_vector, predict_endpoints
+from oracles import bicep_grid_oracle, params_vector
+from tsakit.bicep import fit_bicep
+from tsakit.calibration import fit_two_phase, predict_endpoints
 from tsakit.cli import EXIT_OK, main
 from tsakit.config import (
     bundled_compliant_path,
@@ -31,7 +32,6 @@ from tsakit.model import (
     Material,
     StringSpec,
     TwoPhaseParams,
-    length,
     size_for_displacement,
     twist_profile,
 )
@@ -200,9 +200,9 @@ def _refine(knots, per_segment: int) -> np.ndarray:
 
 def _check_phase_continuity():
     ts = PARAMS.theta_star
-    below = length(SPEC, PARAMS, LOAD, ts * (1.0 - 1e-12))
-    at = length(SPEC, PARAMS, LOAD, ts)
-    above = length(SPEC, PARAMS, LOAD, ts * (1.0 + 1e-12))
+    below, at, above = twist_profile(
+        SPEC, PARAMS, LOAD, [ts * (1.0 - 1e-12), ts, ts * (1.0 + 1e-12)]
+    ).length.tolist()
     assert abs(above - below) / at < 1e-9
     assert abs(at - below) / at < 1e-9
 
@@ -212,10 +212,8 @@ def _check_transmission_ratio_matches_finite_difference():
     thetas = [frac * PARAMS.theta_star for frac in (0.3, 0.9, 1.1, 1.27)]
     ratios = twist_profile(SPEC, PARAMS, LOAD, thetas).ratio.tolist()
     for theta, analytic in zip(thetas, ratios):
-        numeric = (
-            length(SPEC, PARAMS, LOAD, theta + h)
-            - length(SPEC, PARAMS, LOAD, theta - h)
-        ) / (2.0 * h)
+        plus, minus = twist_profile(SPEC, PARAMS, LOAD, [theta + h, theta - h]).length.tolist()
+        numeric = (plus - minus) / (2.0 * h)
         assert numeric == pytest.approx(analytic, rel=1e-6)
 
 
@@ -286,8 +284,8 @@ def _check_calibration_determinism():
     first = fit_two_phase(obs)
     second = fit_two_phase(obs)
     assert (
-        params_to_vector(first.params).tobytes()
-        == params_to_vector(second.params).tobytes()
+        params_vector(first.params).tobytes()
+        == params_vector(second.params).tobytes()
     )
     assert first.residual == second.residual
     assert first.iterations == second.iterations

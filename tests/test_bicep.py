@@ -19,17 +19,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from oracles import bicep_grid_oracle, dlength_dangle, gravity_torque
+from scalar_law import length
 from tsakit.bicep import (
     CONSISTENCY_LIMIT_DEG,
     BicepFit,
     BicepGeometry,
     _arms,
     angle_from_length,
-    bicep_grid_oracle,
-    dlength_dangle,
     elbow_angle,
     fit_bicep,
-    gravity_torque,
     length_from_angle,
     string_tension,
     sweep,
@@ -375,8 +374,6 @@ class TestSweep:
         trajectory = sweep(geom, spec, params, load, theta_values)
         angles = np.array([phi for _, phi in trajectory])
         assert np.all(np.diff(angles) >= 0.0)
-        from tsakit.model import length
-
         for theta_rev, phi in trajectory[:: 10]:
             l = length(spec, params, load, rev_to_rad(theta_rev))
             assert phi == pytest.approx(angle_from_length(geom, l), abs=1e-12)

@@ -15,6 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsakit.calibration as calibration
+from oracles import endpoints_from_params, params_vector
+from scalar_law import length, max_theta
 from tsakit.calibration import (
     PARAM_ORDER,
     PENALTY_RESIDUAL,
@@ -23,11 +25,9 @@ from tsakit.calibration import (
     FitResult,
     ObservedEndpoints,
     ParamBounds,
-    endpoints_from_params,
     fit_two_phase,
     grid_oracle,
     params_from_vector,
-    params_to_vector,
     predict_endpoints,
     residual,
 )
@@ -42,8 +42,6 @@ from tsakit.model import (
     bundle_diameter,
     coil_circumference,
     contraction,
-    length,
-    max_theta,
 )
 from tsakit.units import TWO_PI, rad_to_rev, rev_to_rad
 
@@ -108,7 +106,7 @@ def stiff_rows(draw):
     theta_max = truth.theta_star + fraction * (capacity - truth.theta_star)
     obs = endpoints_from_params(spec, truth, load, rad_to_rev(theta_max))
     lo, hi = ParamBounds.default(obs).arrays()
-    vector = params_to_vector(truth)
+    vector = params_vector(truth)
     assume(np.all((lo <= vector) & (vector <= hi)))
     return truth, obs
 
@@ -481,7 +479,7 @@ class TestParamBounds:
 
 class TestVectorMapping:
     def test_round_trip(self):
-        assert params_from_vector(params_to_vector(TRUTH)) == TRUTH
+        assert params_from_vector(params_vector(TRUTH)) == TRUTH
 
 
 class TestFit:
@@ -491,8 +489,8 @@ class TestFit:
         assert isinstance(fit, FitResult)
         assert fit.converged
         assert fit.residual < 1e-20
-        truth_vec = params_to_vector(TRUTH)
-        fitted_vec = params_to_vector(fit.params)
+        truth_vec = params_vector(TRUTH)
+        fitted_vec = params_vector(fit.params)
         scale = np.where(truth_vec == 0.0, 1.0, np.abs(truth_vec))
         assert np.all(np.abs(fitted_vec - truth_vec) / scale < 1e-6)
 
@@ -517,7 +515,7 @@ class TestFit:
         first = fit_two_phase(obs, tight_bounds())
         second = fit_two_phase(obs, tight_bounds())
         assert np.array_equal(
-            params_to_vector(first.params), params_to_vector(second.params)
+            params_vector(first.params), params_vector(second.params)
         )
         assert first.residual == second.residual
         assert first.iterations == second.iterations

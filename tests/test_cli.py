@@ -252,6 +252,40 @@ class TestSimulate:
         assert code == EXIT_INPUT
         assert "negative twist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profile, option, value",
+        [
+            ("triangle:amplitude_rev=10,period_s=1,samples=0", "samples", "0"),
+            ("triangle:amplitude_rev=10,period_s=1,samples=-5", "samples", "-5"),
+            ("triangle:amplitude_rev=10,period_s=1,samples=2.7", "samples", "2.7"),
+            ("triangle:amplitude_rev=10,period_s=1,cycles=0", "cycles", "0"),
+            ("triangle:amplitude_rev=10,period_s=1,cycles=inf", "cycles", "inf"),
+            ("triangle:amplitude_rev=10,period_s=-1", "period_s", "-1"),
+            ("triangle:amplitude_rev=nan,period_s=1", "amplitude_rev", "nan"),
+            ("ramp:rate_rev_s=1,duration_s=0,samples=3", "duration_s", "0"),
+            ("ramp:rate_rev_s=1,duration_s=inf", "duration_s", "inf"),
+            ("ramp:rate_rev_s=-inf,duration_s=1", "rate_rev_s", "-inf"),
+            ("ramp:rate_rev_s=1,duration_s=1,samples=nan", "samples", "nan"),
+        ],
+    )
+    def test_bad_generator_option_is_input_error(self, tmp_path, capsys, profile, option, value):
+        rule = {
+            "samples": "a whole number >= 1",
+            "cycles": "a whole number >= 1",
+            "period_s": "positive and finite",
+            "duration_s": "positive and finite",
+            "amplitude_rev": "finite",
+            "rate_rev_s": "finite",
+        }[option]
+        # With [training], simulate checks the gate on the profile's largest
+        # twist, which an empty profile does not have.
+        cfg = write(tmp_path, MODEL_CONFIG + "\n[training]\ncycles = 60\n", "run.ini")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        message = f"error: profile option {option} must be {rule}, got {value}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
     def test_unknown_profile_generator(self, tmp_path, capsys):
         cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
         assert (
@@ -411,6 +445,48 @@ class TestStrictTraining:
         cfg = write(tmp_path, self.STIFF + f"\n[training]\ntrained_load_g = {value}\n", "train.ini")
         assert main(["train", "60", "--config", cfg]) == EXIT_INPUT
         assert "trained load must be nonnegative and finite" in capsys.readouterr().err
+
+
+class TestCounts:
+    """Counts from the command line and the config file are whole and in range."""
+
+    def test_negative_train_cycles(self, capsys):
+        assert main(["train", "-3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cycles must be nonnegative, got -3\n"
+
+    def test_negative_max_iter_option(self, capsys):
+        assert main(["calibrate", bundled_stiff_path(), "--max-iter", "-1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-iter must be nonnegative, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, key, value",
+        [
+            (
+                ["simulate", "triangle:amplitude_rev=10,period_s=60,samples=11"],
+                CALIBRATED_CONFIG + "max_iter = -1\n",
+                "calibration.max_iter",
+                "-1",
+            ),
+            (
+                ["train", "60"],
+                MODEL_CONFIG + "\n[training]\ncycles = -1\n",
+                "training.cycles",
+                "-1",
+            ),
+            (["bicep"], MODEL_CONFIG + "\n[bicep]\nsamples = -1\n", "bicep.samples", "-1"),
+            (["bicep"], MODEL_CONFIG + "\n[bicep]\nsamples = 0\n", "bicep.samples", "0"),
+        ],
+    )
+    def test_config_count_out_of_range(self, tmp_path, capsys, argv, text, key, value):
+        cfg = write(tmp_path, text, "run.ini")
+        assert main([*argv, "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad value for {key} in {cfg}: '{value}'\n"
 
 
 class TestCalibrate:

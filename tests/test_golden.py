@@ -6,7 +6,9 @@ model loops were replaced by one array pass; simulate_profile_csv.csv
 was written before CSV reading and writing moved to whole arrays, from
 the log committed under tests/data/. Any change to how the two-phase law
 is evaluated or how CSV files are read and written must keep them
-byte-identical, and must keep the coil capacity error word for word.
+byte-identical, and must keep each error the law raises through simulate
+word for word: the coil capacity, the helix limit, a negative twist and
+the training gate.
 sense.csv was last written when the creep baseline became an exact
 variable-projection fit, which moved every strain by at most 1.9e-8 %
 from the local curve fit before it.
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from tsakit.cli import EXIT_INPUT, EXIT_OK, main
+from tsakit.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -72,6 +74,31 @@ TRIANGLE = "triangle:amplitude_rev=36,period_s=60,cycles=2,samples=401"
 PAST_CAPACITY = "triangle:amplitude_rev=45,period_s=60,samples=501"
 CAPACITY_ERROR = "error: twist 245.421 rad exceeds the coil capacity limit 245.246 rad\n"
 
+# The other errors of the law, each as simulate reports it: a theta_star of
+# 40 rev winds 0.86 mm * 40 rev past the 214.3 mm string, and 10 training
+# cycles leave the stiff string short of the uniform stage at 50.
+LAW_ERRORS = {
+    "negative_twist": (
+        MODEL_CONFIG,
+        "ramp:rate_rev_s=-1,duration_s=10,samples=11",
+        EXIT_INPUT,
+        "error: profile contains negative twist\n",
+    ),
+    "helix_limit": (
+        MODEL_CONFIG.replace("theta_star_rev = 28.0", "theta_star_rev = 40.0"),
+        PAST_CAPACITY,
+        EXIT_INPUT,
+        "error: helix winding consumed the whole string before theta was reached\n",
+    ),
+    "training_gate": (
+        MODEL_CONFIG + "\n[training]\ncycles = 10\ntrained_load_g = 2900\n",
+        TRIANGLE,
+        EXIT_GATE,
+        "error: profile overtwists a stiff string before training reached the uniform "
+        "stage at or below the operating load; train for 50 cycles at <= 2900 g first\n",
+    ),
+}
+
 CASES = {
     "simulate_hysteresis.csv": (MODEL_CONFIG + HYSTERESIS, ["simulate", TRIANGLE]),
     "simulate_plain.csv": (MODEL_CONFIG, ["simulate", TRIANGLE]),
@@ -104,4 +131,14 @@ def test_coil_capacity_error_names_first_offending_sample(tmp_path, capsys, extr
     code, out = run_case(tmp_path, MODEL_CONFIG + extra, ["simulate", PAST_CAPACITY])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == CAPACITY_ERROR
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", ["", HYSTERESIS], ids=["plain", "hysteresis"])
+@pytest.mark.parametrize("name", sorted(LAW_ERRORS))
+def test_law_errors_word_for_word(tmp_path, capsys, name, extra):
+    config_text, profile, exit_code, message = LAW_ERRORS[name]
+    code, out = run_case(tmp_path, config_text + extra, ["simulate", profile])
+    assert code == exit_code
+    assert capsys.readouterr().err == message
     assert not out.exists()

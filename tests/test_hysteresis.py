@@ -19,8 +19,14 @@ from tsakit.hysteresis import (
     pi_identify,
     play_responses,
 )
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length, twist_profile
+from scalar_law import length
+from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
 from tsakit.units import rev_to_rad
+
+
+def clone(model):
+    """A second model with the same thresholds, weights and memory."""
+    return PIModel(model.thresholds, model.weights, model.states.copy())
 
 
 def play_reference(threshold, xs):
@@ -209,6 +215,17 @@ class TestPlayScan:
             assert play_responses(t, xs, states).tobytes() == want.tobytes()
 
     @settings(max_examples=200)
+    @given(case=play_cases())
+    def test_stop_is_bounded_by_threshold(self, case):
+        # The stop operator x - play, the basis of the hysteresis
+        # correction, satisfies |x - play| <= t. Stated on the clamp bounds
+        # x -/+ t that the scan selects from, the check is exact in floats.
+        thresholds, xs, states = case
+        plays = play_responses(thresholds, xs, states)
+        x = xs[:, None]
+        assert np.all((x - thresholds <= plays) & (plays <= x + thresholds))
+
+    @settings(max_examples=200)
     @given(case=play_cases(), data=st.data())
     def test_split_call_equals_one_call(self, case, data):
         thresholds, xs, states = case
@@ -246,7 +263,7 @@ class TestPIModel:
         with pytest.raises(ParameterError, match="states must be finite"):
             PIModel(thresholds=t, weights=ones, states=np.array([bad, 0.0]))
         with pytest.raises(ParameterError, match="inputs must be finite"):
-            PIModel(thresholds=t, weights=ones).step(bad)
+            pi_apply(PIModel(thresholds=t, weights=ones), [bad])
 
     def test_empty_input_keeps_memory(self):
         model = PIModel(
@@ -271,10 +288,10 @@ class TestPIModel:
             weights=np.array([0.4, 0.9, 0.2]),
         )
         xs = triangle(5.0, 2, 40)
-        fast = pi_apply(model.copy(), xs)
+        fast = pi_apply(clone(model), xs)
         # Same path traversed with every sample tripled: outputs at the
         # corresponding points must be identical.
-        slow = pi_apply(model.copy(), np.repeat(xs, 3))
+        slow = pi_apply(clone(model), np.repeat(xs, 3))
         assert fast == pytest.approx(slow[2::3])
 
     def test_loop_closure_from_second_period(self):
@@ -323,17 +340,11 @@ class TestPIModel:
             weights=np.array([0.2, 0.5, 0.3]),
         )
         xs = triangle(6.0, 2, 40)
-        whole = pi_apply(model.copy(), xs)
-        split = model.copy()
+        whole = pi_apply(clone(model), xs)
+        split = clone(model)
         head = pi_apply(split, xs[:33])
-        tail = [split.step(float(x)) for x in xs[33:]]
+        tail = [pi_apply(split, [x])[0] for x in xs[33:]]
         assert np.concatenate([head, tail]) == pytest.approx(whole, abs=1e-12)
-
-    def test_reset_clears_memory(self):
-        model = PIModel(thresholds=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
-        pi_apply(model, [5.0, 2.0])
-        model.reset()
-        assert model.states == pytest.approx([0.0, 0.0])
 
 
 class TestDefaultThresholds:
@@ -405,7 +416,7 @@ LOAD = LoadCase(mass=200.0)
 class TestHystereticLength:
     def test_zero_weights_reproduce_backbone(self):
         thetas = rev_to_rad(triangle(20.0, 2, 40))
-        model = PIModel.zeros(np.array([0.0, 1.0, 2.0]))
+        model = PIModel(thresholds=np.array([0.0, 1.0, 2.0]), weights=np.zeros(3))
         out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
         backbone = np.array([length(SPEC, PARAMS, LOAD, float(t)) for t in thetas])
         assert out == pytest.approx(backbone, rel=1e-12)
@@ -440,8 +451,8 @@ class TestHystereticLength:
             thresholds=np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)]),
             weights=np.array([0.0, 0.25, 0.15]),
         )
-        whole = hysteretic_length(SPEC, PARAMS, LOAD, model.copy(), thetas)
-        split = model.copy()
+        whole = hysteretic_length(SPEC, PARAMS, LOAD, clone(model), thetas)
+        split = clone(model)
         head = hysteretic_length(SPEC, PARAMS, LOAD, split, thetas[:47])
         tail = hysteretic_length(SPEC, PARAMS, LOAD, split, thetas[47:])
         assert np.array_equal(np.concatenate([head, tail]), whole)
@@ -471,13 +482,11 @@ class TestHystereticLength:
         # Synthetic widened loop: the fitted correction must explain
         # strictly more of the data than the backbone alone, and the
         # noiseless weights must come back exactly.
-        from tsakit.hysteresis import stop_responses
-
         thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
         truth = np.array([0.0, 0.25, 0.15])
         thetas = rev_to_rad(triangle(20.0, 2, 60))
         backbone = np.array([length(SPEC, PARAMS, LOAD, float(t)) for t in thetas])
-        observed = backbone + stop_responses(thresholds, thetas) @ truth
+        observed = backbone + (thetas[:, None] - play_responses(thresholds, thetas)) @ truth
 
         fitted, fit_residual = identify_length_correction(
             SPEC, PARAMS, LOAD, thetas, observed, thresholds=thresholds
@@ -489,6 +498,6 @@ class TestHystereticLength:
         assert fit_residual < backbone_residual
         # Replaying the identified model reproduces the data up to the
         # physical ceiling at the unloaded effective length.
-        replay = hysteretic_length(SPEC, PARAMS, LOAD, fitted.copy(), thetas)
+        replay = hysteretic_length(SPEC, PARAMS, LOAD, fitted, thetas)
         l_eff = 210.0 + PARAMS.compliance * LOAD.force
         assert replay == pytest.approx(np.minimum(observed, l_eff), abs=1e-9)

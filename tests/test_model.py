@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from scalar_law import length, length_regular, max_theta
 from tsakit.calibration import predict_endpoints
 from tsakit.errors import (
     CoilCapacityError,
@@ -29,9 +30,6 @@ from tsakit.model import (
     bundle_diameter,
     contraction,
     effective_length,
-    length,
-    length_regular,
-    max_theta,
     size_for_displacement,
     strain,
     twist_profile,

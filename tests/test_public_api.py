@@ -1,0 +1,52 @@
+"""The package's public surface: what tsakit exports, and what it no longer ships.
+
+Test-only references (the scalar two-phase law, the bicep grid scan and
+statics, synthetic calibration endpoints) live under tests/, not in the
+package; the package keeps what a command or the modelling workflow uses.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import tsakit
+from tsakit.hysteresis import PIModel
+
+MODULES = [
+    importlib.import_module(f"tsakit.{info.name}")
+    for info in pkgutil.iter_modules(tsakit.__path__)
+]
+
+# Moved into tests/scalar_law.py and tests/oracles.py, or deleted.
+GONE = [
+    "length",
+    "length_regular",
+    "max_theta",
+    "bicep_grid_oracle",
+    "_grid_scan",
+    "gravity_torque",
+    "dlength_dangle",
+    "endpoints_from_params",
+    "params_to_vector",
+    "stop_responses",
+]
+
+
+def test_all_is_sorted_and_resolves():
+    assert tsakit.__all__ == sorted(tsakit.__all__)
+    assert len(set(tsakit.__all__)) == len(tsakit.__all__)
+    for name in tsakit.__all__:
+        assert getattr(tsakit, name) is not None
+
+
+@pytest.mark.parametrize("name", GONE)
+def test_test_only_name_is_not_shipped(name):
+    assert name not in tsakit.__all__
+    for module in [tsakit, *MODULES]:
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("method", ["zeros", "reset", "copy", "step"])
+def test_pimodel_has_no_test_only_methods(method):
+    assert not hasattr(PIModel, method)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from tsakit.errors import ParameterError, TrainingGateError
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, length
+from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
 from tsakit.training import (
     DEFAULT_STAGE_THRESHOLDS,
     TrainingStage,
@@ -111,14 +111,15 @@ class TestCoilingGate:
             coil_pitch=2.6,
         )
         load = LoadCase(mass=2900.0)
+        theta = [rev_to_rad(30.0)]
         untrained = TrainingState(cycles_done=10, trained_load=2900.0)
         with pytest.raises(TrainingGateError):
-            length(STIFF, params, load, rev_to_rad(30.0), training=untrained)
+            twist_profile(STIFF, params, load, theta, training=untrained)
         trained = TrainingState(cycles_done=50, trained_load=2900.0)
-        assert length(STIFF, params, load, rev_to_rad(30.0), training=trained) > 0.0
+        assert twist_profile(STIFF, params, load, theta, training=trained).length[0] > 0.0
         # Without an explicit training record the string is assumed
         # broken in.
-        assert length(STIFF, params, load, rev_to_rad(30.0)) > 0.0
+        assert twist_profile(STIFF, params, load, theta).length[0] > 0.0
 
 
 class TestOperatingLength:

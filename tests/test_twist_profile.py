@@ -14,15 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsakit.errors import CoilCapacityError, DomainError, TrainingGateError, TsaError
-from tsakit.model import (
-    LoadCase,
-    Material,
-    StringSpec,
-    TwoPhaseParams,
-    length,
-    max_theta,
-    twist_profile,
-)
+from scalar_law import length, max_theta
+from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
 from tsakit.training import TrainingState
 from tsakit.units import TWO_PI, rev_to_rad
 
@@ -78,11 +71,12 @@ def cases(draw):
     load = LoadCase(mass=draw(st.floats(0.0, 5000.0)))
     r_eff = draw(st.floats(d / 2.0, 2.0 * d))
     compliance = draw(st.sampled_from([0.0, 0.01, 1.0]))
-    # theta_star up to just past the helix limit, where length_regular fails.
+    # theta_star up to past the helix limit, where length_regular fails;
+    # the second range keeps draws near and past that limit common.
     l_eff = spec.initial_length + compliance * load.force
     params = TwoPhaseParams(
         r_eff=r_eff,
-        theta_star=draw(st.floats(0.05, 1.02)) * l_eff / r_eff,
+        theta_star=draw(st.floats(0.05, 1.02) | st.floats(0.95, 1.1)) * l_eff / r_eff,
         coil_diameter=draw(st.floats(0.5 * d, 10.0 * d)),
         coil_pitch=draw(st.floats(0.0, 4.0 * d)),
         eta=draw(st.floats(0.02, 1.0)),
@@ -124,7 +118,8 @@ def test_columns_and_errors_match_scalar_loop(case):
         assert type(raised.value) is type(exc)
         assert str(raised.value) == str(exc)
         if isinstance(exc, CoilCapacityError):
-            assert raised.value.theta_max == exc.theta_max
+            assert type(raised.value.theta_max) is float
+            assert raised.value.theta_max.hex() == exc.theta_max.hex()
         return
     assert_same_bits(expected, twist_profile(spec, params, load, thetas, training=training))
 
@@ -162,6 +157,22 @@ def test_nan_twist_is_a_domain_error(thetas):
     # NaN first, and NaN after admissible samples: neither may come out as length.
     with pytest.raises(DomainError, match="twist must be nonnegative"):
         twist_profile(SPEC, PARAMS, LOAD, thetas)
+
+
+def test_helix_limit_and_its_order_with_the_gate():
+    # theta_star past L_eff / r_eff: a regular sample past that limit is a
+    # helix error, and an overtwisted one is gated first when untrained.
+    past = TwoPhaseParams(r_eff=0.86, theta_star=300.0, coil_diameter=4.3, coil_pitch=2.6)
+    helix = "helix winding consumed the whole string before theta was reached"
+    untrained = TrainingState(cycles_done=0, trained_load=0.0)
+    with pytest.raises(DomainError) as raised:
+        twist_profile(SPEC, past, LOAD, [1.0, 260.0, 301.0], training=untrained)
+    assert str(raised.value) == helix
+    with pytest.raises(TrainingGateError):
+        twist_profile(SPEC, past, LOAD, [1.0, 301.0, 260.0], training=untrained)
+    with pytest.raises(DomainError) as raised:
+        twist_profile(SPEC, past, LOAD, [1.0, 301.0, 260.0])
+    assert str(raised.value) == helix
 
 
 def test_training_gate_blocks_only_overtwisting():
