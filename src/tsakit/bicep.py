@@ -261,7 +261,6 @@ def sweep(
     params: TwoPhaseParams,
     load: LoadCase,
     theta_rev_values,
-    training=None,
 ) -> list:
     """Bending angle trajectory over a motor twist schedule.
 
@@ -269,7 +268,7 @@ def sweep(
     non-decreasing in twist because the string only shortens.
     """
     theta_rev = np.asarray(theta_rev_values, dtype=float)
-    lengths = twist_profile(spec, params, load, rev_to_rad(theta_rev), training=training).length
+    lengths = twist_profile(spec, params, load, rev_to_rad(theta_rev)).length
     return [
         (t, angle_from_length(geom, l)) for t, l in zip(theta_rev.tolist(), lengths.tolist())
     ]

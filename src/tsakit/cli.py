@@ -31,7 +31,6 @@ from .training import (
     DEFAULT_TRAINING_SHORTENING,
     TrainingStage,
     TrainingState,
-    advance_cycle,
     coiling_available,
     operating_length,
     stage_of,
@@ -186,6 +185,25 @@ def _profile(args):
     raise InputError(f"profile {args.profile!r} is neither a file nor a generator spec")
 
 
+def _check_training_gate(cfg, spec, load, params, theta) -> None:
+    """The training gate: refuse twist past theta_star on an untrained string.
+
+    Only a config with [training] is gated; without it the string is taken
+    as broken in. theta is the twist schedule in radians.
+    """
+    trained = cfgmod.training_state(cfg)
+    if (
+        trained is not None
+        and float(theta.max()) > params.theta_star
+        and not coiling_available(spec, trained[0], load)
+    ):
+        raise TrainingGateError(
+            "profile overtwists a stiff string before training reached the "
+            "uniform stage at or below the operating load; train for "
+            f"{trained[0].thresholds[2]} cycles at <= {load.mass:g} g first"
+        )
+
+
 def cmd_simulate(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     spec = cfgmod.string_spec(cfg)
@@ -195,19 +213,7 @@ def cmd_simulate(args) -> int:
     if np.any(theta_rev < 0):
         raise InputError("profile contains negative twist")
     theta = rev_to_rad(theta_rev)
-
-    trained = cfgmod.training_state(cfg)
-    if (
-        trained is not None
-        and spec.material is Material.STIFF
-        and float(theta.max()) > params.theta_star
-        and not coiling_available(spec, trained[0], load)
-    ):
-        raise TrainingGateError(
-            "profile overtwists a stiff string before training reached the "
-            "uniform stage at or below the operating load; train for "
-            f"{trained[0].thresholds[2]} cycles at <= {load.mass:g} g first"
-        )
+    _check_training_gate(cfg, spec, load, params, theta)
 
     pi = cfgmod.pi_model(cfg)
     profile = twist_profile(spec, params, load, theta)
@@ -264,18 +270,17 @@ def cmd_train(args) -> int:
     )
     thresholds = state.thresholds
 
-    current = stage_of(0, thresholds)
-    print(f"cycle 0: {current.name.lower()}")
-    running = TrainingState(trained_load=state.trained_load, thresholds=thresholds)
-    for cycle in range(1, args.cycles + 1):
-        running = advance_cycle(running)
-        if running.stage is not current:
-            current = running.stage
-            print(f"cycle {cycle}: {current.name.lower()}")
-    done = current is TrainingStage.UNIFORM
-    print(f"after {args.cycles} cycles: {current.name.lower()}")
+    # Each threshold is one stage transition; print those reached.
+    for cycle in (0, *thresholds):
+        if cycle <= args.cycles:
+            print(f"cycle {cycle}: {stage_of(cycle, thresholds).name.lower()}")
+    final = TrainingState(
+        cycles_done=args.cycles, trained_load=state.trained_load, thresholds=thresholds
+    )
+    done = final.stage is TrainingStage.UNIFORM
+    print(f"after {args.cycles} cycles: {final.stage.name.lower()}")
     if spec is not None and done:
-        print(f"trained untwisted length: {operating_length(spec, running, shortening):.6g} mm")
+        print(f"trained untwisted length: {operating_length(spec, final, shortening):.6g} mm")
     if not done:
         remaining = thresholds[2] - args.cycles
         print(f"{remaining} more cycles until uniform coiling")
@@ -317,6 +322,7 @@ def cmd_bicep(args) -> int:
         raise InputError("[bicep] needs theta_max_rev for the sweep")
     samples = int(block.get("samples", 121))
     grid = np.linspace(0.0, theta_max_rev, samples)
+    _check_training_gate(cfg, spec, load, params, rev_to_rad(grid))
     angles = [angle for _, angle in bicep_mod.sweep(geometry, spec, params, load, grid)]
     tensions = [bicep_mod.string_tension(geometry, angle) for angle in angles]
     out = args.out or "bicep_sweep.csv"

@@ -37,6 +37,14 @@ def _unit_fraction(raw: str) -> float:
     return value
 
 
+def _nonnegative(raw: str) -> float:
+    """A finite number >= 0; NaN, inf and overflow to inf are out of range."""
+    value = float(raw)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{raw!r} is not finite and >= 0")
+    return value
+
+
 def _count(minimum: int):
     """Converter of a whole number no less than minimum."""
 
@@ -97,7 +105,7 @@ _SCHEMA = {
         "pairs": str,
         "payload_g": float,
         "forearm_length_mm": float,
-        "theta_max_rev": float,
+        "theta_max_rev": _nonnegative,
         "samples": _count(1),
     },
 }

@@ -49,7 +49,12 @@ class ParameterError(TsaError):
 
 
 class TrainingGateError(TsaError):
-    """Overtwist requested on a stiff string that has not been trained."""
+    """Overtwist requested on a stiff string that has not been trained.
+
+    Raised by the command line's one training gate, which simulate and
+    bicep run on their twist schedule before the two-phase law; the law
+    itself never raises it.
+    """
 
 
 class TriangleRangeError(DomainError):

@@ -234,7 +234,6 @@ def hysteretic_length(
     load: LoadCase,
     model: PIModel,
     thetas,
-    training=None,
 ) -> np.ndarray:
     """Length sequence with the hysteresis correction applied (mm).
 
@@ -244,6 +243,6 @@ def hysteretic_length(
     (0, L_eff]. With all weights zero this is exactly the backbone.
     """
     xs = np.asarray(thetas, dtype=float)
-    backbone = twist_profile(spec, params, load, xs, training=training).length
+    backbone = twist_profile(spec, params, load, xs).length
     correction = (xs[:, None] - _advance(model, xs)) @ model.weights
     return np.clip(backbone + correction, LENGTH_FLOOR, effective_length(spec, params, load))

@@ -23,6 +23,10 @@ it jumps) and torque per sample.
 
 Lengths are millimeters, angles radians, masses grams, torques newton
 meters. Twist below zero or NaN is rejected rather than wrapped.
+
+The law is physics only and assumes a broken-in string. Whether an
+untrained stiff string may be overtwisted at all is the training gate's
+question, which the command line asks before it evaluates the law.
 """
 
 from __future__ import annotations
@@ -34,12 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CoilCapacityError,
-    DomainError,
-    ParameterError,
-    TrainingGateError,
-)
+from .errors import CoilCapacityError, DomainError, ParameterError
 from .units import TWO_PI
 
 # Lower clamp used where a strictly positive length is required.
@@ -173,16 +172,6 @@ def effective_length(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -
     return spec.initial_length + params.compliance * load.force
 
 
-def _gate_open(spec, load, training) -> bool:
-    # Gate is enforced only when a training state is supplied; a missing
-    # state models an actuator that has already been broken in.
-    if training is None:
-        return True
-    from .training import coiling_available
-
-    return coiling_available(spec, training, load)
-
-
 def strain(length_mm: float, initial_length_mm: float) -> float:
     """Engineering strain in percent, negative when contracted."""
     if initial_length_mm <= 0:
@@ -210,7 +199,6 @@ def twist_profile(
     params: TwoPhaseParams,
     load: LoadCase,
     thetas,
-    training=None,
 ) -> TwistProfile:
     """The two-phase law over a whole twist array, in one numpy pass.
 
@@ -219,10 +207,10 @@ def twist_profile(
     -theta * r_eff^2 / length in the regular phase and
     -per_coil_shortening / 2 pi past theta_star. The first inadmissible
     sample raises, checked in this order: a negative or NaN twist
-    (DomainError), overtwisting gated by training (TrainingGateError), a
-    helix wound past L_eff (DomainError), and coils that would consume
-    more bundle than the regular phase left (CoilCapacityError, carrying
-    the largest admissible twist).
+    (DomainError), a helix wound past L_eff (DomainError), and coils that
+    would consume more bundle than the regular phase left
+    (CoilCapacityError, carrying the largest admissible twist). The law
+    knows nothing of training: the string is taken as broken in.
     """
     theta = np.asarray(thetas, dtype=float)
     over = theta > params.theta_star
@@ -233,18 +221,10 @@ def twist_profile(
     with np.errstate(invalid="ignore"):
         regular = np.sqrt(l_eff * l_eff - wound * wound)
     bad = ~(theta >= 0) | (wound >= l_eff) | (coils * params.coil_circumference > regular)
-    gated = over.any() and not _gate_open(spec, load, training)
-    if gated:
-        bad |= over
     if bad.any():
         k = bad.argmax()
         if not theta.flat[k] >= 0:
             raise DomainError("twist must be nonnegative")
-        if gated and over.flat[k]:
-            raise TrainingGateError(
-                "overtwisting a stiff string requires training to the uniform "
-                "stage at a load no larger than the operating load"
-            )
         if wound.flat[k] >= l_eff:
             raise DomainError(
                 "helix winding consumed the whole string before theta was reached"
@@ -269,8 +249,8 @@ def size_for_displacement(required_displacement: float, contraction_fraction: fl
     contraction_fraction is the usable fractional contraction in (0, 1);
     overtwisting shrinks the required package dramatically.
     """
-    if required_displacement < 0:
-        raise DomainError("required displacement must be nonnegative")
+    if not 0.0 <= required_displacement < math.inf:
+        raise DomainError("required displacement must be nonnegative and finite")
     if not 0.0 < contraction_fraction < 1.0:
         raise DomainError("contraction fraction must lie in (0, 1)")
     return required_displacement / contraction_fraction

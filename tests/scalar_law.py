@@ -7,9 +7,8 @@ what the kinematics tests check against geometric oracles.
 
 import math
 
-from tsakit.errors import CoilCapacityError, DomainError, TrainingGateError
+from tsakit.errors import CoilCapacityError, DomainError
 from tsakit.model import effective_length
-from tsakit.training import coiling_available
 from tsakit.units import TWO_PI
 
 
@@ -34,24 +33,18 @@ def max_theta(spec, params, load):
     return params.theta_star + TWO_PI * l1 / params.coil_circumference
 
 
-def length(spec, params, load, theta, training=None):
+def length(spec, params, load, theta):
     """Axial length at any admissible twist (mm). Piecewise two-phase law.
 
-    Past theta_star one coil forms per revolution, once training (when
-    given) has opened the gate. Raises DomainError for a negative or NaN
-    twist, TrainingGateError for a gated overtwist, and CoilCapacityError
-    (carrying the maximum admissible twist) once the coils would consume
-    more bundle than the regular phase left over.
+    Past theta_star one coil forms per revolution. Raises DomainError for
+    a negative or NaN twist, and CoilCapacityError (carrying the maximum
+    admissible twist) once the coils would consume more bundle than the
+    regular phase left over.
     """
     if not theta >= 0:  # NaN included
         raise DomainError("twist must be nonnegative")
     if theta <= params.theta_star:
         return length_regular(spec, params, load, theta)
-    if training is not None and not coiling_available(spec, training, load):
-        raise TrainingGateError(
-            "overtwisting a stiff string requires training to the uniform "
-            "stage at a load no larger than the operating load"
-        )
     l1 = length_regular(spec, params, load, params.theta_star)
     coils = (theta - params.theta_star) / TWO_PI
     if coils * params.coil_circumference > l1:

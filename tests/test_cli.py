@@ -18,6 +18,14 @@ from tsakit.cli import (
     main,
 )
 from tsakit.config import bundled_stiff_path
+from tsakit.model import Material, StringSpec
+from tsakit.training import (
+    DEFAULT_TRAINING_SHORTENING,
+    TrainingState,
+    advance_cycle,
+    operating_length,
+    stage_of,
+)
 
 MODEL_CONFIG = """\
 [string]
@@ -89,6 +97,14 @@ class TestSize:
     def test_seed_flag_accepted(self, capsys):
         assert main(["--seed", "3", "size", "10", "0.7"]) == EXIT_OK
         assert capsys.readouterr().out == "14.29\n"
+
+    @pytest.mark.parametrize("displacement", ["nan", "inf", "-inf"])
+    def test_non_finite_displacement_is_input_error(self, capsys, displacement):
+        # "--" keeps argparse from reading "-inf" as an option.
+        assert main(["size", "--", displacement, "0.5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: required displacement must be nonnegative and finite\n"
 
 
 class TestSimulate:
@@ -324,9 +340,91 @@ class TestSimulate:
         assert "converge" in capsys.readouterr().err
 
 
+# The README's bicep block, sweeping to theta_max_rev.
+README_BICEP = """
+[bicep]
+a_mm = 83
+b_mm = 151
+gamma_deg = 142.5
+payload_g = 500
+forearm_length_mm = 120
+theta_max_rev = {peak}
+samples = {samples}
+"""
+
+GATE_ERROR = (
+    "error: profile overtwists a stiff string before training reached the uniform "
+    "stage at or below the operating load; train for 50 cycles at <= 2900 g first\n"
+)
+
+
+def run_command(tmp_path, capsys, command, text, peak):
+    """Exit code, stderr and CSV path of simulate or bicep twisting 0..peak rev.
+
+    simulate ramps to peak in 11 samples; bicep sweeps to the config's
+    theta_max_rev.
+    """
+    cfg = write(tmp_path, text, f"{command}.ini")
+    out = tmp_path / f"{command}.csv"
+    argv = [command]
+    if command == "simulate":
+        argv.append(f"ramp:rate_rev_s={peak},duration_s=1,samples=11")
+    code = main([*argv, "--config", cfg, "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
 class TestTrainingGate:
+    """One gate, run by simulate and bicep on their twist schedules."""
+
     def gate_config(self, cycles):
         return MODEL_CONFIG + f"\n[training]\ncycles = {cycles}\ntrained_load_g = 2900\n"
+
+    @pytest.mark.parametrize("peak", [20, 35])
+    @pytest.mark.parametrize("trained_load", [2000, 2900, 4000])
+    @pytest.mark.parametrize("cycles", [0, 10, 49, 50, 60])
+    @pytest.mark.parametrize("material", ["stiff", "compliant"])
+    def test_simulate_and_bicep_gate_alike(
+        self, tmp_path, capsys, material, cycles, trained_load, peak
+    ):
+        text = (
+            MODEL_CONFIG.replace("material = stiff", f"material = {material}")
+            + f"\n[training]\ncycles = {cycles}\ntrained_load_g = {trained_load}\n"
+            + README_BICEP.format(peak=peak, samples=11)
+        )
+        gated = material == "stiff" and peak > 28 and not (cycles >= 50 and trained_load <= 2900)
+        runs = [run_command(tmp_path, capsys, c, text, peak) for c in ("simulate", "bicep")]
+        for code, err, out in runs:
+            if gated:
+                assert (code, err) == (EXIT_GATE, GATE_ERROR)
+                assert not out.exists()
+            else:
+                assert (code, err) == (EXIT_OK, "")
+                assert out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bicep"])
+    def test_gate_opens_up_to_theta_star(self, tmp_path, capsys, command):
+        # Twist exactly at theta_star is still the regular phase.
+        text = self.gate_config(0) + README_BICEP.format(peak=28, samples=11)
+        code, err, out = run_command(tmp_path, capsys, command, text, 28)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.exists()
+
+    def test_bicep_with_readme_training(self, tmp_path, capsys):
+        # An untrained string may not sweep into the overtwist; a trained
+        # one sweeps exactly as a string with no [training] at all.
+        bicep = README_BICEP.format(peak=35, samples=121)
+        code, err, out = run_command(
+            tmp_path, capsys, "bicep", self.gate_config(0) + bicep, 35
+        )
+        assert (code, err) == (EXIT_GATE, GATE_ERROR)
+        assert not out.exists()
+        code, _, out = run_command(tmp_path, capsys, "bicep", MODEL_CONFIG + bicep, 35)
+        assert code == EXIT_OK
+        plain = out.read_bytes()
+        out.unlink()
+        code, _, out = run_command(tmp_path, capsys, "bicep", self.gate_config(60) + bicep, 35)
+        assert code == EXIT_OK
+        assert out.read_bytes() == plain
 
     def test_untrained_overtwist_blocked(self, tmp_path, capsys):
         cfg = write(tmp_path, self.gate_config(10), "run.ini")
@@ -373,7 +471,62 @@ class TestTrainingGate:
         assert code == EXIT_OK
 
 
+def stepped_train_stdout(cycles, thresholds, spec=None, shortening=DEFAULT_TRAINING_SHORTENING):
+    """What train prints, by stepping advance_cycle once per cycle."""
+    current = stage_of(0, thresholds)
+    lines = [f"cycle 0: {current.name.lower()}"]
+    running = TrainingState(thresholds=thresholds)
+    for cycle in range(1, cycles + 1):
+        running = advance_cycle(running)
+        if running.stage is not current:
+            current = running.stage
+            lines.append(f"cycle {cycle}: {current.name.lower()}")
+    done = current.name == "UNIFORM"
+    lines.append(f"after {cycles} cycles: {current.name.lower()}")
+    if spec is not None and done:
+        lines.append(f"trained untwisted length: {operating_length(spec, running, shortening):.6g} mm")
+    if not done:
+        lines.append(f"{thresholds[2] - cycles} more cycles until uniform coiling")
+    return "".join(line + "\n" for line in lines)
+
+
+STIFF_STRING = "[string]\ndiameter_mm = 1.3\ninitial_length_mm = 214.3\nmaterial = stiff\n"
+
+
 class TestTrain:
+    @pytest.mark.parametrize(
+        "text, thresholds, shortening",
+        [
+            (None, (6, 11, 50), DEFAULT_TRAINING_SHORTENING),
+            (STIFF_STRING, (6, 11, 50), DEFAULT_TRAINING_SHORTENING),
+            ("[training]\nthresholds = 2, 5, 9\n", (2, 5, 9), DEFAULT_TRAINING_SHORTENING),
+            (
+                STIFF_STRING + "[training]\nthresholds = 7, 30, 91\nshortening_fraction = 0.05\n",
+                (7, 30, 91),
+                0.05,
+            ),
+        ],
+        ids=["defaults", "string", "thresholds", "string-thresholds"],
+    )
+    def test_stdout_matches_stepped_cycles(self, tmp_path, capsys, text, thresholds, shortening):
+        spec = None
+        option = []
+        if text is not None:
+            option = ["--config", write(tmp_path, text, "train.ini")]
+            if text.startswith("[string]"):
+                spec = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
+        for cycles in range(121):
+            assert main(["train", str(cycles), *option]) == EXIT_OK
+            expected = stepped_train_stdout(cycles, thresholds, spec, shortening)
+            assert capsys.readouterr().out == expected, cycles
+
+    def test_huge_cycle_count(self, capsys):
+        assert main(["train", "1000000000000"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "cycle 0: perpendicular\ncycle 6: mixed\ncycle 11: inline_uneven\n"
+            "cycle 50: uniform\nafter 1000000000000 cycles: uniform\n"
+        )
+
     def test_stage_trajectory(self, capsys):
         assert main(["train", "60"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -487,6 +640,24 @@ class TestCounts:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad value for {key} in {cfg}: '{value}'\n"
+
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-inf", "-1"])
+    def test_bicep_theta_max_out_of_range(self, tmp_path, capsys, value):
+        # Refused when the config is read, ahead of the training gate an
+        # untrained string would otherwise meet first.
+        text = (
+            MODEL_CONFIG
+            + "\n[training]\ncycles = 0\n"
+            + README_BICEP.format(peak=value, samples=11)
+        )
+        cfg = write(tmp_path, text, "run.ini")
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad value for bicep.theta_max_rev in {cfg}: '{value}'\n"
+        assert not out.exists()
 
 
 class TestCalibrate:

@@ -6,9 +6,9 @@ model loops were replaced by one array pass; simulate_profile_csv.csv
 was written before CSV reading and writing moved to whole arrays, from
 the log committed under tests/data/. Any change to how the two-phase law
 is evaluated or how CSV files are read and written must keep them
-byte-identical, and must keep each error the law raises through simulate
-word for word: the coil capacity, the helix limit, a negative twist and
-the training gate.
+byte-identical, and must keep each error simulate raises word for word:
+from the law the coil capacity, the helix limit and a negative twist,
+and from the command line's training gate.
 sense.csv was last written when the creep baseline became an exact
 variable-projection fit, which moved every strain by at most 1.9e-8 %
 from the local curve fit before it.

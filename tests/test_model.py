@@ -377,6 +377,11 @@ class TestSizing:
         with pytest.raises(DomainError):
             size_for_displacement(-1.0, 0.5)
 
+    @pytest.mark.parametrize("displacement", [math.nan, math.inf, -math.inf])
+    def test_non_finite_displacement(self, displacement):
+        with pytest.raises(DomainError, match="^required displacement must be nonnegative and finite$"):
+            size_for_displacement(displacement, 0.5)
+
 
 class TestBundleDiameter:
     def test_regular_default_two_strings(self):

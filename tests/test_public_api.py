@@ -6,19 +6,23 @@ package; the package keeps what a command or the modelling workflow uses.
 """
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import tsakit
-from tsakit.hysteresis import PIModel
+from tsakit.bicep import sweep
+from tsakit.hysteresis import PIModel, hysteretic_length
+from tsakit.model import twist_profile
 
 MODULES = [
     importlib.import_module(f"tsakit.{info.name}")
     for info in pkgutil.iter_modules(tsakit.__path__)
 ]
 
-# Moved into tests/scalar_law.py and tests/oracles.py, or deleted.
+# Moved into tests/scalar_law.py and tests/oracles.py, or deleted. The
+# training gate lives in the command line alone, not in the law.
 GONE = [
     "length",
     "length_regular",
@@ -30,6 +34,7 @@ GONE = [
     "endpoints_from_params",
     "params_to_vector",
     "stop_responses",
+    "_gate_open",
 ]
 
 
@@ -50,3 +55,8 @@ def test_test_only_name_is_not_shipped(name):
 @pytest.mark.parametrize("method", ["zeros", "reset", "copy", "step"])
 def test_pimodel_has_no_test_only_methods(method):
     assert not hasattr(PIModel, method)
+
+
+@pytest.mark.parametrize("function", [twist_profile, hysteretic_length, sweep])
+def test_law_takes_no_training_state(function):
+    assert "training" not in inspect.signature(function).parameters

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from tsakit.errors import ParameterError, TrainingGateError
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
+from tsakit.errors import ParameterError
+from tsakit.model import LoadCase, Material, StringSpec
 from tsakit.training import (
     DEFAULT_STAGE_THRESHOLDS,
     TrainingStage,
@@ -15,7 +15,6 @@ from tsakit.training import (
     operating_length,
     stage_of,
 )
-from tsakit.units import rev_to_rad
 
 STIFF = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
 COMPLIANT = StringSpec(
@@ -102,24 +101,6 @@ class TestCoilingGate:
         ]
         assert flags == sorted(flags)
         assert not coiling_available(STIFF, trained, LoadCase(mass=499.0))
-
-    def test_overtwist_model_gated_for_untrained_stiff(self):
-        params = TwoPhaseParams(
-            r_eff=0.85,
-            theta_star=rev_to_rad(28.0),
-            coil_diameter=2.6,
-            coil_pitch=2.6,
-        )
-        load = LoadCase(mass=2900.0)
-        theta = [rev_to_rad(30.0)]
-        untrained = TrainingState(cycles_done=10, trained_load=2900.0)
-        with pytest.raises(TrainingGateError):
-            twist_profile(STIFF, params, load, theta, training=untrained)
-        trained = TrainingState(cycles_done=50, trained_load=2900.0)
-        assert twist_profile(STIFF, params, load, theta, training=trained).length[0] > 0.0
-        # Without an explicit training record the string is assumed
-        # broken in.
-        assert twist_profile(STIFF, params, load, theta).length[0] > 0.0
 
 
 class TestOperatingLength:

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsakit.errors import CoilCapacityError, DomainError, TrainingGateError, TsaError
+from tsakit.errors import CoilCapacityError, DomainError, TsaError
 from scalar_law import length, max_theta
 from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
-from tsakit.training import TrainingState
 from tsakit.units import TWO_PI, rev_to_rad
 
 SPEC = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
@@ -26,7 +25,7 @@ PARAMS = TwoPhaseParams(
 )
 
 
-def scalar_columns(spec, params, load, thetas, training=None):
+def scalar_columns(spec, params, load, thetas):
     """Reference loop: the scalar length and the closed-form ratio, per twist.
 
     The ratio is dL/dtheta of the two-phase law, -theta * r_eff^2 / L in
@@ -35,7 +34,7 @@ def scalar_columns(spec, params, load, thetas, training=None):
     """
     rows = []
     for theta in thetas:
-        l = length(spec, params, load, theta, training=training)
+        l = length(spec, params, load, theta)
         over = theta > params.theta_star
         if over:
             coils = (theta - params.theta_star) / TWO_PI
@@ -56,7 +55,7 @@ def assert_same_bits(expected, profile):
 
 @st.composite
 def cases(draw):
-    """A string, load, parameter set, twist list and optional training state.
+    """A string, load, parameter set and twist list.
 
     Twists are drawn as fractions of the coil capacity, so most lists stay
     admissible; theta_star itself is spliced in on request, and a negative
@@ -95,33 +94,25 @@ def cases(draw):
             "nan": math.nan,
         }[extra]
         thetas.insert(draw(st.integers(0, len(thetas))), value)
-    training = draw(
-        st.none()
-        | st.builds(
-            TrainingState,
-            cycles_done=st.integers(0, 60),
-            trained_load=st.floats(0.0, 5000.0),
-        )
-    )
-    return spec, params, load, thetas, training
+    return spec, params, load, thetas
 
 
 @settings(max_examples=300)
 @given(cases())
 def test_columns_and_errors_match_scalar_loop(case):
-    spec, params, load, thetas, training = case
+    spec, params, load, thetas = case
     try:
-        expected = scalar_columns(spec, params, load, thetas, training)
+        expected = scalar_columns(spec, params, load, thetas)
     except TsaError as exc:
         with pytest.raises(TsaError) as raised:
-            twist_profile(spec, params, load, np.array(thetas), training=training)
+            twist_profile(spec, params, load, np.array(thetas))
         assert type(raised.value) is type(exc)
         assert str(raised.value) == str(exc)
         if isinstance(exc, CoilCapacityError):
             assert type(raised.value.theta_max) is float
             assert raised.value.theta_max.hex() == exc.theta_max.hex()
         return
-    assert_same_bits(expected, twist_profile(spec, params, load, thetas, training=training))
+    assert_same_bits(expected, twist_profile(spec, params, load, thetas))
 
 
 def test_sample_at_theta_star_takes_the_regular_side():
@@ -159,28 +150,14 @@ def test_nan_twist_is_a_domain_error(thetas):
         twist_profile(SPEC, PARAMS, LOAD, thetas)
 
 
-def test_helix_limit_and_its_order_with_the_gate():
-    # theta_star past L_eff / r_eff: a regular sample past that limit is a
-    # helix error, and an overtwisted one is gated first when untrained.
+@pytest.mark.parametrize("thetas", [[1.0, 260.0, 301.0], [1.0, 301.0, 260.0]])
+def test_helix_limit_is_a_domain_error(thetas):
+    # theta_star past L_eff / r_eff: a sample past that limit is a helix
+    # error, in the regular phase or past theta_star alike.
     past = TwoPhaseParams(r_eff=0.86, theta_star=300.0, coil_diameter=4.3, coil_pitch=2.6)
-    helix = "helix winding consumed the whole string before theta was reached"
-    untrained = TrainingState(cycles_done=0, trained_load=0.0)
     with pytest.raises(DomainError) as raised:
-        twist_profile(SPEC, past, LOAD, [1.0, 260.0, 301.0], training=untrained)
-    assert str(raised.value) == helix
-    with pytest.raises(TrainingGateError):
-        twist_profile(SPEC, past, LOAD, [1.0, 301.0, 260.0], training=untrained)
-    with pytest.raises(DomainError) as raised:
-        twist_profile(SPEC, past, LOAD, [1.0, 301.0, 260.0])
-    assert str(raised.value) == helix
-
-
-def test_training_gate_blocks_only_overtwisting():
-    untrained = TrainingState(cycles_done=0, trained_load=0.0)
-    regular = twist_profile(SPEC, PARAMS, LOAD, [0.0, PARAMS.theta_star], training=untrained)
-    assert not regular.overtwist.any()
-    with pytest.raises(TrainingGateError):
-        twist_profile(SPEC, PARAMS, LOAD, [0.0, PARAMS.theta_star + 1.0], training=untrained)
+        twist_profile(SPEC, past, LOAD, thetas)
+    assert str(raised.value) == "helix winding consumed the whole string before theta was reached"
 
 
 def test_empty_twist_array():
