@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._solvers import minimize
 from .errors import (
     ParameterError,
     SingularConfigurationError,
@@ -222,7 +222,7 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
 
     polish = minimize(
         sse, (math.acos((b[k] - a[k]) / lo), math.sqrt(a[k] + b[k] - hi)),
-        method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12, "maxfev": 20000},
+        xatol=1e-10, fatol=1e-12, maxfev=20000,
     )
     a, b = arms(polish.x)
     gamma, errors = _fit_errors(a, b, lengths, angles)

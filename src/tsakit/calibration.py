@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
+from ._solvers import minimize, minimize_scalar
 from .errors import GridCapError, ParameterError
 from .model import (
     LoadCase,
@@ -379,10 +379,7 @@ def fit_two_phase(
     iterations = 0
     best, best_value = 0.5 * (lo + hi), PENALTY_RESIDUAL
     if r_lo <= r_hi:
-        search = minimize_scalar(
-            lambda r: score(point(r)), bounds=(r_lo, r_hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
+        search = minimize_scalar(lambda r: score(point(r)), (r_lo, r_hi), xatol=1e-12)
         iterations += int(search.nit)
         best, best_value = bounds.clip(point(search.x)), float(search.fun)
 
@@ -392,10 +389,7 @@ def fit_two_phase(
         return score(full)
 
     polish = minimize(
-        objective,
-        best[free],
-        method="Nelder-Mead",
-        options={"maxiter": max_iter, "maxfev": max_iter, "xatol": 1e-10, "fatol": 1e-14},
+        objective, best[free], maxiter=max_iter, maxfev=max_iter, xatol=1e-10, fatol=1e-14
     )
     iterations += int(polish.nit)
     if polish.fun <= best_value:

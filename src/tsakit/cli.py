@@ -269,20 +269,22 @@ def cmd_train(args) -> int:
         TrainingState(), DEFAULT_TRAINING_SHORTENING
     )
     thresholds = state.thresholds
+    # N more cycles count on from the section's cycles already done.
+    total = state.cycles_done + args.cycles
 
     # Each threshold is one stage transition; print those reached.
     for cycle in (0, *thresholds):
-        if cycle <= args.cycles:
+        if cycle <= total:
             print(f"cycle {cycle}: {stage_of(cycle, thresholds).name.lower()}")
     final = TrainingState(
-        cycles_done=args.cycles, trained_load=state.trained_load, thresholds=thresholds
+        cycles_done=total, trained_load=state.trained_load, thresholds=thresholds
     )
     done = final.stage is TrainingStage.UNIFORM
-    print(f"after {args.cycles} cycles: {final.stage.name.lower()}")
+    print(f"after {total} cycles: {final.stage.name.lower()}")
     if spec is not None and done:
         print(f"trained untwisted length: {operating_length(spec, final, shortening):.6g} mm")
     if not done:
-        remaining = thresholds[2] - args.cycles
+        remaining = thresholds[2] - total
         print(f"{remaining} more cycles until uniform coiling")
     return EXIT_OK
 
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_size)
 
     p = sub.add_parser("train", help="report the training stage trajectory")
-    p.add_argument("cycles", type=int)
+    p.add_argument("cycles", type=int, help="cycles to run after [training] cycles")
     p.add_argument("--config", help="configuration file")
     p.set_defaults(func=cmd_train)
 

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import ParameterError, UnderdeterminedError
 from .model import (
@@ -158,6 +157,9 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
 
 
 def _nnls_fit(regressors: np.ndarray, targets: np.ndarray):
+    # Only identification needs scipy; no CLI command reaches it.
+    from scipy.optimize import nnls
+
     if np.linalg.matrix_rank(regressors) < regressors.shape[1]:
         warnings.warn(
             "identification regressors are rank deficient; weights are not unique",

@@ -520,6 +520,30 @@ class TestTrain:
             expected = stepped_train_stdout(cycles, thresholds, spec, shortening)
             assert capsys.readouterr().out == expected, cycles
 
+    @pytest.mark.parametrize(
+        "section, done, thresholds",
+        [("cycles = 4\n", 4, (6, 11, 50)), ("cycles = 3\nthresholds = 2, 5, 9\n", 3, (2, 5, 9))],
+        ids=["defaults", "thresholds"],
+    )
+    def test_counts_on_from_config_cycles(self, tmp_path, capsys, section, done, thresholds):
+        # train N after C configured cycles prints what a fresh string
+        # trained for C + N cycles would, across every threshold.
+        cfg = write(tmp_path, STIFF_STRING + "[training]\n" + section, "train.ini")
+        spec = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF)
+        for cycles in range(thresholds[2] + 3 - done):
+            assert main(["train", str(cycles), "--config", cfg]) == EXIT_OK
+            expected = stepped_train_stdout(done + cycles, thresholds, spec)
+            assert capsys.readouterr().out == expected, cycles
+
+    def test_trained_string_is_uniform_before_any_new_cycle(self, tmp_path, capsys):
+        cfg = write(tmp_path, STIFF_STRING + "[training]\ncycles = 60\n", "train.ini")
+        assert main(["train", "0", "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "cycle 0: perpendicular\ncycle 6: mixed\ncycle 11: inline_uneven\n"
+            "cycle 50: uniform\nafter 60 cycles: uniform\n"
+            "trained untwisted length: 210.014 mm\n"
+        )
+
     def test_huge_cycle_count(self, capsys):
         assert main(["train", "1000000000000"]) == EXIT_OK
         assert capsys.readouterr().out == (
