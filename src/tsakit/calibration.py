@@ -10,11 +10,12 @@ closed form, a bounded 1-D search over r_eff follows, and one
 Nelder-Mead polish finishes the fit. A brute-force grid oracle provides
 an independent check of the solver.
 
-The model endpoints are closed forms (l1 = sqrt(L_eff^2 - (theta_star
-r_eff)^2), then one per-coil shortening per revolution to theta_max, and
-the slopes either side of theta_star). One kernel computes them with a
-feasibility mask, elementwise on floats or arrays; residual, the fit and
-grid_oracle all score through it, infeasible points from the mask.
+The model endpoints come from the two-phase law as the model states it
+once, in model._law, the kernel twist_profile evaluates for simulate:
+the law at theta_star with the coils formed by theta_max gives both
+contractions and the slopes either side of theta_star. _endpoints adds
+the feasibility mask, elementwise on floats or arrays; residual, the fit
+and grid_oracle all score through it, infeasible points from the mask.
 
 Speed endpoints constrain the model through the overtwist-to-regular
 speed ratio unless a constant motor speed is supplied, in which case
@@ -37,8 +38,10 @@ from .model import (
     Phase,
     StringSpec,
     TwoPhaseParams,
+    _coil,
+    _law,
+    _square,
     bundle_diameter,
-    coil_circumference,
     contraction,
 )
 from .units import TWO_PI, rev_to_rad
@@ -104,36 +107,24 @@ class ObservedEndpoints:
         return rev_to_rad(self.theta_max_rev)
 
 
-def _square(x):
-    """x ** 2 as libm pow rounds it, also elementwise on arrays.
-
-    numpy squares arrays by multiplication, which differs from pow in the
-    last bit for about one value in a thousand; fits follow the bits.
-    """
-    if not isinstance(x, np.ndarray):
-        return np.float64(x) ** 2
-    return np.fromiter((v**2 for v in x.flat), float, x.size).reshape(x.shape)
-
-
-@np.errstate(all="ignore")
 def _endpoints(spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance):
-    """Closed-form model endpoints, elementwise over floats or broadcasting arrays.
+    """Model endpoints, elementwise over floats or broadcasting arrays.
 
-    Returns (feasible, contraction_regular_pct, contraction_total_pct,
-    slope_regular, slope_overtwist), the slopes being |dL/dtheta| (mm/rad)
-    on either side of theta_star. feasible holds where the parameters
-    pass every TwoPhaseParams check and validate_for, theta_star lies
-    below theta_max, and the coils formed by theta_max fit in the bundle
-    left at theta_star; each test is false on NaN. Where it fails, the
-    other values are meaningless.
+    The model's one law kernel at theta_star with the coils formed by
+    theta_max, plus the parameter-box mask. Returns (feasible,
+    contraction_regular_pct, contraction_total_pct, slope_regular,
+    slope_overtwist), the slopes being |dL/dtheta| (mm/rad) on either
+    side of theta_star. feasible holds where the parameters pass every
+    TwoPhaseParams check, r_eff lies within half and twice the string
+    diameter, theta_star lies below theta_max and winds less than the
+    unloaded length, a coil consumes more bundle than its pitch, and the
+    coils formed by theta_max fit in the bundle left at theta_star; each
+    test is false on NaN. Where it fails, the other values are
+    meaningless, and callers silence numpy's warnings about them.
     """
+    law = _law(spec, load, theta_star, (theta_max - theta_star) / TWO_PI,
+               r_eff, coil_diameter, coil_pitch, compliance)
     l0 = spec.initial_length
-    l_eff = l0 + compliance * load.force
-    wound = theta_star * r_eff
-    l1 = np.sqrt(l_eff * l_eff - wound * wound)
-    circumference = coil_circumference(coil_diameter, coil_pitch)
-    shortening = circumference - coil_pitch
-    coils = (theta_max - theta_star) / TWO_PI
     feasible = (
         (0.5 * spec.diameter <= r_eff) & (r_eff <= 2.0 * spec.diameter)
         & (0.0 < theta_star) & (theta_star < theta_max)
@@ -141,19 +132,15 @@ def _endpoints(spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pit
         & (0.0 <= coil_pitch) & (coil_pitch < math.inf)
         & (0.0 < eta) & (eta <= 1.0)
         & (0.0 <= compliance) & (compliance < math.inf)
-        & (wound < l0)  # validate_for; as L_eff >= L0, also below the helix limit
-        & (circumference > coil_pitch)
-        & (coils * circumference <= l1)
+        & (law.wound < l0)  # as L_eff >= L0, also below the helix limit
+        & (law.circumference > coil_pitch)
+        & (law.coiled <= law.helix)
     )
-    return (
-        feasible,
-        contraction(l1, l0),
-        contraction(l1 - coils * shortening, l0),
-        theta_star * _square(r_eff) / l1,
-        shortening / TWO_PI,
-    )
+    return (feasible, contraction(law.helix, l0), contraction(law.length, l0),
+            law.slope_regular, law.slope_overtwist)
 
 
+@np.errstate(all="ignore")
 def predict_endpoints(
     spec: StringSpec,
     params: TwoPhaseParams,
@@ -278,10 +265,6 @@ class ParamBounds:
         hi = np.array([getattr(self, n)[1] for n in PARAM_ORDER])
         return lo, hi
 
-    def clip(self, vector: np.ndarray) -> np.ndarray:
-        lo, hi = self.arrays()
-        return np.minimum(np.maximum(vector, lo), hi)
-
 
 def params_from_vector(vector) -> TwoPhaseParams:
     v = np.asarray(vector, dtype=float)
@@ -326,7 +309,7 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
         return np.array([r, theta_star, coil_diameter, pitch, eta, compliance])
 
     def theta_star_at(coil_diameter):
-        return theta_max - drop / (coil_circumference(coil_diameter, pitch) - pitch)
+        return theta_max - drop / _coil(coil_diameter, pitch)[1]
 
     # Each bound is monotone in theta_star = wound / r_eff.
     t_lo = max(
@@ -367,8 +350,11 @@ def fit_two_phase(
     lo, hi = bounds.arrays()
     free = hi > lo
 
+    def clip(vector: np.ndarray) -> np.ndarray:
+        return np.minimum(np.maximum(vector, lo), hi)
+
     def score(vector: np.ndarray) -> float:
-        return float(_residuals(obs, *bounds.clip(vector).tolist()))
+        return float(_residuals(obs, *clip(vector).tolist()))
 
     if not free.any():
         point = params_from_vector(lo)
@@ -381,7 +367,7 @@ def fit_two_phase(
     if r_lo <= r_hi:
         search = minimize_scalar(lambda r: score(point(r)), (r_lo, r_hi), xatol=1e-12)
         iterations += int(search.nit)
-        best, best_value = bounds.clip(point(search.x)), float(search.fun)
+        best, best_value = clip(point(search.x)), float(search.fun)
 
     def objective(z):
         full = lo.copy()
@@ -394,7 +380,7 @@ def fit_two_phase(
     iterations += int(polish.nit)
     if polish.fun <= best_value:
         best[free] = polish.x
-        best, best_value = bounds.clip(best), float(polish.fun)
+        best, best_value = clip(best), float(polish.fun)
     # Nelder-Mead meets its tolerance on the flat penalty plateau too.
     return FitResult(
         params_from_vector(best),

@@ -45,6 +45,22 @@ def _nonnegative(raw: str) -> float:
     return value
 
 
+def _whole_numbers(raw: str) -> str:
+    """A number list whose finite entries are whole (6 or 6.0, not 6.9).
+
+    Kept as text: training_state reads the list and reports malformed and
+    non-finite entries.
+    """
+    for token in raw.split(","):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if math.isfinite(value) and not value.is_integer():
+            raise ValueError(f"{token.strip()!r} is not a whole number")
+    return raw
+
+
 def _count(minimum: int):
     """Converter of a whole number no less than minimum."""
 
@@ -95,7 +111,7 @@ _SCHEMA = {
     "training": {
         "cycles": _count(0),
         "trained_load_g": float,
-        "thresholds": str,
+        "thresholds": _whole_numbers,
         "shortening_fraction": _unit_fraction,
     },
     "bicep": {

@@ -17,9 +17,12 @@ a steeper torque requirement. This module models both regimes:
   while occupying only coil_pitch axially, so the length drops linearly
   with the coil count.
 
-twist_profile evaluates the law over a twist array in one pass, with
-phase, coil count, ratio dL/dtheta (its regular side at theta_star, where
-it jumps) and torque per sample.
+One private kernel, _law, states the law elementwise over floats or
+arrays, with the rounding the fits depend on (libm pow for squares,
+math.hypot for the coil). twist_profile evaluates it over a twist array
+in one pass, with phase, coil count, ratio dL/dtheta (its regular side
+at theta_star, where it jumps) and torque per sample; the calibration
+endpoints are the same kernel at theta_star and theta_max.
 
 Lengths are millimeters, angles radians, masses grams, torques newton
 meters. Twist below zero or NaN is rejected rather than wrapped.
@@ -102,16 +105,36 @@ class LoadCase:
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
+def _square(x):
+    """x ** 2 as libm pow rounds it, also elementwise on arrays.
+
+    numpy squares arrays by multiplication, which differs from pow in the
+    last bit for about one value in a thousand; fits follow the bits.
+    """
+    if not isinstance(x, np.ndarray):
+        return np.float64(x) ** 2
+    return np.fromiter((v**2 for v in x.flat), float, x.size).reshape(x.shape)
+
+
 def coil_circumference(coil_diameter, coil_pitch):
     """Bundle length one coil consumes (mm), as numpy floats or arrays.
 
-    The one hypot of TwoPhaseParams, twist_profile and calibration: math.hypot,
-    per element on arrays, as np.hypot differs in the last bit for some diameters.
+    The law's one hypot: math.hypot, per element on arrays, as np.hypot
+    differs in the last bit for some diameters.
     """
     arc = math.pi * coil_diameter
     if isinstance(arc, np.ndarray) or isinstance(coil_pitch, np.ndarray):
         return np.asarray(_hypot(arc, coil_pitch), dtype=float)
     return np.float64(math.hypot(arc, coil_pitch))
+
+
+def _coil(coil_diameter, coil_pitch):
+    """(circumference, per-coil shortening) of one coil (mm).
+
+    The bundle one coil consumes, and the axial length it takes off.
+    """
+    circumference = coil_circumference(coil_diameter, coil_pitch)
+    return circumference, circumference - coil_pitch
 
 
 @dataclass(frozen=True)
@@ -147,29 +170,49 @@ class TwoPhaseParams:
     @property
     def per_coil_shortening(self) -> float:
         """Net axial length lost per coil (mm)."""
-        return self.coil_circumference - self.coil_pitch
+        return float(_coil(self.coil_diameter, self.coil_pitch)[1])
 
     @property
     def theta_star_rev(self) -> float:
         return self.theta_star / TWO_PI
 
-    def validate_for(self, spec: StringSpec) -> None:
-        """Check the invariants that tie parameters to a specific string."""
-        if not spec.diameter / 2.0 <= self.r_eff <= 2.0 * spec.diameter:
-            raise ParameterError(
-                "r_eff must lie between half and twice the string diameter"
-            )
-        if self.theta_star * self.r_eff >= spec.initial_length:
-            raise ParameterError(
-                "theta_star exceeds the kinematic limit of the regular phase"
-            )
-        if self.coil_circumference <= self.coil_pitch:
-            raise ParameterError("coil must consume more bundle than its pitch")
+
+class _Law(NamedTuple):
+    """What the two-phase law states at a point, as numpy floats or arrays."""
+
+    l_eff: np.ndarray            # untwisted length under load L_eff (mm)
+    wound: np.ndarray            # twist * r_eff (mm)
+    helix: np.ndarray            # sqrt(L_eff^2 - wound^2), the helix length (mm)
+    circumference: np.ndarray    # bundle one coil consumes (mm)
+    coiled: np.ndarray           # bundle the coils consume (mm)
+    length: np.ndarray           # helix less the coils' shortening (mm)
+    slope_regular: np.ndarray    # twist * r_eff^2 / helix, |dL/dtheta| up to theta_star (mm/rad)
+    slope_overtwist: np.ndarray  # per-coil shortening / 2 pi, |dL/dtheta| past it (mm/rad)
+
+
+def _law(spec, load, twist, coils, r_eff, coil_diameter, coil_pitch, compliance):
+    """The two-phase law, elementwise over floats or broadcasting arrays.
+
+    twist is the regular-phase twist, theta_star once it is passed, and
+    coils the coil count past theta_star. This is the one statement of
+    the law: twist_profile, effective_length and the calibration
+    endpoints all read it from here. It checks nothing and sets no numpy
+    error state; where the helix is wound past L_eff its values are NaN,
+    and callers mask them.
+    """
+    l_eff = spec.initial_length + compliance * load.force
+    wound = twist * r_eff
+    helix = np.sqrt(l_eff * l_eff - wound * wound)
+    circumference, shortening = _coil(coil_diameter, coil_pitch)
+    return _Law(l_eff, wound, helix, circumference, coils * circumference,
+                helix - coils * shortening, twist * _square(r_eff) / helix, shortening / TWO_PI)
 
 
 def effective_length(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -> float:
     """Untwisted length including the elastic stretch under load (mm)."""
-    return spec.initial_length + params.compliance * load.force
+    # The law's L_eff, read at zero twist.
+    return _law(spec, load, 0.0, 0.0, params.r_eff, params.coil_diameter, params.coil_pitch,
+                params.compliance).l_eff
 
 
 def strain(length_mm: float, initial_length_mm: float) -> float:
@@ -200,7 +243,7 @@ def twist_profile(
     load: LoadCase,
     thetas,
 ) -> TwistProfile:
-    """The two-phase law over a whole twist array, in one numpy pass.
+    """The two-phase law over a whole twist array, in one pass of _law.
 
     The length is sqrt(L_eff^2 - (theta r_eff)^2) up to theta_star and
     falls by per_coil_shortening per revolution past it; the ratio is
@@ -214,33 +257,30 @@ def twist_profile(
     """
     theta = np.asarray(thetas, dtype=float)
     over = theta > params.theta_star
-    l_eff = effective_length(spec, params, load)
     # Overtwisted samples start from the regular length at theta_star.
-    wound = np.where(over, params.theta_star, theta) * params.r_eff
+    twist = np.where(over, params.theta_star, theta)
     coils = np.where(over, (theta - params.theta_star) / TWO_PI, 0.0)
-    with np.errstate(invalid="ignore"):
-        regular = np.sqrt(l_eff * l_eff - wound * wound)
-    bad = ~(theta >= 0) | (wound >= l_eff) | (coils * params.coil_circumference > regular)
+    with np.errstate(all="ignore"):
+        law = _law(spec, load, twist, coils,
+                   params.r_eff, params.coil_diameter, params.coil_pitch, params.compliance)
+    bad = ~(theta >= 0) | (law.wound >= law.l_eff) | (law.coiled > law.helix)
     if bad.any():
         k = bad.argmax()
         if not theta.flat[k] >= 0:
             raise DomainError("twist must be nonnegative")
-        if wound.flat[k] >= l_eff:
+        if law.wound.flat[k] >= law.l_eff:
             raise DomainError(
                 "helix winding consumed the whole string before theta was reached"
             )
-        limit = params.theta_star + TWO_PI * float(regular.flat[k]) / params.coil_circumference
+        limit = params.theta_star + TWO_PI * float(law.helix.flat[k]) / params.coil_circumference
         raise CoilCapacityError(
             f"twist {float(theta.flat[k]):.6g} rad exceeds the coil capacity limit "
             f"{limit:.6g} rad",
             theta_max=limit,
         )
-    lengths = regular - coils * params.per_coil_shortening
-    ratio = np.where(
-        over, -params.per_coil_shortening / TWO_PI, -theta * params.r_eff**2 / lengths
-    )
+    ratio = np.where(over, -law.slope_overtwist, -law.slope_regular)
     torque = load.force * np.abs(ratio) * 1e-3 / params.eta
-    return TwistProfile(lengths, over, coils, ratio, torque)
+    return TwistProfile(law.length, over, coils, ratio, torque)
 
 
 def size_for_displacement(required_displacement: float, contraction_fraction: float) -> float:

@@ -7,9 +7,23 @@ what the kinematics tests check against geometric oracles.
 
 import math
 
-from tsakit.errors import CoilCapacityError, DomainError
+from tsakit.errors import CoilCapacityError, DomainError, ParameterError
 from tsakit.model import effective_length
 from tsakit.units import TWO_PI
+
+
+def validate_for(params, spec):
+    """Check the invariants that tie parameters to a specific string.
+
+    The calibration endpoint mask must reject exactly these, besides the
+    TwoPhaseParams field checks and the twist to theta_max.
+    """
+    if not spec.diameter / 2.0 <= params.r_eff <= 2.0 * spec.diameter:
+        raise ParameterError("r_eff must lie between half and twice the string diameter")
+    if params.theta_star * params.r_eff >= spec.initial_length:
+        raise ParameterError("theta_star exceeds the kinematic limit of the regular phase")
+    if params.coil_circumference <= params.coil_pitch:
+        raise ParameterError("coil must consume more bundle than its pitch")
 
 
 def length_regular(spec, params, load, theta):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import tsakit.calibration as calibration
 from oracles import endpoints_from_params, params_vector
-from scalar_law import length, max_theta
+from scalar_law import length, max_theta, validate_for
 from tsakit.calibration import (
     PARAM_ORDER,
     PENALTY_RESIDUAL,
@@ -40,6 +40,7 @@ from tsakit.model import (
     StringSpec,
     TwoPhaseParams,
     bundle_diameter,
+    _square,
     coil_circumference,
     contraction,
 )
@@ -123,7 +124,7 @@ def oracle_residual(obs, point):
     """
     try:
         params = TwoPhaseParams(*point)
-        params.validate_for(obs.spec)
+        validate_for(params, obs.spec)
         if not params.theta_star < obs.theta_max:
             return PENALTY_RESIDUAL
         l1 = length(obs.spec, params, obs.load, params.theta_star)
@@ -395,8 +396,8 @@ class TestEndpointKernel:
         # numpy squares arrays by multiplication; a fit follows libm pow.
         values = np.random.default_rng(3).uniform(0.0, 10.0, 100_000)
         expected = [v**2 for v in values.tolist()]
-        assert calibration._square(values).tolist() == expected
-        assert [float(calibration._square(v)) for v in values[:1000].tolist()] == expected[:1000]
+        assert _square(values).tolist() == expected
+        assert [float(_square(v)) for v in values[:1000].tolist()] == expected[:1000]
 
     def test_coil_circumference_is_math_hypot_per_element(self):
         diameters = np.random.default_rng(4).uniform(0.5, 30.0, 100_000)
@@ -449,13 +450,6 @@ class TestParamBounds:
         interval[side] = bad
         with pytest.raises(ParameterError, match=f"^{name}: bounds must be finite$"):
             dataclasses.replace(tight_bounds(), **{name: tuple(interval)})
-
-    def test_clip_projects_into_box(self):
-        bounds = tight_bounds()
-        lo, hi = bounds.arrays()
-        wild = np.array([10.0, -5.0, 4.0, 100.0, 0.5, 7.0])
-        clipped = bounds.clip(wild)
-        assert np.all(clipped >= lo) and np.all(clipped <= hi)
 
     def test_default_pins_pitch_and_stiff_compliance(self):
         bounds = ParamBounds.default(synth_obs())
@@ -510,6 +504,17 @@ class TestFit:
         assert fit.params == TRUTH
         assert fit.residual == residual(TRUTH, obs)
 
+    @pytest.mark.parametrize("r_eff", [(0.73, 0.80), (0.92, 0.99)])
+    def test_returned_params_lie_in_the_box(self, r_eff):
+        # TRUTH lies outside the r_eff interval, so the optimum presses
+        # against the box and the polish steps past it.
+        bounds = dataclasses.replace(tight_bounds(), r_eff=r_eff)
+        lo, hi = bounds.arrays()
+        fit = fit_two_phase(synth_obs(), bounds)
+        vector = params_vector(fit.params)
+        assert np.all(lo <= vector) and np.all(vector <= hi)
+        assert fit.residual == residual(fit.params, synth_obs())
+
     def test_deterministic(self):
         obs = synth_obs()
         first = fit_two_phase(obs, tight_bounds())
@@ -525,7 +530,7 @@ class TestFit:
         fit = fit_two_phase(obs)
         assert fit.converged
         assert fit.residual < 1e-2
-        fit.params.validate_for(obs.spec)
+        validate_for(fit.params, obs.spec)
         pred = predict_endpoints(
             obs.spec, fit.params, obs.load, obs.theta_max_rev, obs.motor_speed_rev_s
         )

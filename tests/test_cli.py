@@ -6,6 +6,7 @@ codes, stdout/stderr wording, and output CSV content.
 
 import configparser
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,6 +657,19 @@ class TestCounts:
             ),
             (["bicep"], MODEL_CONFIG + "\n[bicep]\nsamples = -1\n", "bicep.samples", "-1"),
             (["bicep"], MODEL_CONFIG + "\n[bicep]\nsamples = 0\n", "bicep.samples", "0"),
+            # int() would drop the fraction and gate at cycle 6.
+            (
+                ["train", "0"],
+                MODEL_CONFIG + "\n[training]\nthresholds = 6.9, 11, 50\n",
+                "training.thresholds",
+                "6.9, 11, 50",
+            ),
+            (
+                ["simulate", "triangle:amplitude_rev=36,period_s=60,samples=41"],
+                MODEL_CONFIG + "\n[training]\ncycles = 6\nthresholds = 2, 5.5, 6\n",
+                "training.thresholds",
+                "2, 5.5, 6",
+            ),
         ],
     )
     def test_config_count_out_of_range(self, tmp_path, capsys, argv, text, key, value):
@@ -929,6 +943,21 @@ class TestSense:
         assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_creep_keys_are_ignored(self, tmp_path):
+        # sense fits the creep from the log itself; the [sensing] creep
+        # keys are checked and then ignored, so the output is byte-identical.
+        log = str(Path(__file__).parent / "data" / "sense_log.csv")
+        outputs = set()
+        for creep in ((0.9, 4.5), (0, "inf"), (7, 1), None):
+            text = SENSING_CONFIG + "transient_gain_ohm_per_pct = -0.25\n"
+            if creep is not None:
+                text += "creep_rate_ohm_per_cycle = {}\ncreep_saturation_ohm = {}\n".format(*creep)
+            cfg = write(tmp_path, text, "run.ini")
+            out = tmp_path / "strain.csv"
+            assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            outputs.add(out.read_bytes())
+        assert len(outputs) == 1
 
     def test_missing_resistance_column(self, tmp_path, capsys):
         cfg = write(tmp_path, SENSING_CONFIG, "run.ini")

@@ -216,6 +216,10 @@ class TestSectionBuilders:
         assert state.thresholds == (6, 11, 50)
         assert shortening == 0.03
 
+    def test_whole_float_thresholds_accepted(self, tmp_path):
+        state, _ = training_state(parse_config(write(tmp_path, "[training]\nthresholds = 2.0, 5, 9e0\n")))
+        assert state.thresholds == (2, 5, 9)
+
     @pytest.mark.parametrize("value", ["0", "0.999"])
     def test_shortening_fraction_in_unit_interval_accepted(self, tmp_path, value):
         cfg = parse_config(write(tmp_path, f"[training]\nshortening_fraction = {value}\n"))

@@ -8,7 +8,9 @@ the log committed under tests/data/. Any change to how the two-phase law
 is evaluated or how CSV files are read and written must keep them
 byte-identical, and must keep each error simulate raises word for word:
 from the law the coil capacity, the helix limit and a negative twist,
-and from the command line's training gate.
+and from the command line's training gate. One kernel in tsakit.model
+states the law for simulate, calibrate and grid_oracle alike, so these
+files also pin the law the calibration endpoints are scored with.
 sense.csv was last written when the creep baseline became an exact
 variable-projection fit, which moved every strain by at most 1.9e-8 %
 from the local curve fit before it.

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -34,7 +36,7 @@ from tsakit.model import (
     strain,
     twist_profile,
 )
-from tsakit.units import TWO_PI, rev_to_rad
+from tsakit.units import TWO_PI, rad_to_rev, rev_to_rad
 
 
 def make_spec(diameter=1.3, initial_length=214.3, material=Material.STIFF, ply=1):
@@ -141,6 +143,34 @@ class TestLengthRegular:
 def ratio_at(spec, params, load, thetas):
     """dL/dtheta from the twist_profile ratio column, as floats."""
     return twist_profile(spec, params, load, thetas).ratio.tolist()
+
+
+@st.composite
+def feasible_points(draw):
+    """A string, load, parameter set and theta_max that calibration accepts.
+
+    Stiff and compliant strings, compliance from 0 to 1 mm/N; theta_max
+    lies strictly between theta_star and the coil capacity.
+    """
+    d = draw(st.floats(0.3, 3.0))
+    spec = make_spec(
+        diameter=d,
+        initial_length=draw(st.floats(20.0 * d, 400.0)),
+        material=draw(st.sampled_from(Material)),
+    )
+    load = LoadCase(mass=draw(st.floats(0.0, 5000.0)))
+    r_eff = draw(st.floats(d / 2.0, 2.0 * d))
+    params = TwoPhaseParams(
+        r_eff=r_eff,
+        theta_star=draw(st.floats(0.05, 0.95)) * spec.initial_length / r_eff,
+        coil_diameter=draw(st.floats(0.5 * d, 10.0 * d)),
+        coil_pitch=draw(st.floats(0.0, 4.0 * d)),
+        eta=draw(st.floats(0.02, 1.0)),
+        compliance=draw(st.floats(0.0, 1.0)),
+    )
+    span = max_theta(spec, params, load) - params.theta_star
+    theta_max_rev = rad_to_rev(params.theta_star + draw(st.floats(0.01, 0.99)) * span)
+    return spec, params, load, theta_max_rev
 
 
 class TestLengthOvertwist:
@@ -280,17 +310,26 @@ class TestTransmissionRatio:
             ) / (2 * h)
             assert analytic == pytest.approx(numeric, rel=1e-6)
 
-    def test_kink_requires_side(self):
+    @given(point=feasible_points())
+    @example(point=(make_spec(), make_params(), LOAD, make_params().theta_star_rev + 1.0))
+    def test_kink_requires_side(self, point):
         # The profile takes the regular side at theta_star; the calibrated
-        # endpoints report both sides as slope magnitudes.
-        spec = make_spec()
-        params = make_params()
-        at_star = ratio_at(spec, params, LOAD, [params.theta_star])[0]
-        pred = predict_endpoints(spec, params, LOAD, params.theta_star_rev + 1.0)
+        # endpoints report both sides as slope magnitudes. Both read the
+        # one law, so contractions and torques agree bit for bit too.
+        spec, params, load, theta_max_rev = point
+        thetas = [params.theta_star, rev_to_rad(theta_max_rev)]
+        at_star, at_max = ratio_at(spec, params, load, thetas)
+        pred = predict_endpoints(spec, params, load, theta_max_rev)
         left, right = -pred["speed_regular"], -pred["speed_overtwist"]
         assert left == at_star
-        assert right == -params.per_coil_shortening / TWO_PI
+        assert right == at_max == -params.per_coil_shortening / TWO_PI
         assert left < 0 and right < 0
+        profile = twist_profile(spec, params, load, thetas)
+        contractions = [contraction(x, spec.initial_length) for x in profile.length.tolist()]
+        predicted = [pred["contraction_regular_pct"], pred["contraction_total_pct"]]
+        assert [x.hex() for x in predicted] == [x.hex() for x in contractions]
+        torques = [pred["torque_regular_nm"], pred["torque_overtwist_nm"]]
+        assert [x.hex() for x in torques] == [x.hex() for x in profile.torque.tolist()]
 
     def test_phase_one_magnitude_strictly_increasing(self):
         spec = make_spec()
@@ -436,13 +475,3 @@ class TestValidation:
         ):
             with pytest.raises(ParameterError):
                 build()
-
-    def test_validate_for_couples_params_to_spec(self):
-        spec = make_spec()
-        make_params().validate_for(spec)
-        with pytest.raises(ParameterError):
-            # Winding radius far beyond the two-string bundle.
-            make_params(r_eff=5.0).validate_for(spec)
-        with pytest.raises(ParameterError):
-            # Phase change after the strings are fully consumed.
-            make_params(r_eff=1.3, theta_star_rev=45.0).validate_for(spec)

@@ -12,9 +12,12 @@ import pkgutil
 import pytest
 
 import tsakit
+import tsakit.calibration as calibration
+import tsakit.model as model
 from tsakit.bicep import sweep
+from tsakit.calibration import ParamBounds
 from tsakit.hysteresis import PIModel, hysteretic_length
-from tsakit.model import twist_profile
+from tsakit.model import TwoPhaseParams, twist_profile
 
 MODULES = [
     importlib.import_module(f"tsakit.{info.name}")
@@ -60,3 +63,17 @@ def test_pimodel_has_no_test_only_methods(method):
 @pytest.mark.parametrize("function", [twist_profile, hysteretic_length, sweep])
 def test_law_takes_no_training_state(function):
     assert "training" not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize(
+    "owner, name", [(TwoPhaseParams, "validate_for"), (ParamBounds, "clip")]
+)
+def test_law_checks_and_clip_live_in_one_place(owner, name):
+    # The endpoint mask holds validate_for's checks; the fit clips with its own bounds.
+    assert not hasattr(owner, name)
+
+
+def test_law_rounding_is_stated_in_model_alone():
+    # calibration squares and states the law through model, never a copy.
+    for name in ("_square", "_law", "coil_circumference"):
+        assert vars(calibration).get(name, getattr(model, name)) is getattr(model, name)
