@@ -1,4 +1,4 @@
-"""Golden outputs of simulate, bicep and sense.
+"""Golden outputs of simulate, bicep, sense and calibrate.
 
 The files under tests/golden/ are the byte-exact outputs of the commands
 below. The simulate and bicep files were written before the per-sample
@@ -14,13 +14,27 @@ files also pin the law the calibration endpoints are scored with.
 sense.csv was last written when the creep baseline became an exact
 variable-projection fit, which moved every strain by at most 1.9e-8 %
 from the local curve fit before it.
+
+The calibrate files pin the fit: each case keeps its parameter file
+(calibrate_*.ini), its stdout (calibrate_*.txt) and its exit code. They
+were written before the fit's scoring moved from numpy scalars to Python
+floats, with, from the repository root:
+
+    PYTHONPATH=src python -m tsakit.cli calibrate src/tsakit/data/stiff_observations.csv \
+        --out tests/golden/calibrate_stiff.ini > tests/golden/calibrate_stiff.txt
+    PYTHONPATH=src python -m tsakit.cli calibrate src/tsakit/data/stiff_observations.csv \
+        --max-iter 30 --out tests/golden/calibrate_stiff_max_iter_30.ini \
+        > tests/golden/calibrate_stiff_max_iter_30.txt
+    PYTHONPATH=src python -m tsakit.cli calibrate src/tsakit/data/scp_6ply.csv \
+        --out tests/golden/calibrate_compliant.ini > tests/golden/calibrate_compliant.txt
 """
 
 from pathlib import Path
 
 import pytest
 
-from tsakit.cli import EXIT_GATE, EXIT_INPUT, EXIT_OK, main
+from tsakit.cli import EXIT_GATE, EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from tsakit.config import bundled_compliant_path, bundled_stiff_path
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -112,6 +126,14 @@ CASES = {
     "simulate_profile_csv.csv": (MODEL_CONFIG, ["simulate", str(DATA / "profile.csv")]),
 }
 
+# calibrate on the bundled tables: golden stem -> (observations, extra argv, exit code).
+# At 30 iterations no polish meets its tolerance, so calibrate exits 3.
+CALIBRATE_CASES = {
+    "calibrate_stiff": (bundled_stiff_path(), [], EXIT_OK),
+    "calibrate_stiff_max_iter_30": (bundled_stiff_path(), ["--max-iter", "30"], EXIT_NO_CONVERGENCE),
+    "calibrate_compliant": (bundled_compliant_path(), [], EXIT_OK),
+}
+
 
 def run_case(tmp_path, config_text, argv):
     config = tmp_path / "run.ini"
@@ -144,3 +166,15 @@ def test_law_errors_word_for_word(tmp_path, capsys, name, extra):
     assert code == exit_code
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stem", sorted(CALIBRATE_CASES))
+def test_calibrate_matches_golden_files(tmp_path, capsys, stem):
+    observations, extra, exit_code = CALIBRATE_CASES[stem]
+    out = tmp_path / "params.ini"
+    code = main(["calibrate", observations, *extra, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == (GOLDEN / f"{stem}.txt").read_text(encoding="utf-8")
+    assert captured.err == ""
+    assert out.read_bytes() == (GOLDEN / f"{stem}.ini").read_bytes()
