@@ -3,7 +3,7 @@
 Both follow scipy 1.17.1 (`scipy.optimize._optimize`) operation for
 operation: `minimize_scalar` is `_minimize_scalar_bounded` and `minimize`
 is `_minimize_neldermead` without bounds or adaptive coefficients. They
-use the same numpy operations, sorts, defaults and stopping rules, so a
+use the same arithmetic and sorts, defaults and stopping rules, so a
 fit gives the same floats, iteration counts and flags as
 `scipy.optimize.minimize_scalar(method="bounded")` and
 `scipy.optimize.minimize(method="Nelder-Mead")`, bit for bit. Importing
@@ -147,7 +147,7 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
         if calls >= maxfev:
             raise _EvaluationCap
         calls += 1
-        return fun(np.copy(x))
+        return fun(x.copy())
 
     fsim = np.full((n + 1,), np.inf)
     try:
@@ -157,15 +157,15 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
         pass
     # Sorted twice, as scipy does: argsort need not be stable on ties.
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim[ind]
+        fsim = fsim[ind]
 
     iterations = 1
     while calls < maxfev and iterations < maxiter:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
@@ -199,9 +199,9 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
             iterations += 1
         except _EvaluationCap:
             pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim = sim[ind]
+        fsim = fsim[ind]
 
     success = calls < maxfev and iterations < maxiter
     return Solution(sim[0], np.min(fsim), iterations, calls, success)

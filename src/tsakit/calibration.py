@@ -14,8 +14,11 @@ The model endpoints come from the two-phase law as the model states it
 once, in model._law, the kernel twist_profile evaluates for simulate:
 the law at theta_star with the coils formed by theta_max gives both
 contractions and the slopes either side of theta_star. _endpoints adds
-the feasibility mask, elementwise on floats or arrays; residual, the fit
-and grid_oracle all score through it, infeasible points from the mask.
+the feasibility mask and _residual_kernel the weighted terms, each one
+body run with the model's op sets: in Python floats where residual and
+the fit score one point at a time, in numpy where grid_oracle scores
+slabs of cells and predict_endpoints reports. Both give the same bits;
+infeasible points score the penalty from the mask.
 
 Speed endpoints constrain the model through the overtwist-to-regular
 speed ratio unless a constant motor speed is supplied, in which case
@@ -38,9 +41,10 @@ from .model import (
     Phase,
     StringSpec,
     TwoPhaseParams,
+    _ARRAY_OPS,
+    _FLOAT_OPS,
     _coil,
     _law,
-    _square,
     bundle_diameter,
     contraction,
 )
@@ -107,11 +111,12 @@ class ObservedEndpoints:
         return rev_to_rad(self.theta_max_rev)
 
 
-def _endpoints(spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance):
+def _endpoints(ops, spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pitch, eta,
+               compliance):
     """Model endpoints, elementwise over floats or broadcasting arrays.
 
     The model's one law kernel at theta_star with the coils formed by
-    theta_max, plus the parameter-box mask. Returns (feasible,
+    theta_max, in the op set ops, plus the parameter-box mask. Returns (feasible,
     contraction_regular_pct, contraction_total_pct, slope_regular,
     slope_overtwist), the slopes being |dL/dtheta| (mm/rad) on either
     side of theta_star. feasible holds where the parameters pass every
@@ -122,7 +127,7 @@ def _endpoints(spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pit
     test is false on NaN. Where it fails, the other values are
     meaningless, and callers silence numpy's warnings about them.
     """
-    law = _law(spec, load, theta_star, (theta_max - theta_star) / TWO_PI,
+    law = _law(ops, spec, load, theta_star, (theta_max - theta_star) / TWO_PI,
                r_eff, coil_diameter, coil_pitch, compliance)
     l0 = spec.initial_length
     feasible = (
@@ -156,7 +161,7 @@ def predict_endpoints(
     ParameterError where residual would score the penalty.
     """
     feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
-        spec, load, rev_to_rad(theta_max_rev), *(getattr(params, n) for n in PARAM_ORDER)
+        _ARRAY_OPS, spec, load, rev_to_rad(theta_max_rev), *(getattr(params, n) for n in PARAM_ORDER)
     )
     if not feasible:
         raise ParameterError("parameters are infeasible for this string, load and twist")
@@ -171,20 +176,20 @@ def predict_endpoints(
     }
 
 
-@np.errstate(all="ignore")
-def _residuals(obs: ObservedEndpoints, r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance):
-    """residual elementwise over parameter floats or broadcasting arrays.
+def _residual_kernel(ops, obs: ObservedEndpoints, r_eff, theta_star, coil_diameter, coil_pitch,
+                     eta, compliance):
+    """residual elementwise in the op set ops, over floats or broadcasting arrays.
 
     Arguments follow PARAM_ORDER; infeasible points score
-    PENALTY_RESIDUAL.
+    PENALTY_RESIDUAL. The one statement of the residual's terms.
     """
     feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
-        obs.spec, obs.load, obs.theta_max,
+        ops, obs.spec, obs.load, obs.theta_max,
         r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance,
     )
 
     def term(weight, predicted, observed):
-        return weight * _square((predicted - observed) / observed)
+        return weight * ops.square((predicted - observed) / observed)
 
     total = term(WEIGHT_CONTRACTION, c_reg, obs.contraction_regular_pct)
     total = total + term(WEIGHT_CONTRACTION, c_tot, obs.contraction_total_pct)
@@ -198,14 +203,30 @@ def _residuals(obs: ObservedEndpoints, r_eff, theta_star, coil_diameter, coil_pi
             total = total + term(WEIGHT_SECONDARY, slope_over * omega, v_over)
     elif v_reg is not None and v_over is not None:
         # No motor profile: only the between-phase speed ratio is informative.
-        total = total + term(WEIGHT_SECONDARY, slope_over / slope_reg, v_over / v_reg)
+        total = total + term(WEIGHT_SECONDARY, ops.div(slope_over, slope_reg), v_over / v_reg)
 
     force = obs.load.force
     if obs.max_torque_regular_nm is not None:
-        total = total + term(WEIGHT_SECONDARY, force * slope_reg * 1e-3 / eta, obs.max_torque_regular_nm)
+        total = total + term(WEIGHT_SECONDARY, ops.div(force * slope_reg * 1e-3, eta),
+                             obs.max_torque_regular_nm)
     if obs.max_torque_overtwist_nm is not None:
-        total = total + term(WEIGHT_SECONDARY, force * slope_over * 1e-3 / eta, obs.max_torque_overtwist_nm)
-    return np.where(feasible, total, PENALTY_RESIDUAL)
+        total = total + term(WEIGHT_SECONDARY, ops.div(force * slope_over * 1e-3, eta),
+                             obs.max_torque_overtwist_nm)
+    return ops.where(feasible, total, PENALTY_RESIDUAL)
+
+
+def _residuals(obs: ObservedEndpoints, *point):
+    """residual elementwise over parameter floats or broadcasting arrays.
+
+    Arguments follow PARAM_ORDER. Python floats, as residual passes
+    them, are scored in Python floats and give a float; anything else,
+    such as grid_oracle's slabs, goes through numpy with its warnings
+    silenced.
+    """
+    if all(type(value) is float for value in point):
+        return _residual_kernel(_FLOAT_OPS, obs, *point)
+    with np.errstate(all="ignore"):
+        return _residual_kernel(_ARRAY_OPS, obs, *point)
 
 
 def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
@@ -215,7 +236,7 @@ def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
     coil capacity, theta_star at or past theta_max) scores the penalty
     constant instead of raising.
     """
-    return float(_residuals(obs, *(getattr(params, n) for n in PARAM_ORDER)))
+    return _residuals(obs, *(float(getattr(params, n)) for n in PARAM_ORDER))
 
 
 @dataclass(frozen=True)
@@ -286,9 +307,9 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
     contraction fixes theta_star * r_eff, the total contraction then
     fixes the per-coil shortening and so coil_diameter, and 1/eta is the
     least-squares fit of the torque endpoints. Returns point(r), the
-    full parameter vector at r_eff = r, and the window (r_lo, r_hi) in
-    which every box bound and the coil capacity hold; r_lo > r_hi when
-    there is none.
+    full parameter vector at r_eff = r as a list of floats, and the
+    window (r_lo, r_hi) in which every box bound and the coil capacity
+    hold; r_lo > r_hi when there is none.
     """
     l0, force, theta_max = obs.spec.initial_length, obs.load.force, obs.theta_max
     l1 = l0 * (1.0 - obs.contraction_regular_pct / 100.0)
@@ -299,6 +320,7 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
     torques = (obs.max_torque_regular_nm, obs.max_torque_overtwist_nm)
 
     def point(r):
+        r = float(r)
         theta_star = wound / r
         shortening = drop / (theta_max - theta_star)
         coil_diameter = math.sqrt((shortening + pitch) ** 2 - pitch * pitch) / math.pi
@@ -306,10 +328,10 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
         q = [force * s * 1e-3 / t for s, t in zip(slopes, torques) if t is not None]
         eta = sum(x * x for x in q) / sum(q) if any(q) else bounds.eta[1]
         eta = min(max(eta, bounds.eta[0]), bounds.eta[1])
-        return np.array([r, theta_star, coil_diameter, pitch, eta, compliance])
+        return [r, theta_star, coil_diameter, pitch, eta, compliance]
 
     def theta_star_at(coil_diameter):
-        return theta_max - drop / _coil(coil_diameter, pitch)[1]
+        return theta_max - drop / _coil(_ARRAY_OPS, coil_diameter, pitch)[1]
 
     # Each bound is monotone in theta_star = wound / r_eff.
     t_lo = max(
@@ -347,40 +369,47 @@ def fit_two_phase(
     """
     if bounds is None:
         bounds = ParamBounds.default(obs)
-    lo, hi = bounds.arrays()
-    free = hi > lo
+    lo, hi = (side.tolist() for side in bounds.arrays())
+    free = [k for k in range(len(PARAM_ORDER)) if hi[k] > lo[k]]
 
-    def clip(vector: np.ndarray) -> np.ndarray:
-        return np.minimum(np.maximum(vector, lo), hi)
+    def clip(vector: list) -> list:
+        # np.minimum(np.maximum(v, lo), hi) per element: NaN passes
+        # through, and a tie takes the bound, signed zero included.
+        clipped = []
+        for v, a, b in zip(vector, lo, hi):
+            v = a if v <= a else v
+            clipped.append(b if v >= b else v)
+        return clipped
 
-    def score(vector: np.ndarray) -> float:
-        return float(_residuals(obs, *clip(vector).tolist()))
+    def score(vector: list) -> float:
+        return _residual_kernel(_FLOAT_OPS, obs, *clip(vector))
 
-    if not free.any():
+    def with_free(vector: list, z) -> list:
+        full = vector.copy()
+        for k, v in zip(free, z.tolist()):
+            full[k] = v
+        return full
+
+    if not free:
         point = params_from_vector(lo)
         value = residual(point, obs)
         return FitResult(point, value, 0, value < PENALTY_RESIDUAL)
 
     point, r_lo, r_hi = _reduction(obs, bounds)
     iterations = 0
-    best, best_value = 0.5 * (lo + hi), PENALTY_RESIDUAL
+    best, best_value = [0.5 * (a + b) for a, b in zip(lo, hi)], PENALTY_RESIDUAL
     if r_lo <= r_hi:
         search = minimize_scalar(lambda r: score(point(r)), (r_lo, r_hi), xatol=1e-12)
         iterations += int(search.nit)
         best, best_value = clip(point(search.x)), float(search.fun)
 
-    def objective(z):
-        full = lo.copy()
-        full[free] = z
-        return score(full)
-
     polish = minimize(
-        objective, best[free], maxiter=max_iter, maxfev=max_iter, xatol=1e-10, fatol=1e-14
+        lambda z: score(with_free(lo, z)), [best[k] for k in free],
+        maxiter=max_iter, maxfev=max_iter, xatol=1e-10, fatol=1e-14,
     )
     iterations += int(polish.nit)
     if polish.fun <= best_value:
-        best[free] = polish.x
-        best, best_value = clip(best), float(polish.fun)
+        best, best_value = clip(with_free(best, polish.x)), float(polish.fun)
     # Nelder-Mead meets its tolerance on the flat penalty plateau too.
     return FitResult(
         params_from_vector(best),

@@ -403,18 +403,23 @@ def _parsed_columns(handle, fieldnames):
     return columns
 
 
+def _check_no_extra_fields(path, reader, record, line):
+    """Refuse a csv.DictReader row with more fields than its header."""
+    if None in record:
+        raise CsvFormatError(
+            f"{path}: row has {len(reader.fieldnames) + len(record[None])} fields, "
+            f"header has {len(reader.fieldnames)}",
+            line=line,
+        )
+
+
 def _validated_columns(path, reader, required):
     """The log body checked row by row: the reference for every value and error."""
     columns = {name: [] for name in reader.fieldnames}
     last_time = None
     for record in reader:
         line = reader.line_num
-        if None in record:
-            raise CsvFormatError(
-                f"{path}: row has {len(reader.fieldnames) + len(record[None])} fields, "
-                f"header has {len(reader.fieldnames)}",
-                line=line,
-            )
+        _check_no_extra_fields(path, reader, record, line)
         parsed = {}
         for column, value in record.items():
             if value is None or value.strip() == "":
@@ -479,6 +484,7 @@ def read_observations(path: str) -> list:
             raise CsvFormatError(f"{path}: missing required columns {sorted(missing)}", line=1)
         for record in reader:
             line = reader.line_num
+            _check_no_extra_fields(path, reader, record, line)
 
             def number(column, record=record, line=line, optional=False):
                 value = record.get(column)

@@ -17,12 +17,15 @@ a steeper torque requirement. This module models both regimes:
   while occupying only coil_pitch axially, so the length drops linearly
   with the coil count.
 
-One private kernel, _law, states the law elementwise over floats or
-arrays, with the rounding the fits depend on (libm pow for squares,
-math.hypot for the coil). twist_profile evaluates it over a twist array
+One private kernel, _law, states the law elementwise, with the rounding
+the fits depend on (libm pow for squares, math.hypot for the coil). Its
+body takes one of two op sets for what goes beyond + - * /: _FLOAT_OPS
+runs it in Python floats, _ARRAY_OPS in numpy floats and arrays, and
+both give the same bits. twist_profile evaluates it over a twist array
 in one pass, with phase, coil count, ratio dL/dtheta (its regular side
 at theta_star, where it jumps) and torque per sample; the calibration
-endpoints are the same kernel at theta_star and theta_max.
+endpoints are the same kernel at theta_star and theta_max, in floats
+where the fit scores its iterates.
 
 Lengths are millimeters, angles radians, masses grams, torques newton
 meters. Twist below zero or NaN is rejected rather than wrapped.
@@ -35,9 +38,10 @@ question, which the command line asks before it evaluates the law.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -116,25 +120,75 @@ def _square(x):
     return np.fromiter((v**2 for v in x.flat), float, x.size).reshape(x.shape)
 
 
-def coil_circumference(coil_diameter, coil_pitch):
-    """Bundle length one coil consumes (mm), as numpy floats or arrays.
+def _array_hypot(x, y):
+    """math.hypot as numpy floats, per element on arrays.
 
-    The law's one hypot: math.hypot, per element on arrays, as np.hypot
-    differs in the last bit for some diameters.
+    np.hypot differs from math.hypot in the last bit for some values.
     """
-    arc = math.pi * coil_diameter
-    if isinstance(arc, np.ndarray) or isinstance(coil_pitch, np.ndarray):
-        return np.asarray(_hypot(arc, coil_pitch), dtype=float)
-    return np.float64(math.hypot(arc, coil_pitch))
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.asarray(_hypot(x, y), dtype=float)
+    return np.float64(math.hypot(x, y))
 
 
-def _coil(coil_diameter, coil_pitch):
+def _float_sqrt(x):
+    try:
+        return math.sqrt(x)
+    except ValueError:  # a negative: numpy's NaN
+        return math.nan
+
+
+def _float_square(x):
+    try:
+        return x**2
+    except OverflowError:  # numpy's inf
+        return math.inf
+
+
+def _float_div(x, y):
+    try:
+        return x / y
+    except ZeroDivisionError:  # numpy's signed inf, or NaN for 0 / 0 and NaN / 0
+        return x * math.copysign(math.inf, y) if x else math.nan
+
+
+def _float_where(condition, x, y):
+    return x if condition else y
+
+
+class _Ops(NamedTuple):
+    """What the law's kernels need beyond + - * and division by constants.
+
+    Two sets round alike: squares as libm pow, hypot as math.hypot. Where
+    Python raises (the square root of a negative, an overflowing square, a
+    zero divisor), the float set returns numpy's NaN or inf.
+    """
+
+    sqrt: Callable
+    square: Callable
+    hypot: Callable
+    div: Callable     # x / y for a divisor that may be zero
+    where: Callable   # elementwise x if condition else y
+
+
+# Python floats in and out, as calibration's fit scores its iterates.
+_FLOAT_OPS = _Ops(_float_sqrt, _float_square, math.hypot, _float_div, _float_where)
+# numpy floats and broadcasting arrays; callers set the numpy error state.
+_ARRAY_OPS = _Ops(np.sqrt, _square, _array_hypot, operator.truediv, np.where)
+
+
+def _coil(ops, coil_diameter, coil_pitch):
     """(circumference, per-coil shortening) of one coil (mm).
 
-    The bundle one coil consumes, and the axial length it takes off.
+    The bundle one coil consumes, the law's one hypot, and the axial
+    length it takes off.
     """
-    circumference = coil_circumference(coil_diameter, coil_pitch)
+    circumference = ops.hypot(math.pi * coil_diameter, coil_pitch)
     return circumference, circumference - coil_pitch
+
+
+def coil_circumference(coil_diameter, coil_pitch):
+    """Bundle length one coil consumes (mm), as numpy floats or arrays."""
+    return _coil(_ARRAY_OPS, coil_diameter, coil_pitch)[0]
 
 
 @dataclass(frozen=True)
@@ -161,6 +215,9 @@ class TwoPhaseParams:
             raise ParameterError("eta must lie in (0, 1]")
         if not 0.0 <= self.compliance < math.inf:
             raise ParameterError("compliance must be nonnegative and finite")
+        # pi * coil_diameter overflows from about 5.7e307 mm.
+        if not self.coil_circumference < math.inf:
+            raise ParameterError("coil_diameter must give a finite coil circumference")
 
     @property
     def coil_circumference(self) -> float:
@@ -170,7 +227,7 @@ class TwoPhaseParams:
     @property
     def per_coil_shortening(self) -> float:
         """Net axial length lost per coil (mm)."""
-        return float(_coil(self.coil_diameter, self.coil_pitch)[1])
+        return float(_coil(_ARRAY_OPS, self.coil_diameter, self.coil_pitch)[1])
 
     @property
     def theta_star_rev(self) -> float:
@@ -178,7 +235,7 @@ class TwoPhaseParams:
 
 
 class _Law(NamedTuple):
-    """What the two-phase law states at a point, as numpy floats or arrays."""
+    """What the two-phase law states at a point, as floats or arrays."""
 
     l_eff: np.ndarray            # untwisted length under load L_eff (mm)
     wound: np.ndarray            # twist * r_eff (mm)
@@ -190,29 +247,32 @@ class _Law(NamedTuple):
     slope_overtwist: np.ndarray  # per-coil shortening / 2 pi, |dL/dtheta| past it (mm/rad)
 
 
-def _law(spec, load, twist, coils, r_eff, coil_diameter, coil_pitch, compliance):
+def _law(ops, spec, load, twist, coils, r_eff, coil_diameter, coil_pitch, compliance):
     """The two-phase law, elementwise over floats or broadcasting arrays.
 
     twist is the regular-phase twist, theta_star once it is passed, and
     coils the coil count past theta_star. This is the one statement of
     the law: twist_profile, effective_length and the calibration
-    endpoints all read it from here. It checks nothing and sets no numpy
-    error state; where the helix is wound past L_eff its values are NaN,
-    and callers mask them.
+    endpoints all read it from here. ops is _FLOAT_OPS for Python floats
+    and _ARRAY_OPS for numpy floats and arrays; the body is the same and
+    so are the bits. It checks nothing and sets no numpy error state;
+    where the helix is wound past L_eff its values are NaN, and callers
+    mask them.
     """
     l_eff = spec.initial_length + compliance * load.force
     wound = twist * r_eff
-    helix = np.sqrt(l_eff * l_eff - wound * wound)
-    circumference, shortening = _coil(coil_diameter, coil_pitch)
+    helix = ops.sqrt(l_eff * l_eff - wound * wound)
+    circumference, shortening = _coil(ops, coil_diameter, coil_pitch)
     return _Law(l_eff, wound, helix, circumference, coils * circumference,
-                helix - coils * shortening, twist * _square(r_eff) / helix, shortening / TWO_PI)
+                helix - coils * shortening, ops.div(twist * ops.square(r_eff), helix),
+                shortening / TWO_PI)
 
 
 def effective_length(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -> float:
     """Untwisted length including the elastic stretch under load (mm)."""
     # The law's L_eff, read at zero twist.
-    return _law(spec, load, 0.0, 0.0, params.r_eff, params.coil_diameter, params.coil_pitch,
-                params.compliance).l_eff
+    return _law(_ARRAY_OPS, spec, load, 0.0, 0.0, params.r_eff, params.coil_diameter,
+                params.coil_pitch, params.compliance).l_eff
 
 
 def strain(length_mm: float, initial_length_mm: float) -> float:
@@ -261,7 +321,7 @@ def twist_profile(
     twist = np.where(over, params.theta_star, theta)
     coils = np.where(over, (theta - params.theta_star) / TWO_PI, 0.0)
     with np.errstate(all="ignore"):
-        law = _law(spec, load, twist, coils,
+        law = _law(_ARRAY_OPS, spec, load, twist, coils,
                    params.r_eff, params.coil_diameter, params.coil_pitch, params.compliance)
     bad = ~(theta >= 0) | (law.wound >= law.l_eff) | (law.coiled > law.helix)
     if bad.any():

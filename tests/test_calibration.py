@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsakit.calibration as calibration
+import tsakit.model as model
 from oracles import endpoints_from_params, params_vector
 from scalar_law import length, max_theta, validate_for
 from tsakit.calibration import (
@@ -155,7 +156,10 @@ def oracle_residual(obs, point):
         terms.append((WEIGHT_SECONDARY, torque, obs.max_torque_overtwist_nm))
     total = 0.0
     for weight, predicted, observed in terms:
-        total += weight * ((predicted - observed) / observed) ** 2
+        try:
+            total += weight * ((predicted - observed) / observed) ** 2
+        except OverflowError:  # a square past the float range is inf
+            total += math.inf
     return total
 
 
@@ -391,6 +395,66 @@ class TestEndpointKernel:
             else:
                 predict_endpoints(obs.spec, params, obs.load, obs.theta_max_rev)
 
+
+    # Points where Python float arithmetic raises and numpy gives NaN or
+    # inf: name -> (observation, point in PARAM_ORDER, expected residual).
+    EDGE_POINTS = {
+        # theta_star * r_eff == L_eff = 214.3 mm: helix length 0, a zero divisor.
+        "helix_length_zero": ("motor", [1.0, 214.3, 4.3, 2.6, 0.11, 0.0], PENALTY_RESIDUAL),
+        "helix_length_zero_speed_ratio": ("ratio", [1.0, 214.3, 4.3, 2.6, 0.11, 0.0], PENALTY_RESIDUAL),
+        # Wound past L_eff: the square root of a negative.
+        "wound_past_length": ("motor", [1.0, 220.0, 4.3, 2.6, 0.11, 0.0], PENALTY_RESIDUAL),
+        # A feasible point whose torque term's square overflows.
+        "overflowing_square": ("tiny_torque", [0.86, THETA_STAR, 4.3, 2.6, 0.11, 0.0], math.inf),
+        "eta_zero": ("motor", [0.86, THETA_STAR, 4.3, 2.6, 0.0, 0.0], PENALTY_RESIDUAL),
+        "eta_one": ("motor", [0.86, THETA_STAR, 4.3, 2.6, 1.0, 0.0], None),
+        **{
+            f"nan_{name}": ("ratio", [math.nan if n == name else getattr(TRUTH, n)
+                                      for n in PARAM_ORDER], PENALTY_RESIDUAL)
+            for name in PARAM_ORDER
+        },
+        # Feasible, with a regular slope that underflows to 0: the speed
+        # ratio divides by zero and the residual is inf. The scalar law
+        # raises ZeroDivisionError there, so this point has no oracle.
+        "regular_slope_underflows": ("ratio", [0.86, 5e-324, 1.0, 2.6, 0.11, 0.0], math.inf),
+    }
+
+    @staticmethod
+    def edge_observation(kind):
+        if kind == "motor":
+            return synth_obs()
+        if kind == "ratio":
+            return endpoints_from_params(SPEC, TRUTH, LOAD, THETA_MAX_REV)
+        return dataclasses.replace(synth_obs(), max_torque_regular_nm=1e-200)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_POINTS))
+    def test_float_and_array_paths_agree_where_python_raises(self, name):
+        kind, point, expected = self.EDGE_POINTS[name]
+        obs = self.edge_observation(kind)
+        got = calibration._residuals(obs, *point)
+        assert type(got) is float
+        columns = calibration._residuals(obs, *(np.array([v]) for v in point)).tolist()
+        assert got.hex() == columns[0].hex()
+        if name != "regular_slope_underflows":
+            assert got.hex() == oracle_residual(obs, point).hex()
+        if expected is None:
+            assert got < PENALTY_RESIDUAL
+        else:
+            assert got == expected
+
+    def test_public_residual_is_a_python_float(self):
+        assert type(residual(TRUTH, synth_obs())) is float
+        assert type(residual(dataclasses.replace(TRUTH, r_eff=np.float64(0.86)), synth_obs())) is float
+
+    def test_float_ops_return_what_numpy_returns(self):
+        specials = [0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 5e-324, math.inf, -math.inf, math.nan]
+        with np.errstate(all="ignore"):
+            for x in specials:
+                assert model._FLOAT_OPS.sqrt(x).hex() == float(np.sqrt(x)).hex()
+                assert model._FLOAT_OPS.square(x).hex() == float(np.float64(x) ** 2).hex()
+                for y in specials:
+                    assert type(model._FLOAT_OPS.div(x, y)) is float
+                    assert model._FLOAT_OPS.div(x, y).hex() == float(np.float64(x) / y).hex()
 
     def test_squares_round_as_python_floats_do(self):
         # numpy squares arrays by multiplication; a fit follows libm pow.

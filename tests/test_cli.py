@@ -6,10 +6,13 @@ codes, stdout/stderr wording, and output CSV content.
 
 import configparser
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tsakit.cli import (
     EXIT_GATE,
@@ -698,6 +701,29 @@ class TestCounts:
         assert not out.exists()
 
 
+# A valid stiff row with every endpoint and the compliant row with none.
+VALID_OBSERVATION_ROWS = [
+    "1.3,214.3,stiff,1,2900,36,29.08,70.94,6.34,14.32,0.243,0.454,",
+    "1.05,210.0,compliant,6,200,25,11.25,58.14,,,,,",
+]
+
+
+@st.composite
+def mutated_observation_rows(draw):
+    """(row, mutation): a valid observation row with one field changed, added or removed."""
+    fields = draw(st.sampled_from(VALID_OBSERVATION_ROWS)).split(",")
+    index = draw(st.integers(0, len(fields) - 1))
+    bad = st.sampled_from(["", "abc", "inf", "-inf", "nan", "-1", "0", "rubber"])
+    mutation = draw(st.sampled_from(["value", "extra", "missing"]))
+    if mutation == "value":
+        fields[index] = draw(bad)
+    elif mutation == "extra":
+        fields.insert(index, draw(bad | st.sampled_from(["1", "2.5"])))
+    else:
+        del fields[index]
+    return ",".join(fields), mutation
+
+
 class TestCalibrate:
     def test_fits_bundled_rows_and_writes_params(self, tmp_path, capsys):
         out = str(tmp_path / "params.ini")
@@ -775,6 +801,50 @@ class TestCalibrate:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_observation_rows())
+    def test_mutated_row_fits_finite_or_names_the_file(self, tmp_path, capsys, case):
+        row, mutation = case
+        with open(bundled_stiff_path(), encoding="utf-8") as handle:
+            header = handle.readline()
+        observations = write(tmp_path, header + row + "\n", "obs.csv")
+        out = tmp_path / "params.ini"
+        out.unlink(missing_ok=True)
+        code = main(["calibrate", observations, "--out", str(out)])
+        captured = capsys.readouterr()
+        if mutation == "extra":
+            assert code == EXIT_INPUT
+            assert "fields, header has 13" in captured.err
+        if code == EXIT_OK:
+            parser = configparser.ConfigParser()
+            parser.read(out)
+            (section,) = (parser[name] for name in parser.sections())
+            for key, value in section.items():
+                if key not in ("material", "converged"):
+                    assert math.isfinite(float(value)), (key, value)
+        else:
+            assert code == EXIT_INPUT, captured
+            assert captured.err.startswith(f"error: line 2: {observations}: "), captured.err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "bicep"])
+def test_overflowing_coil_circumference_rejected(tmp_path, capsys, command):
+    # pi * 1e308 mm overflows: every length would be NaN, written with exit 0.
+    text = MODEL_CONFIG.replace("coil_diameter_mm = 4.3", "coil_diameter_mm = 1e308")
+    argv = ["simulate", "triangle:amplitude_rev=20,period_s=60,samples=5"]
+    if command == "bicep":
+        text += ("\n[bicep]\na_mm = 83\nb_mm = 151\ngamma_deg = 142.5\n"
+                 "theta_max_rev = 20\nsamples = 5\n")
+        argv = ["bicep"]
+    out = tmp_path / "out.csv"
+    code = main([*argv, "--config", write(tmp_path, text, "run.ini"), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: coil_diameter must give a finite coil circumference\n"
+    )
+    assert not out.exists()
 
 
 class TestBicep:

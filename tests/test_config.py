@@ -581,6 +581,18 @@ class TestObservations:
             read_observations(path)
         assert excinfo.value.line == 2
 
+    def test_row_with_extra_fields_rejected(self, tmp_path):
+        path = write(
+            tmp_path,
+            "diameter_mm,initial_length_mm,material,mass_g,theta_max_rev,"
+            "contraction_regular_pct,contraction_total_pct\n"
+            "1.3,214.3,stiff,2900,36,29.08,70.94,0.5\n",
+            name="obs.csv",
+        )
+        with pytest.raises(CsvFormatError, match="row has 8 fields, header has 7") as excinfo:
+            read_observations(path)
+        assert excinfo.value.line == 2
+
     def test_header_only_file_rejected(self, tmp_path):
         path = write(
             tmp_path,
