@@ -396,8 +396,9 @@ class TestEndpointKernel:
                 predict_endpoints(obs.spec, params, obs.load, obs.theta_max_rev)
 
 
-    # Points where Python float arithmetic raises and numpy gives NaN or
-    # inf: name -> (observation, point in PARAM_ORDER, expected residual).
+    # Edge points of the float ops: where Python float arithmetic raises
+    # and numpy gives NaN or inf, NaN parameters and eta at both ends.
+    # name -> (observation, point in PARAM_ORDER, expected residual).
     EDGE_POINTS = {
         # theta_star * r_eff == L_eff = 214.3 mm: helix length 0, a zero divisor.
         "helix_length_zero": ("motor", [1.0, 214.3, 4.3, 2.6, 0.11, 0.0], PENALTY_RESIDUAL),
