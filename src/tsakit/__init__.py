@@ -45,7 +45,6 @@ from .errors import (
 )
 from .hysteresis import (
     PIModel,
-    default_thresholds,
     hysteretic_length,
     identify_length_correction,
     pi_apply,
@@ -118,7 +117,6 @@ __all__ = [
     "coiling_available",
     "contraction",
     "creep_component",
-    "default_thresholds",
     "detrend_creep",
     "effective_length",
     "estimate_strain",

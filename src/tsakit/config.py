@@ -247,7 +247,13 @@ def pi_model(cfg: RunConfig):
         weights = [0.0] * len(thresholds)
     if len(weights) != len(thresholds):
         raise ConfigError("hysteresis thresholds and weights must have equal length")
-    return PIModel(thresholds=np.array(thresholds), weights=np.array(weights))
+    model = PIModel(thresholds=np.array(thresholds), weights=np.array(weights))
+    # The stop operator at threshold 0 is identically 0: its weight would be ignored.
+    if model.weights[0] != 0.0:
+        raise ConfigError(
+            f"hysteresis.weights_mm: the weight at threshold 0 must be 0, got {weights[0]!r}"
+        )
+    return model
 
 
 def resistance_params(cfg: RunConfig) -> ResistanceParams:
@@ -403,11 +409,14 @@ def _parsed_columns(handle, fieldnames):
     return columns
 
 
-def _check_no_extra_fields(path, reader, record, line):
-    """Refuse a csv.DictReader row with more fields than its header."""
-    if None in record:
+def _check_row_width(path, reader, record, line, short_ok):
+    """Refuse a csv.DictReader row with more fields than its header, or
+    with fewer unless short_ok (the reader fills a missing field with None)."""
+    extra = len(record.get(None, ()))
+    missing = sum(value is None for value in record.values())
+    if extra or (missing and not short_ok):
         raise CsvFormatError(
-            f"{path}: row has {len(reader.fieldnames) + len(record[None])} fields, "
+            f"{path}: row has {len(reader.fieldnames) + extra - missing} fields, "
             f"header has {len(reader.fieldnames)}",
             line=line,
         )
@@ -419,7 +428,7 @@ def _validated_columns(path, reader, required):
     last_time = None
     for record in reader:
         line = reader.line_num
-        _check_no_extra_fields(path, reader, record, line)
+        _check_row_width(path, reader, record, line, short_ok=True)
         parsed = {}
         for column, value in record.items():
             if value is None or value.strip() == "":
@@ -484,7 +493,7 @@ def read_observations(path: str) -> list:
             raise CsvFormatError(f"{path}: missing required columns {sorted(missing)}", line=1)
         for record in reader:
             line = reader.line_num
-            _check_no_extra_fields(path, reader, record, line)
+            _check_row_width(path, reader, record, line, short_ok=False)
 
             def number(column, record=record, line=line, optional=False):
                 value = record.get(column)

@@ -7,6 +7,11 @@ weighted superposition of play operators captures this memory. Weights
 are identified from data by nonnegative least squares, which keeps the
 operator monotone and rate independent by construction.
 
+A PIModel is a frozen value that holds thresholds and weights only:
+pi_apply and hysteretic_length start its operators from the virgin state
+on every call. A sequence split across calls resumes through
+play_responses, whose last row is the states to pass to the next call.
+
 One play step with threshold t is a clamp of the previous output,
 y_k = max(x_k - t, min(x_k + t, y_{k-1})). Clamps compose into clamps:
 applying [lo_a, hi_a] after [lo_b, hi_b] is the clamp to
@@ -14,13 +19,15 @@ applying [lo_a, hi_a] after [lo_b, hi_b] is the clamp to
 recursion is a prefix scan over clamp bounds, evaluated in log2(n)
 whole-array passes (see play_responses). Min and max only select one of
 their arguments, so the scan returns the recursion's own floats and never
-rounds; the one freedom is which of +0.0 and -0.0 a tie selects.
+rounds; the one freedom is which of +0.0 and -0.0 a tie selects. Every
+column is scanned on its own, so a subset of the thresholds gives those
+columns of the full call bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +41,29 @@ from .model import (
     twist_profile,
 )
 
-DEFAULT_THRESHOLD_COUNT = 8
-
 
 class IllConditionedFit(UserWarning):
     """Identification regressor matrix is rank deficient."""
 
 
-def _validate_thresholds(thresholds: np.ndarray) -> np.ndarray:
+def _validate_thresholds(thresholds) -> np.ndarray:
     t = np.asarray(thresholds, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ParameterError("thresholds must be a nonempty 1-d sequence")
     if not np.isfinite(t).all():
         raise ParameterError("thresholds must be finite")
-    if t[0] != 0.0:
-        raise ParameterError("first threshold must be 0")
     if np.any(np.diff(t) <= 0):
         raise ParameterError("thresholds must be strictly ascending")
+    if t[0] < 0.0:
+        raise ParameterError("thresholds must be nonnegative")
+    return t
+
+
+def _pi_thresholds(thresholds) -> np.ndarray:
+    """Thresholds of a PI model: the first one is 0, the identity operator."""
+    t = _validate_thresholds(thresholds)
+    if t[0] != 0.0:
+        raise ParameterError("first threshold must be 0")
     return t
 
 
@@ -65,54 +78,43 @@ def _validate_states(states, thresholds: np.ndarray) -> np.ndarray:
     return s
 
 
-@dataclass
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
 class PIModel:
-    """Superposition of play operators. One instance, one writer."""
+    """Superposition of play operators: ascending thresholds from 0, and
+    their nonnegative weights. Read-only; every call starts from the
+    virgin state."""
 
     thresholds: np.ndarray
     weights: np.ndarray
-    states: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.thresholds = _validate_thresholds(self.thresholds)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != self.thresholds.shape:
+        t = _frozen(_pi_thresholds(self.thresholds))
+        w = _frozen(self.weights)
+        if w.shape != t.shape:
             raise ParameterError("weights and thresholds must have equal length")
-        if not ((self.weights >= 0) & (self.weights < np.inf)).all():
+        if not ((w >= 0) & (w < np.inf)).all():
             raise ParameterError("weights must be nonnegative and finite")
-        self.states = _validate_states(self.states, self.thresholds)
-
-
-def _advance(model: PIModel, xs: np.ndarray) -> np.ndarray:
-    """Play outputs of the model's operators over xs, starting from and
-    then updating its memory."""
-    plays = play_responses(model.thresholds, xs, model.states)
-    if xs.size:
-        model.states = plays[-1].copy()
-    return plays
+        object.__setattr__(self, "thresholds", t)
+        object.__setattr__(self, "weights", w)
 
 
 def pi_apply(model: PIModel, inputs) -> np.ndarray:
-    """Run an input sequence through the model, updating its memory."""
-    return _advance(model, np.asarray(inputs, dtype=float)) @ model.weights
-
-
-def default_thresholds(inputs, count: int = DEFAULT_THRESHOLD_COUNT) -> np.ndarray:
-    """Uniform threshold grid over the input range, starting at 0."""
-    xs = np.asarray(inputs, dtype=float)
-    if xs.size == 0:
-        raise ParameterError("cannot derive thresholds from an empty sequence")
-    span = float(xs.max() - xs.min())
-    if span <= 0.0:
-        return np.array([0.0])
-    return np.linspace(0.0, span, count, endpoint=False)
+    """Run an input sequence through the model from the virgin state."""
+    return play_responses(model.thresholds, inputs) @ model.weights
 
 
 def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     """Matrix of play operator outputs, one column per threshold.
 
-    The operators start from states (one per threshold), or fresh at 0.
-    Thresholds, inputs and states must be finite.
+    Thresholds are nonnegative and strictly ascending. The operators start
+    from states (one per threshold), or fresh at 0. Thresholds, inputs and
+    states must be finite.
 
     Row k is F_k(states) with F_k = f_k o ... o f_0, where f_j is the
     clamp to [x_j - t, x_j + t]. A clamp is monotone, so f_a o f_b is the
@@ -126,7 +128,7 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     between +0.0 and -0.0 keeps. Work memory is three n x m arrays, the
     result included.
     """
-    t = _validate_thresholds(np.asarray(thresholds, dtype=float))
+    t = _validate_thresholds(thresholds)
     xs = np.asarray(inputs, dtype=float)
     if xs.ndim != 1:
         raise ParameterError("inputs must be a 1-d sequence")
@@ -156,39 +158,50 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     return np.maximum(lo, hi, out=hi)
 
 
-def _nnls_fit(regressors: np.ndarray, targets: np.ndarray):
+def _identify(inputs, targets, thresholds, names, design) -> tuple[PIModel, float]:
+    """NNLS weights of a PI model from matched sequences.
+
+    design(t, xs, ys) gives the regressor matrix and the target. A matrix
+    with one column fewer than t leaves out the zero threshold, whose
+    weight stays 0. The sequences must be at least four samples per
+    threshold.
+    """
     # Only identification needs scipy; no CLI command reaches it.
     from scipy.optimize import nnls
 
-    if np.linalg.matrix_rank(regressors) < regressors.shape[1]:
+    xs = np.asarray(inputs, dtype=float)
+    ys = np.asarray(targets, dtype=float)
+    t = _pi_thresholds(thresholds)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ParameterError(f"{names[0]} and {names[1]} must be 1-d sequences of equal length")
+    if not np.isfinite(ys).all():
+        raise ParameterError(f"{names[1]} must be finite")
+    if xs.size < 4 * t.size:
+        raise UnderdeterminedError(
+            f"need at least {4 * t.size} samples to identify {t.size} weights"
+        )
+    basis, target = design(t, xs, ys)
+    if np.linalg.matrix_rank(basis) < basis.shape[1]:
         warnings.warn(
             "identification regressors are rank deficient; weights are not unique",
             IllConditionedFit,
             stacklevel=3,
         )
-    weights, residual = nnls(regressors, targets)
-    return weights, float(residual)
+    fitted, residual = nnls(basis, target)
+    weights = np.concatenate([np.zeros(t.size - fitted.size), fitted])
+    return PIModel(thresholds=t, weights=weights), float(residual)
 
 
 def pi_identify(inputs, targets, thresholds) -> tuple[PIModel, float]:
     """Identify nonnegative weights from matched input/target sequences.
 
-    Returns the identified model (memory reset) and the residual 2-norm.
-    The sequences must be at least four samples per threshold.
+    Thresholds start at 0. Returns the identified model and the residual
+    2-norm. The sequences must be at least four samples per threshold.
     """
-    xs = np.asarray(inputs, dtype=float)
-    ys = np.asarray(targets, dtype=float)
-    t = _validate_thresholds(np.asarray(thresholds, dtype=float))
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ParameterError("inputs and targets must be 1-d sequences of equal length")
-    if not np.isfinite(ys).all():
-        raise ParameterError("targets must be finite")
-    if xs.size < 4 * t.size:
-        raise UnderdeterminedError(
-            f"need at least {4 * t.size} samples to identify {t.size} weights"
-        )
-    weights, residual = _nnls_fit(play_responses(t, xs), ys)
-    return PIModel(thresholds=t, weights=weights), residual
+    return _identify(
+        inputs, targets, thresholds, ("inputs", "targets"),
+        lambda t, xs, ys: (play_responses(t, xs), ys),
+    )
 
 
 def identify_length_correction(
@@ -203,31 +216,19 @@ def identify_length_correction(
 
     The correction basis is the stop operator family (input minus play),
     which vanishes on the virgin state and flips sign between winding and
-    unwinding branches. Returns the model and the residual 2-norm of the
-    corrected fit; compare against the backbone-only residual to judge
-    whether the data carries a loop at all.
+    unwinding branches. The zero-threshold stop operator is identically
+    zero, so its weight stays 0 and at least one positive threshold must
+    follow it. Returns the model and the residual 2-norm of the corrected
+    fit; compare against the backbone-only residual to judge whether the
+    data carries a loop at all.
     """
-    xs = np.asarray(thetas, dtype=float)
-    ys = np.asarray(lengths, dtype=float)
-    t = _validate_thresholds(np.asarray(thresholds, dtype=float))
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ParameterError("thetas and lengths must be 1-d sequences of equal length")
-    if not np.isfinite(ys).all():
-        raise ParameterError("lengths must be finite")
-    if xs.size < 4 * t.size:
-        raise UnderdeterminedError(
-            f"need at least {4 * t.size} samples to identify {t.size} weights"
-        )
-    backbone = twist_profile(spec, params, load, xs).length
-    basis = xs[:, None] - play_responses(t, xs)
-    # The zero-threshold stop operator is identically zero (play is the
-    # identity there), so that column is structurally unidentifiable;
-    # pin its weight and fit the rest.
-    live = t > 0.0
-    fitted, residual = _nnls_fit(basis[:, live], ys - backbone)
-    weights = np.zeros(t.size)
-    weights[live] = fitted
-    return PIModel(thresholds=t, weights=weights), residual
+    def design(t, xs, ys):
+        if t.size < 2:
+            raise ParameterError("the stop basis needs a positive threshold")
+        target = ys - twist_profile(spec, params, load, xs).length
+        return xs[:, None] - play_responses(t[1:], xs), target
+
+    return _identify(thetas, lengths, thresholds, ("thetas", "lengths"), design)
 
 
 def hysteretic_length(
@@ -240,11 +241,12 @@ def hysteretic_length(
     """Length sequence with the hysteresis correction applied (mm).
 
     The backbone is the two-phase law; the correction is the weighted
-    stop operator sum driven by twist, so winding branches sit above the
-    backbone and unwinding branches below it. Output is clamped to
+    stop operator sum driven by twist from the virgin state, so winding
+    branches sit above the backbone and unwinding branches below it.
+    Twist is in rad and the weights in mm per rad. Output is clamped to
     (0, L_eff]. With all weights zero this is exactly the backbone.
     """
     xs = np.asarray(thetas, dtype=float)
     backbone = twist_profile(spec, params, load, xs).length
-    correction = (xs[:, None] - _advance(model, xs)) @ model.weights
+    correction = (xs[:, None] - play_responses(model.thresholds, xs)) @ model.weights
     return np.clip(backbone + correction, LENGTH_FLOOR, effective_length(spec, params, load))

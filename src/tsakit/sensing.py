@@ -156,17 +156,18 @@ def resistance_forward(params: ResistanceParams, strains, times, cycles) -> np.n
 def _cycle_anchors(v: np.ndarray) -> np.ndarray:
     """Sample indices of the cycle floors of a trace whose slack is its floor.
 
-    A play operator of half-width h/2 turns only after the trace reverses
-    by h, so a floor ends each of its downward runs. The last run may stop
-    partway back to slack, above the floor; it ends a floor only when it
-    falls at least _FALL_SHARE as deep as the run before it. The first
+    One play operator of half-width h/2, started at the first sample and
+    scanned alone, turns only after the trace reverses by h, so a floor
+    ends each of its downward runs. The last run may stop partway back to
+    slack, above the floor; it ends a floor only when it falls at least
+    _FALL_SHARE as deep as the run before it. The first
     sample, a floor when the trace rises first, carries no cycling history
     and counts only when fewer than two other floors exist.
     """
     h = 0.5 * min(np.max(np.maximum.accumulate(v) - v), np.max(v - np.minimum.accumulate(v)))
     if not h > 0:
         return np.empty(0, dtype=int)
-    steps = np.diff(play_responses([0.0, 0.5 * h], v, states=[v[0], v[0]])[:, 1])
+    steps = np.diff(play_responses([0.5 * h], v, states=[v[0]])[:, 0])
     moves = np.flatnonzero(steps)
     down = steps[moves] < 0
     last = np.append(down[:-1] != down[1:], True)

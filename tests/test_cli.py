@@ -151,6 +151,19 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_weight_at_threshold_zero_rejected(self, tmp_path, capsys):
+        # The stop operator at threshold 0 is identically 0, so simulate
+        # would ignore that weight.
+        text = MODEL_CONFIG + "\n[hysteresis]\nthresholds_rev = 0, 2\nweights_mm = 0.1, 0.3\n"
+        cfg = write(tmp_path, text, "run.ini")
+        out = tmp_path / "sim.csv"
+        profile = "triangle:amplitude_rev=10,period_s=60,samples=11"
+        assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: hysteresis.weights_mm: the weight at threshold 0 must be 0, got 0.1\n"
+        )
+        assert not out.exists()
+
     def test_triangle_profile_reaches_total_contraction(self, tmp_path, capsys):
         cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
         out = str(tmp_path / "sim.csv")
@@ -798,6 +811,22 @@ class TestCalibrate:
             "positive and finite when given\n"
         )
 
+    def test_every_single_field_deletion_is_located_input_error(self, tmp_path, capsys):
+        # A missing field would shift every later value one column left.
+        with open(bundled_stiff_path(), encoding="utf-8") as handle:
+            header, first, row, *rest = handle.read().splitlines()
+        fields = row.split(",")
+        for index in range(len(fields)):
+            short = ",".join(fields[:index] + fields[index + 1 :])
+            text = "\n".join([header, first, short, *rest]) + "\n"
+            observations = write(tmp_path, text, "obs.csv")
+            assert main(["calibrate", observations]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: line 3: {observations}: row has 12 fields, header has 13\n"
+            )
+
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["calibrate", str(tmp_path / "none.csv")]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
@@ -815,7 +844,10 @@ class TestCalibrate:
         captured = capsys.readouterr()
         if mutation == "extra":
             assert code == EXIT_INPUT
-            assert "fields, header has 13" in captured.err
+            assert "row has 14 fields, header has 13" in captured.err
+        if mutation == "missing":
+            assert code == EXIT_INPUT
+            assert "row has 12 fields, header has 13" in captured.err
         if code == EXIT_OK:
             parser = configparser.ConfigParser()
             parser.read(out)

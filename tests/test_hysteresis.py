@@ -1,5 +1,6 @@
 """Play-operator model: recursion oracle, memory properties, identification."""
 
+import dataclasses
 import math
 import warnings
 
@@ -12,7 +13,6 @@ from tsakit.errors import ParameterError, UnderdeterminedError
 from tsakit.hysteresis import (
     IllConditionedFit,
     PIModel,
-    default_thresholds,
     hysteretic_length,
     identify_length_correction,
     pi_apply,
@@ -22,11 +22,6 @@ from tsakit.hysteresis import (
 from scalar_law import length
 from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
 from tsakit.units import rev_to_rad
-
-
-def clone(model):
-    """A second model with the same thresholds, weights and memory."""
-    return PIModel(model.thresholds, model.weights, model.states.copy())
 
 
 def play_reference(threshold, xs):
@@ -123,9 +118,8 @@ def triangle(amplitude, periods, samples_per_period, start_at_peak=False):
 
 
 def play(threshold, xs):
-    """Outputs of one fresh play operator, the last column of play_responses."""
-    thresholds = [0.0, threshold] if threshold > 0.0 else [0.0]
-    return play_responses(thresholds, xs)[:, -1].tolist()
+    """Outputs of one fresh play operator."""
+    return play_responses([threshold], xs)[:, 0].tolist()
 
 
 class TestPlayOperator:
@@ -157,6 +151,14 @@ class TestPlayOperator:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
             play_responses([0.0, -0.1], [1.0])
+        with pytest.raises(ParameterError, match="thresholds must be nonnegative"):
+            play_responses([-0.1, 1.0], [1.0])
+
+    def test_thresholds_need_not_start_at_zero(self):
+        # Starting at 0 is a rule of the PI model, not of the play operator.
+        xs = [0.0, 2.0, 0.0, -3.0]
+        plays = play_responses([0.5, 1.0], xs)
+        assert plays.tolist() == [[0.0, 0.0], [1.5, 1.0], [0.5, 1.0], [-2.5, -2.0]]
 
     def test_resumes_from_given_states(self):
         rng = np.random.default_rng(5)
@@ -227,6 +229,17 @@ class TestPlayScan:
 
     @settings(max_examples=200)
     @given(case=play_cases(), data=st.data())
+    def test_threshold_subset_gives_those_columns(self, case, data):
+        # Each column is scanned on its own, so any ascending subset of the
+        # thresholds, with or without 0, gives those columns bit for bit.
+        thresholds, xs, states = case
+        columns = range(thresholds.size)
+        keep = sorted(data.draw(st.lists(st.sampled_from(columns), min_size=1, unique=True)))
+        part = play_responses(thresholds[keep], xs, states[keep])
+        assert part.tobytes() == play_responses(thresholds, xs, states)[:, keep].tobytes()
+
+    @settings(max_examples=200)
+    @given(case=play_cases(), data=st.data())
     def test_split_call_equals_one_call(self, case, data):
         thresholds, xs, states = case
         cut = data.draw(st.integers(0, xs.size))
@@ -260,19 +273,24 @@ class TestPIModel:
             PIModel(thresholds=np.array([0.0, bad]), weights=ones)
         with pytest.raises(ParameterError, match="weights must be nonnegative and finite"):
             PIModel(thresholds=t, weights=np.array([1.0, bad]))
-        with pytest.raises(ParameterError, match="states must be finite"):
-            PIModel(thresholds=t, weights=ones, states=np.array([bad, 0.0]))
         with pytest.raises(ParameterError, match="inputs must be finite"):
             pi_apply(PIModel(thresholds=t, weights=ones), [bad])
 
-    def test_empty_input_keeps_memory(self):
-        model = PIModel(
-            thresholds=np.array([0.0, 1.0]),
-            weights=np.array([1.0, 1.0]),
-            states=np.array([0.5, -0.5]),
-        )
-        assert pi_apply(model, []).shape == (0,)
-        assert model.states.tolist() == [0.5, -0.5]
+    def test_model_is_frozen(self):
+        thresholds, weights = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        model = PIModel(thresholds=thresholds, weights=weights)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.weights = np.zeros(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.thresholds = np.array([0.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            model.weights[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.thresholds[1] = 2.0
+        # The model holds copies: the caller's arrays stay writable.
+        weights[0] = 1.0
+        assert model.weights.tolist() == [0.5, 0.5]
+        assert not hasattr(model, "states")
 
     def test_monotone_ramp_gives_monotone_output(self):
         model = PIModel(
@@ -288,10 +306,10 @@ class TestPIModel:
             weights=np.array([0.4, 0.9, 0.2]),
         )
         xs = triangle(5.0, 2, 40)
-        fast = pi_apply(clone(model), xs)
+        fast = pi_apply(model, xs)
         # Same path traversed with every sample tripled: outputs at the
         # corresponding points must be identical.
-        slow = pi_apply(clone(model), np.repeat(xs, 3))
+        slow = pi_apply(model, np.repeat(xs, 3))
         assert fast == pytest.approx(slow[2::3])
 
     def test_loop_closure_from_second_period(self):
@@ -319,44 +337,16 @@ class TestPIModel:
 
     def test_wiping_out(self):
         # A dominating extremum erases the memory of an inner sub-loop:
-        # afterwards the states match a fresh model driven only by the
+        # afterwards the states match fresh operators driven only by the
         # outer envelope.
         thresholds = np.array([0.0, 0.5, 1.5, 3.0])
-        weights = np.array([0.3, 0.3, 0.2, 0.2])
         nested = np.array(
             [0.0, 4.0, 2.0, 3.0, 1.5, 2.5, 10.0]  # sub-loops, then outer max
         )
         envelope = np.array([0.0, 10.0])
-        full = PIModel(thresholds=thresholds.copy(), weights=weights.copy())
-        pi_apply(full, nested)
-        fresh = PIModel(thresholds=thresholds.copy(), weights=weights.copy())
-        pi_apply(fresh, envelope)
-        assert full.states == pytest.approx(fresh.states, abs=1e-12)
-
-    def test_memory_carries_across_calls(self):
-        # One pass, a split pass and a tail of single steps all agree.
-        model = PIModel(
-            thresholds=np.array([0.0, 1.0, 2.5]),
-            weights=np.array([0.2, 0.5, 0.3]),
-        )
-        xs = triangle(6.0, 2, 40)
-        whole = pi_apply(clone(model), xs)
-        split = clone(model)
-        head = pi_apply(split, xs[:33])
-        tail = [pi_apply(split, [x])[0] for x in xs[33:]]
-        assert np.concatenate([head, tail]) == pytest.approx(whole, abs=1e-12)
-
-
-class TestDefaultThresholds:
-    def test_spans_input_range(self):
-        grid = default_thresholds(np.array([2.0, 11.0, 5.0]), count=8)
-        assert len(grid) == 8
-        assert grid[0] == 0.0
-        assert np.all(np.diff(grid) > 0)
-        assert grid[-1] < 9.0  # strictly below the span
-
-    def test_degenerate_input(self):
-        assert default_thresholds(np.array([3.0, 3.0])) == pytest.approx([0.0])
+        full = play_responses(thresholds, nested)[-1]
+        fresh = play_responses(thresholds, envelope)[-1]
+        assert full == pytest.approx(fresh, abs=1e-12)
 
 
 class TestIdentification:
@@ -384,6 +374,11 @@ class TestIdentification:
         ys[5] = bad
         with pytest.raises(ParameterError, match="targets must be finite"):
             pi_identify(xs, ys, np.array([0.0, 1.0, 2.0]))
+
+    def test_thresholds_start_at_zero(self):
+        xs = triangle(7.0, 2, 40)
+        with pytest.raises(ParameterError, match="first threshold must be 0"):
+            pi_identify(xs, xs, np.array([1.0, 2.0]))
 
     def test_underdetermined_data(self):
         thresholds = np.array([0.0, 1.0, 2.0, 3.0])
@@ -445,17 +440,19 @@ class TestHystereticLength:
             out[2 * period : 3 * period], abs=1e-9
         )
 
-    def test_memory_carries_across_calls(self):
-        thetas = rev_to_rad(triangle(20.0, 2, 60))
+    def test_repeat_runs_give_the_same_bytes(self):
+        # Every call starts from the virgin state: a run leaves no memory
+        # behind that could shift the next one.
+        thetas = rev_to_rad(np.concatenate([np.linspace(0.0, 20.0, 81), np.linspace(20.0, 3.0, 69)]))
         model = PIModel(
             thresholds=np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)]),
-            weights=np.array([0.0, 0.25, 0.15]),
+            weights=np.array([0.0, 0.3, 0.2]),
         )
-        whole = hysteretic_length(SPEC, PARAMS, LOAD, clone(model), thetas)
-        split = clone(model)
-        head = hysteretic_length(SPEC, PARAMS, LOAD, split, thetas[:47])
-        tail = hysteretic_length(SPEC, PARAMS, LOAD, split, thetas[47:])
-        assert np.array_equal(np.concatenate([head, tail]), whole)
+        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        again = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        assert again.tobytes() == lengths.tobytes()
+        outputs = pi_apply(model, thetas)
+        assert pi_apply(model, thetas).tobytes() == outputs.tobytes()
 
     def test_output_never_exceeds_effective_length(self):
         thetas = rev_to_rad(triangle(20.0, 2, 50))
@@ -477,6 +474,14 @@ class TestHystereticLength:
         lengths[-1] = bad
         with pytest.raises(ParameterError, match="lengths must be finite"):
             identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, thresholds)
+
+    def test_correction_needs_a_positive_threshold(self):
+        # The zero-threshold stop operator is identically 0, which leaves
+        # nothing to fit.
+        thetas = rev_to_rad(triangle(20.0, 2, 60))
+        lengths = twist_profile(SPEC, PARAMS, LOAD, thetas).length
+        with pytest.raises(ParameterError, match="positive threshold"):
+            identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, [0.0])
 
     def test_identified_correction_beats_backbone(self):
         # Synthetic widened loop: the fitted correction must explain

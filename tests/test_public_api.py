@@ -38,6 +38,8 @@ GONE = [
     "params_to_vector",
     "stop_responses",
     "_gate_open",
+    "default_thresholds",
+    "_advance",
 ]
 
 
