@@ -252,7 +252,13 @@ def string_tension(geom: BicepGeometry, angle: float) -> float:
             "string line passes through the joint; tension is indeterminate"
         )
     weight = grams_to_newtons(geom.payload)
-    return weight * geom.forearm_length * l / (geom.a * geom.b)
+    tension = weight * geom.forearm_length * l / (geom.a * geom.b)
+    if not math.isfinite(tension):
+        raise ParameterError(
+            f"payload {geom.payload:g} g at forearm length {geom.forearm_length:g} mm "
+            "gives a non-finite string tension"
+        )
+    return tension
 
 
 def sweep(

@@ -48,16 +48,8 @@ def _params_for(cfg: cfgmod.RunConfig):
     params = cfgmod.model_params(cfg)
     if params is not None:
         return params
-    if cfg.calibration is None:
-        raise InputError(
-            "no [model] parameters and no [calibration] observations to fit them from"
-        )
-    observations = cfgmod.read_observations(cfg.calibration["observations"])
-    row = cfg.calibration.get("row", 1)
-    if not 1 <= row <= len(observations):
-        raise InputError(f"calibration row {row} outside 1..{len(observations)}")
-    obs = observations[row - 1]
-    result = fit_two_phase(obs, max_iter=cfg.calibration.get("max_iter", 4000))
+    obs, options = cfgmod.calibration_row(cfg)
+    result = fit_two_phase(obs, **options)
     if not result.converged:
         raise ConvergenceError("calibration did not converge; try more iterations")
     return result.params
@@ -212,7 +204,8 @@ def cmd_simulate(args) -> int:
     times, theta_rev = _profile(args)
     if np.any(theta_rev < 0):
         raise InputError("profile contains negative twist")
-    theta = rev_to_rad(theta_rev)
+    with np.errstate(over="ignore"):    # an overflow to inf is beyond any coil capacity
+        theta = rev_to_rad(theta_rev)
     _check_training_gate(cfg, spec, load, params, theta)
 
     pi = cfgmod.pi_model(cfg)
@@ -291,17 +284,12 @@ def cmd_train(args) -> int:
 
 def cmd_bicep(args) -> int:
     cfg = cfgmod.parse_config(args.config)
-    block = cfg.bicep or {}
     geometry = cfgmod.bicep_geometry(cfg)
     if geometry is None:
         pairs = cfgmod.bicep_pairs(cfg)
         if pairs is None:
             raise InputError("[bicep] needs either a_mm/b_mm/gamma_deg or pairs")
-        fit = bicep_mod.fit_bicep(
-            pairs,
-            payload=block.get("payload_g", 0.0),
-            forearm_length=block.get("forearm_length_mm", 0.0),
-        )
+        fit = bicep_mod.fit_bicep(pairs, **cfgmod.bicep_load(cfg))
         geometry = fit.geometry
         print(
             f"fitted geometry: a {geometry.a:.2f} mm, b {geometry.b:.2f} mm, "
@@ -319,11 +307,7 @@ def cmd_bicep(args) -> int:
     spec = cfgmod.string_spec(cfg)
     load = cfgmod.load_case(cfg)
     params = _params_for(cfg)
-    theta_max_rev = block.get("theta_max_rev")
-    if theta_max_rev is None:
-        raise InputError("[bicep] needs theta_max_rev for the sweep")
-    samples = int(block.get("samples", 121))
-    grid = np.linspace(0.0, theta_max_rev, samples)
+    grid = cfgmod.bicep_sweep_grid(cfg)
     _check_training_gate(cfg, spec, load, params, rev_to_rad(grid))
     angles = [angle for _, angle in bicep_mod.sweep(geometry, spec, params, load, grid)]
     tensions = [bicep_mod.string_tension(geometry, angle) for angle in angles]

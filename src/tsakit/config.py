@@ -10,6 +10,7 @@ by row with line numbers in every diagnostic.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import functools
 import importlib.resources
@@ -25,7 +26,7 @@ from .errors import ConfigError, CsvFormatError, ParameterError
 from .hysteresis import PIModel
 from .model import LoadCase, Material, StringSpec
 from .sensing import ResistanceParams
-from .training import DEFAULT_STAGE_THRESHOLDS, DEFAULT_TRAINING_SHORTENING, TrainingState
+from .training import DEFAULT_TRAINING_SHORTENING, TrainingState
 from .units import rev_to_rad
 
 
@@ -37,10 +38,11 @@ def _unit_fraction(raw: str) -> float:
     return value
 
 
-def _nonnegative(raw: str) -> float:
-    """A finite number >= 0; NaN, inf and overflow to inf are out of range."""
+def _twist_rev(raw: str) -> float:
+    """A twist >= 0 in rev that is finite in rad too; NaN, inf and
+    overflow to inf are out of range."""
     value = float(raw)
-    if not 0.0 <= value < math.inf:
+    if not 0.0 <= rev_to_rad(value) < math.inf:
         raise ValueError(f"{raw!r} is not finite and >= 0")
     return value
 
@@ -121,7 +123,7 @@ _SCHEMA = {
         "pairs": str,
         "payload_g": float,
         "forearm_length_mm": float,
-        "theta_max_rev": _nonnegative,
+        "theta_max_rev": _twist_rev,
         "samples": _count(1),
     },
 }
@@ -193,6 +195,15 @@ def _float_list(raw: str, context: str) -> list:
     return values
 
 
+def _given(**fields) -> dict:
+    """The keyword arguments whose value is not None.
+
+    A builder passes a key its section leaves out as None, so that the
+    dataclass or function default is the one statement of that default.
+    """
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def string_spec(cfg: RunConfig) -> StringSpec:
     if cfg.string is None:
         raise ConfigError("a [string] section is required for this command")
@@ -207,7 +218,7 @@ def string_spec(cfg: RunConfig) -> StringSpec:
         diameter=block["diameter_mm"],
         initial_length=block["initial_length_mm"],
         material=material,
-        ply=block.get("ply", 1),
+        **_given(ply=block.get("ply")),
     )
 
 
@@ -229,9 +240,23 @@ def model_params(cfg: RunConfig):
         theta_star=rev_to_rad(block["theta_star_rev"]),
         coil_diameter=block["coil_diameter_mm"],
         coil_pitch=block["coil_pitch_mm"],
-        eta=block.get("eta", 1.0),
-        compliance=block.get("compliance_mm_per_n", 0.0),
+        **_given(eta=block.get("eta"), compliance=block.get("compliance_mm_per_n")),
     )
+
+
+def calibration_row(cfg: RunConfig):
+    """(ObservedEndpoints, fit_two_phase keyword arguments) of the
+    [calibration] row that stands in for a missing [model]."""
+    if cfg.calibration is None:
+        raise ConfigError(
+            "no [model] parameters and no [calibration] observations to fit them from"
+        )
+    block = cfg.calibration
+    observations = read_observations(block["observations"])
+    row = block.get("row", 1)
+    if not 1 <= row <= len(observations):
+        raise ConfigError(f"calibration row {row} outside 1..{len(observations)}")
+    return observations[row - 1], _given(max_iter=block.get("max_iter"))
 
 
 def pi_model(cfg: RunConfig):
@@ -264,9 +289,11 @@ def resistance_params(cfg: RunConfig) -> ResistanceParams:
         r0=block["r0_ohm"],
         sensitivity=block["sensitivity_ohm_per_pct"],
         tau_transient=block["tau_transient_s"],
-        transient_gain=block.get("transient_gain_ohm_per_pct", 0.0),
-        creep_rate=block.get("creep_rate_ohm_per_cycle", 0.0),
-        creep_saturation=block.get("creep_saturation_ohm", float("inf")),
+        **_given(
+            transient_gain=block.get("transient_gain_ohm_per_pct"),
+            creep_rate=block.get("creep_rate_ohm_per_cycle"),
+            creep_saturation=block.get("creep_saturation_ohm"),
+        ),
     )
 
 
@@ -276,16 +303,22 @@ def training_state(cfg: RunConfig):
         return None
     block = cfg.training
     raw = block.get("thresholds")
-    thresholds = (
-        DEFAULT_STAGE_THRESHOLDS if raw is None
-        else tuple(int(v) for v in _float_list(raw, "training.thresholds"))
-    )
     state = TrainingState(
-        cycles_done=block.get("cycles", 0),
-        trained_load=block.get("trained_load_g", 0.0),
-        thresholds=thresholds,
+        **_given(
+            cycles_done=block.get("cycles"),
+            trained_load=block.get("trained_load_g"),
+            thresholds=None if raw is None
+            else tuple(int(v) for v in _float_list(raw, "training.thresholds")),
+        )
     )
     return state, block.get("shortening_fraction", DEFAULT_TRAINING_SHORTENING)
+
+
+def bicep_load(cfg: RunConfig) -> dict:
+    """The payload and forearm length that [bicep] gives, as keyword
+    arguments of BicepGeometry and fit_bicep."""
+    block = cfg.bicep or {}
+    return _given(payload=block.get("payload_g"), forearm_length=block.get("forearm_length_mm"))
 
 
 def bicep_geometry(cfg: RunConfig):
@@ -293,13 +326,17 @@ def bicep_geometry(cfg: RunConfig):
     block = cfg.bicep or {}
     if all(k in block for k in ("a_mm", "b_mm", "gamma_deg")):
         return BicepGeometry(
-            a=block["a_mm"],
-            b=block["b_mm"],
-            gamma=block["gamma_deg"],
-            payload=block.get("payload_g", 0.0),
-            forearm_length=block.get("forearm_length_mm", 0.0),
+            a=block["a_mm"], b=block["b_mm"], gamma=block["gamma_deg"], **bicep_load(cfg)
         )
     return None
+
+
+def bicep_sweep_grid(cfg: RunConfig) -> np.ndarray:
+    """The bicep sweep's twist samples (rev), from 0 to [bicep] theta_max_rev."""
+    block = cfg.bicep or {}
+    if "theta_max_rev" not in block:
+        raise ConfigError("[bicep] needs theta_max_rev for the sweep")
+    return np.linspace(0.0, block["theta_max_rev"], block.get("samples", 121))
 
 
 def bicep_pairs(cfg: RunConfig):
@@ -352,13 +389,12 @@ class ExperimentLog:
         return self.time.size
 
 
-def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
-    """Read a CSV experiment log into one array per column.
+@contextlib.contextmanager
+def _csv_table(path, known, required):
+    """The open file and a csv.DictReader past its checked header.
 
-    The header must be a subset of the known column names and include
-    every required column. Every value must be a finite number, blank
-    cells are allowed only in optional columns, and time must be
-    strictly increasing.
+    Refuses an unreadable or empty file, then unknown, repeated and
+    missing column names, in that order, at line 1.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -366,14 +402,49 @@ def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     with handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        header = reader.fieldnames
+        if header is None:
             raise CsvFormatError(f"{path} is empty; expected a header row")
-        unknown = set(reader.fieldnames) - set(_LOG_COLUMNS)
+        unknown = set(header) - set(known)
         if unknown:
             raise CsvFormatError(f"{path}: unknown columns {sorted(unknown)}", line=1)
-        missing = set(required) - set(reader.fieldnames)
+        repeated = {name for name in header if header.count(name) > 1}
+        if repeated:
+            raise CsvFormatError(f"{path}: repeated columns {sorted(repeated)}", line=1)
+        missing = set(required) - set(header)
         if missing:
             raise CsvFormatError(f"{path}: missing required columns {sorted(missing)}", line=1)
+        yield handle, reader
+
+
+def _rows(path, reader, short_ok):
+    """(line, record) of each row, its width checked by _check_row_width."""
+    for record in reader:
+        _check_row_width(path, reader, record, reader.line_num, short_ok)
+        yield reader.line_num, record
+
+
+def _number(path, line, column, value):
+    """A cell as a float, or None when blank (or cut off by a short row)."""
+    if value is None or value.strip() == "":
+        return None
+    try:
+        return float(value)
+    except ValueError as exc:
+        raise CsvFormatError(
+            f"{path}: bad number {value!r} in column {column}", line=line
+        ) from exc
+
+
+def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
+    """Read a CSV experiment log into one array per column.
+
+    The header must name known columns, each once, and include every
+    required column. Every value must be a finite number, blank cells
+    are allowed only in optional columns, and time must be strictly
+    increasing.
+    """
+    with _csv_table(path, _LOG_COLUMNS, required) as (handle, reader):
         columns = None
         if handle.seekable():    # a pipe cannot be rewound for the row validator
             columns = _parsed_columns(handle, reader.fieldnames)
@@ -402,7 +473,6 @@ def _parsed_columns(handle, fieldnames):
         return None
     if table.shape[1] != len(fieldnames) or not np.isfinite(table).all():
         return None
-    # A repeated column name keeps its last column, as csv.DictReader does.
     columns = {name: table[:, i] for i, name in enumerate(fieldnames)}
     if not np.all(np.diff(columns["time_s"]) > 0):
         return None
@@ -426,21 +496,11 @@ def _validated_columns(path, reader, required):
     """The log body checked row by row: the reference for every value and error."""
     columns = {name: [] for name in reader.fieldnames}
     last_time = None
-    for record in reader:
-        line = reader.line_num
-        _check_row_width(path, reader, record, line, short_ok=True)
+    for line, record in _rows(path, reader, short_ok=True):
         parsed = {}
         for column, value in record.items():
-            if value is None or value.strip() == "":
-                parsed[column] = None
-                continue
-            try:
-                parsed[column] = float(value)
-            except ValueError as exc:
-                raise CsvFormatError(
-                    f"{path}: bad number {value!r} in column {column}", line=line
-                ) from exc
-            if not math.isfinite(parsed[column]):
+            parsed[column] = _number(path, line, column, value)
+            if parsed[column] is not None and not math.isfinite(parsed[column]):
                 raise CsvFormatError(
                     f"{path}: non-finite number {value!r} in column {column}", line=line
                 )
@@ -475,38 +535,15 @@ _OBS_OPTIONAL = ("ply", *OPTIONAL_ENDPOINTS)
 
 def read_observations(path: str) -> list:
     """Read characterization endpoints (one ObservedEndpoints per row)."""
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     out = []
-    with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise CsvFormatError(f"{path} is empty; expected a header row")
-        known = set(_OBS_REQUIRED) | set(_OBS_OPTIONAL)
-        unknown = set(reader.fieldnames) - known
-        if unknown:
-            raise CsvFormatError(f"{path}: unknown columns {sorted(unknown)}", line=1)
-        missing = set(_OBS_REQUIRED) - set(reader.fieldnames)
-        if missing:
-            raise CsvFormatError(f"{path}: missing required columns {sorted(missing)}", line=1)
-        for record in reader:
-            line = reader.line_num
-            _check_row_width(path, reader, record, line, short_ok=False)
+    with _csv_table(path, (*_OBS_REQUIRED, *_OBS_OPTIONAL), _OBS_REQUIRED) as (_, reader):
+        for line, record in _rows(path, reader, short_ok=False):
 
             def number(column, record=record, line=line, optional=False):
-                value = record.get(column)
-                if value is None or value.strip() == "":
-                    if optional:
-                        return None
+                value = _number(path, line, column, record.get(column))
+                if value is None and not optional:
                     raise CsvFormatError(f"{path}: missing {column}", line=line)
-                try:
-                    return float(value)
-                except ValueError as exc:
-                    raise CsvFormatError(
-                        f"{path}: bad number {value!r} in column {column}", line=line
-                    ) from exc
+                return value
 
             material_raw = (record.get("material") or "").strip().lower()
             try:
@@ -522,7 +559,7 @@ def read_observations(path: str) -> list:
                     diameter=number("diameter_mm"),
                     initial_length=number("initial_length_mm"),
                     material=material,
-                    ply=int(ply_raw) if ply_raw else 1,
+                    **_given(ply=int(ply_raw) if ply_raw else None),
                 )
                 obs = ObservedEndpoints(
                     spec=spec,

@@ -161,10 +161,10 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
 def _identify(inputs, targets, thresholds, names, design) -> tuple[PIModel, float]:
     """NNLS weights of a PI model from matched sequences.
 
-    design(t, xs, ys) gives the regressor matrix and the target. A matrix
-    with one column fewer than t leaves out the zero threshold, whose
-    weight stays 0. The sequences must be at least four samples per
-    threshold.
+    design(t, xs, ys) gives the regressor matrix and the target, one row
+    per sample it keeps. A matrix with one column fewer than t leaves out
+    the zero threshold, whose weight stays 0. At least four samples per
+    threshold must be kept.
     """
     # Only identification needs scipy; no CLI command reaches it.
     from scipy.optimize import nnls
@@ -176,11 +176,11 @@ def _identify(inputs, targets, thresholds, names, design) -> tuple[PIModel, floa
         raise ParameterError(f"{names[0]} and {names[1]} must be 1-d sequences of equal length")
     if not np.isfinite(ys).all():
         raise ParameterError(f"{names[1]} must be finite")
-    if xs.size < 4 * t.size:
+    basis, target = design(t, xs, ys)
+    if target.size < 4 * t.size:
         raise UnderdeterminedError(
             f"need at least {4 * t.size} samples to identify {t.size} weights"
         )
-    basis, target = design(t, xs, ys)
     if np.linalg.matrix_rank(basis) < basis.shape[1]:
         warnings.warn(
             "identification regressors are rank deficient; weights are not unique",
@@ -218,15 +218,22 @@ def identify_length_correction(
     which vanishes on the virgin state and flips sign between winding and
     unwinding branches. The zero-threshold stop operator is identically
     zero, so its weight stays 0 and at least one positive threshold must
-    follow it. Returns the model and the residual 2-norm of the corrected
-    fit; compare against the backbone-only residual to judge whether the
-    data carries a loop at all.
+    follow it. Samples on the clamp of hysteretic_length (a length of at
+    least L_eff, or at most LENGTH_FLOOR) carry no correction and are left
+    out; the stop operators still run over the whole sequence, so they
+    keep their memory, and the four-samples-per-threshold minimum counts
+    the kept samples. Returns the model and the residual 2-norm of the
+    corrected fit over the kept samples; compare against the
+    backbone-only residual to judge whether the data carries a loop at
+    all.
     """
     def design(t, xs, ys):
         if t.size < 2:
             raise ParameterError("the stop basis needs a positive threshold")
+        stops = xs[:, None] - play_responses(t[1:], xs)
         target = ys - twist_profile(spec, params, load, xs).length
-        return xs[:, None] - play_responses(t[1:], xs), target
+        kept = (ys > LENGTH_FLOOR) & (ys < effective_length(spec, params, load))
+        return stops[kept], target[kept]
 
     return _identify(thetas, lengths, thresholds, ("thetas", "lengths"), design)
 

@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CoilCapacityError, DomainError, ParameterError
-from .units import TWO_PI
+from .units import TWO_PI, grams_to_newtons
 
 # Lower clamp used where a strictly positive length is required.
 LENGTH_FLOOR = 1e-9
@@ -94,7 +94,6 @@ class LoadCase:
     """Payload suspended from the actuator."""
 
     mass: float            # g
-    gravity: float = 9.81  # m/s^2, fixed
 
     def __post_init__(self):
         if not 0.0 <= self.mass < math.inf:
@@ -103,7 +102,7 @@ class LoadCase:
     @property
     def force(self) -> float:
         """Weight in newtons."""
-        return self.mass * 1e-3 * self.gravity
+        return grams_to_newtons(self.mass)
 
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)

@@ -256,10 +256,13 @@ def estimate_strain(params: ResistanceParams, resistances, times) -> np.ndarray:
         )
     sign = -1.0 if denom > 0 else 1.0
     t = np.asarray(times, dtype=float)
-    y = sign * detrend_creep(sign * np.asarray(resistances, dtype=float), t) - params.r0
-    a = _decay(t, params.tau_transient)
-    u = (y - a * np.append(0.0, y[:-1])) / denom
-    s = _affine_scan((a * params.sensitivity + gain) / denom, u)
+    # Resistances near the largest double can overflow; the strain check
+    # below refuses what that makes inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sign * detrend_creep(sign * np.asarray(resistances, dtype=float), t) - params.r0
+        a = _decay(t, params.tau_transient)
+        u = (y - a * np.append(0.0, y[:-1])) / denom
+        s = _affine_scan((a * params.sensitivity + gain) / denom, u)
     # No string shortens to zero length, and no toolkit model stretches
     # one to double its length.
     outside = np.flatnonzero(~(np.abs(s) < 100.0))

@@ -7,6 +7,7 @@ codes, stdout/stderr wording, and output CSV content.
 import configparser
 import csv
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from tsakit.cli import (
     EXIT_OK,
     main,
 )
-from tsakit.config import bundled_stiff_path
+from tsakit.config import bundled_stiff_path, parse_config, read_experiment_log
 from tsakit.model import Material, StringSpec
 from tsakit.training import (
     DEFAULT_TRAINING_SHORTENING,
@@ -696,7 +697,8 @@ class TestCounts:
         assert captured.err == f"error: bad value for {key} in {cfg}: '{value}'\n"
 
 
-    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-inf", "-1"])
+    # 1e308 rev is finite, but overflows in rad.
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-inf", "-1", "1e308"])
     def test_bicep_theta_max_out_of_range(self, tmp_path, capsys, value):
         # Refused when the config is read, ahead of the training gate an
         # untrained string would otherwise meet first.
@@ -1107,4 +1109,178 @@ class TestSense:
         assert capsys.readouterr().err == (
             f"error: line 3: {log}: row has 3 fields, header has 2\n"
         )
+        assert not out.exists()
+
+
+DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
+# The README's configuration block, line by line, and its (line, section, key) entries.
+README_CONFIG = re.search(
+    r"## Configuration format.*?```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S
+).group(1).splitlines()
+README_KEYS = []
+for _index, _line in enumerate(README_CONFIG):
+    if _line.startswith("["):
+        _section = _line[1 : _line.index("]")]
+    elif re.match(r"\w+ = ", _line):
+        README_KEYS.append((_index, _section, _line.split(" = ")[0]))
+BAD_VALUES = ["", "abc", "inf", "-inf", "nan", "-1", "0", "2.5", "1e308", "rubber", "0, 1", "1:2"]
+# Each test log, the command that reads it, that command's config and required columns.
+LOGS = {
+    "profile.csv": ("simulate", MODEL_CONFIG, ("time_s", "theta_rev")),
+    "sense_log.csv": ("sense", SENSING_CONFIG, ("time_s", "resistance_ohm")),
+}
+LOG_COLUMNS = ["time_s", "theta_rev", "length_mm", "force_n", "resistance_ohm", "voltage", ""]
+
+
+def assert_finite_or_located(code, captured, out, names, read):
+    """The fuzz pass rule: exit 0 with a finite CSV, or a one-line error and no CSV.
+
+    An exit 2 names one of names (the file, or the mutated section.key),
+    unless read() accepts the input, so that the refusal is the model's
+    verdict on its values. Exit 4 is the training gate's refusal.
+    """
+    if code == EXIT_OK:
+        for column, cells in read_csv_columns(str(out)).items():
+            if column != "phase":
+                assert all(math.isfinite(float(cell)) for cell in cells), column
+        return
+    assert not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    if code == EXIT_GATE:
+        assert captured.err.startswith(GATE_ERROR[:60]), captured.err
+        return
+    assert code == EXIT_INPUT, captured
+    if not any(name in captured.err for name in names):
+        read()
+
+
+@st.composite
+def mutated_readme_configs(draw):
+    """(config text, section.key): the README block with one key changed or removed."""
+    lines = list(README_CONFIG)
+    index, section, key = draw(st.sampled_from(README_KEYS))
+    value = draw(st.none() | st.sampled_from(BAD_VALUES))
+    if value is None:
+        del lines[index]
+    else:
+        lines[index] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", f"{section}.{key}"
+
+
+@st.composite
+def mutated_logs(draw):
+    """(log name, text, repeated): a test log with one header name or cell
+    changed, added or removed; repeated says whether the header names a
+    column twice."""
+    name = draw(st.sampled_from(sorted(LOGS)))
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines()
+    row = draw(st.sampled_from([0, draw(st.integers(1, len(lines) - 1))]))
+    fields = lines[row].split(",")
+    index = draw(st.integers(0, len(fields) - 1))
+    value = draw(st.sampled_from(LOG_COLUMNS if row == 0 else BAD_VALUES))
+    mutation = draw(st.sampled_from(["value", "extra", "missing"]))
+    if mutation == "value":
+        fields[index] = value
+    elif mutation == "extra":
+        fields.insert(index, value)
+    else:
+        del fields[index]
+    lines[row] = ",".join(fields)
+    header = lines[0].split(",")
+    return name, "\n".join(lines) + "\n", len(set(header)) < len(header)
+
+
+class TestInputFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_readme_configs())
+    def test_mutated_readme_config_runs_finite_or_names_the_key(self, tmp_path, capsys, case):
+        text, key = case
+        cfg = write(tmp_path, text, "run.ini")
+        out = tmp_path / "out.csv"
+        for argv in (
+            ["simulate", "triangle:amplitude_rev=36,period_s=60,samples=41"],
+            ["bicep"],
+            ["sense", str(DATA / "sense_log.csv")],
+        ):
+            out.unlink(missing_ok=True)
+            code = main([*argv, "--config", cfg, "--out", str(out)])
+            assert_finite_or_located(
+                code, capsys.readouterr(), out, (cfg, key), lambda: parse_config(cfg)
+            )
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_logs())
+    def test_mutated_log_runs_finite_or_names_the_file(self, tmp_path, capsys, case):
+        name, text, repeated = case
+        command, config, required = LOGS[name]
+        cfg = write(tmp_path, config, "run.ini")
+        log = write(tmp_path, text, name)
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        code = main([command, log, "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        if repeated:
+            assert code == EXIT_INPUT
+            assert captured.err.startswith(f"error: line 1: {log}: "), captured.err
+        assert_finite_or_located(
+            code, captured, out, (log,), lambda: read_experiment_log(log, required)
+        )
+
+    def test_repeated_log_column_is_located_input_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
+        log = write(tmp_path, "time_s,theta_rev,theta_rev\n0,0,1\n1,2,3\n", "profile.csv")
+        out = tmp_path / "out.csv"
+        assert main(["simulate", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: line 1: {log}: repeated columns ['theta_rev']\n"
+        )
+        assert not out.exists()
+
+    def test_repeated_observation_column_is_located_input_error(self, tmp_path, capsys):
+        # Renamed from the speed column, a second diameter_mm would be
+        # fitted as every row's diameter.
+        text = Path(bundled_stiff_path()).read_text(encoding="utf-8")
+        observations = write(
+            tmp_path, text.replace("max_speed_regular_mm_s", "diameter_mm"), "obs.csv"
+        )
+        assert main(["calibrate", observations]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: line 1: {observations}: repeated columns ['diameter_mm']\n"
+        )
+
+    # Values near the largest double overflow to inf: the command refuses
+    # the result, with no numpy warning on the way (an error in this suite).
+    def test_overflowing_tension_is_input_error(self, tmp_path, capsys):
+        text = MODEL_CONFIG + README_BICEP.format(peak=30, samples=11).replace(
+            "payload_g = 500", "payload_g = 1e308"
+        )
+        cfg = write(tmp_path, text, "run.ini")
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: payload 1e+308 g at forearm length 120 mm gives a non-finite string tension\n"
+        )
+        assert not out.exists()
+
+    def test_twist_overflowing_rad_is_input_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
+        log = write(tmp_path, "time_s,theta_rev\n0,0\n1,1e308\n", "profile.csv")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: twist inf rad exceeds the coil capacity")
+        assert not out.exists()
+
+    def test_overflowing_resistance_is_input_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
+        lines = (DATA / "sense_log.csv").read_text(encoding="utf-8").splitlines()
+        lines[500] = lines[500].split(",")[0] + ",-1e308,28"
+        log = write(tmp_path, "\n".join(lines) + "\n", "log.csv")
+        out = tmp_path / "strain.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: recovered strain nan% at time ")
         assert not out.exists()

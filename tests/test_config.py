@@ -363,9 +363,22 @@ class TestExperimentLog:
         assert log.time.tolist() == [0.0, 1.0]
         assert np.isnan(log.theta[0]) and log.theta[1] == 2.0
 
-    def test_repeated_column_keeps_the_last(self, tmp_path):
-        path = write(tmp_path, "time_s,theta_rev,theta_rev\n0.0,1.0,2.0\n", name="log.csv")
-        assert read_experiment_log(path).theta.tolist() == [2.0]
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("time_s,theta_rev,theta_rev", "repeated columns ['theta_rev']"),
+            ("time_s,time_s,theta_rev,theta_rev", "repeated columns ['theta_rev', 'time_s']"),
+            # Unknown names are refused first, and missing ones last.
+            ("time_s,voltage,voltage", "unknown columns ['voltage']"),
+            ("theta_rev,theta_rev", "repeated columns ['theta_rev']"),
+        ],
+    )
+    def test_repeated_column_rejected(self, tmp_path, header, message):
+        path = write(tmp_path, header + "\n" + ",".join(["1.0"] * header.count(",")) + ",2.0\n",
+                     name="log.csv")
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_experiment_log(path)
+        assert str(excinfo.value) == f"line 1: {path}: {message}"
 
 
 # Finite values whose 10-digit forms stay finite, subnormals included.
@@ -568,6 +581,16 @@ class TestObservations:
         )
         with pytest.raises(CsvFormatError, match="missing required columns"):
             read_observations(path)
+
+    def test_repeated_column_rejected(self, tmp_path):
+        # Renamed from the speed column, the second diameter_mm would
+        # otherwise be fitted as every row's diameter.
+        with open(bundled_stiff_path(), encoding="utf-8") as handle:
+            text = handle.read().replace("max_speed_regular_mm_s", "diameter_mm")
+        path = write(tmp_path, text, name="obs.csv")
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_observations(path)
+        assert str(excinfo.value) == f"line 1: {path}: repeated columns ['diameter_mm']"
 
     def test_constraint_violation_carries_line(self, tmp_path):
         path = write(

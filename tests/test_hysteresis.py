@@ -506,3 +506,44 @@ class TestHystereticLength:
         replay = hysteretic_length(SPEC, PARAMS, LOAD, fitted, thetas)
         l_eff = 210.0 + PARAMS.compliance * LOAD.force
         assert replay == pytest.approx(np.minimum(observed, l_eff), abs=1e-9)
+
+    def test_clamped_samples_are_left_out(self):
+        # The winding branch just above zero twist asks for a string longer
+        # than L_eff, and hysteretic_length clamps it there: those samples
+        # carry none of the correction and would bias the weights.
+        thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
+        model = PIModel(thresholds=thresholds, weights=np.array([0.0, 0.3, 0.2]))
+        thetas = rev_to_rad(triangle(20.0, 2, 200))
+        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        l_eff = 210.0 + PARAMS.compliance * LOAD.force
+        assert np.count_nonzero(lengths == l_eff) > 0.05 * lengths.size
+        fitted, residual = identify_length_correction(
+            SPEC, PARAMS, LOAD, thetas, lengths, thresholds
+        )
+        assert fitted.weights == pytest.approx(model.weights, abs=1e-9)
+        assert residual < 1e-9
+
+    def test_minimum_counts_kept_samples(self):
+        # Twelve samples would do for three weights, but the ones at the
+        # L_eff clamp (every zero-twist sample, for one) do not count.
+        thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
+        thetas = rev_to_rad(np.array([0.0, 10.0, 0.0] * 4))
+        lengths = twist_profile(SPEC, PARAMS, LOAD, thetas).length
+        with pytest.raises(UnderdeterminedError, match="need at least 12 samples"):
+            identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, thresholds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        w1=st.floats(0.0, 0.3),
+        w2=st.floats(0.0, 0.3),
+        amplitude=st.floats(12.0, 20.0),
+        periods=st.integers(1, 3),
+        samples=st.integers(40, 160),
+    )
+    def test_simulate_identify_round_trip(self, w1, w2, amplitude, periods, samples):
+        thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
+        model = PIModel(thresholds=thresholds, weights=np.array([0.0, w1, w2]))
+        thetas = rev_to_rad(triangle(amplitude, periods, samples))
+        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        fitted, _ = identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, thresholds)
+        assert fitted.weights == pytest.approx(model.weights, abs=1e-9)

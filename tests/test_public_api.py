@@ -5,6 +5,8 @@ statics, synthetic calibration endpoints) live under tests/, not in the
 package; the package keeps what a command or the modelling workflow uses.
 """
 
+import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -13,6 +15,8 @@ import pytest
 
 import tsakit
 import tsakit.calibration as calibration
+import tsakit.cli as cli
+import tsakit.config as config
 import tsakit.model as model
 from tsakit.bicep import sweep
 from tsakit.calibration import ParamBounds
@@ -80,3 +84,35 @@ def test_law_rounding_is_stated_in_model_alone():
     # and runs it with model's op sets.
     for name in ("_square", "_law", "_coil", "coil_circumference", "_FLOAT_OPS", "_ARRAY_OPS"):
         assert vars(calibration).get(name, getattr(model, name)) is getattr(model, name)
+
+
+def test_cli_reads_no_config_key():
+    # Only config's builders read a RunConfig section; cli may test one
+    # for presence (`cfg.string if ...`), and reads nothing from it.
+    tree = ast.parse(inspect.getsource(cli))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    sections = {field.name for field in dataclasses.fields(config.RunConfig)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"
+            and node.attr in sections
+        ):
+            parent = parents[node]
+            assert isinstance(parent, (ast.If, ast.IfExp)) and parent.test is node, (
+                f"cli.py:{node.lineno} reads cfg.{node.attr}"
+            )
+
+
+@pytest.mark.parametrize(
+    "message", ["unknown columns", "repeated columns", "missing required columns"]
+)
+def test_csv_header_checks_are_stated_once(message):
+    # Both CSV readers go through one header check.
+    assert inspect.getsource(config).count(message) == 1
+
+
+def test_load_case_has_no_gravity_field():
+    # units.GRAVITY, through grams_to_newtons, is the one statement of g.
+    assert [field.name for field in dataclasses.fields(model.LoadCase)] == ["mass"]
