@@ -59,9 +59,10 @@ class BicepGeometry:
     def __post_init__(self):
         for name in ("a", "b", "gamma", "payload", "forearm_length"):
             if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}",
+                                     field=name)
         if self.a <= 0 or self.b <= 0:
-            raise ParameterError("lever arms must be positive")
+            raise ParameterError("lever arms must be positive", field="a" if self.a <= 0 else "b")
         if self.payload < 0 or self.forearm_length < 0:
             raise ParameterError("payload and forearm length must be nonnegative")
 
@@ -127,16 +128,17 @@ def _pair_arrays(pairs):
     """(lengths, angles) of (string length mm, bending angle deg) pairs, validated."""
     pts = np.array([(float(l), float(phi)) for l, phi in pairs], dtype=float).reshape(-1, 2)
     if len(pts) < 3:
-        raise UnderdeterminedError("need at least three (length, angle) pairs")
+        raise UnderdeterminedError("need at least three (length, angle) pairs", field="pairs")
     bad = ~np.isfinite(pts).all(axis=1)
     if bad.any():
         l, phi = pts[int(np.argmax(bad))]
-        raise ParameterError(f"pairs must be finite, got {l:g}:{phi:g}")
+        raise ParameterError(f"pairs must be finite, got {l:g}:{phi:g}", field="pairs")
     lengths, angles = np.ascontiguousarray(pts.T)
-    if np.unique(lengths).size < 3:
-        raise UnderdeterminedError("pairs must cover at least three distinct lengths")
+    if len(set(lengths.tolist())) < 3:    # np.unique imports numpy.ma, about 15 ms
+        raise UnderdeterminedError("pairs must cover at least three distinct lengths",
+                                   field="pairs")
     if np.any(lengths <= 0):
-        raise ParameterError("string lengths must be positive")
+        raise ParameterError("string lengths must be positive", field="pairs")
     return lengths, angles
 
 

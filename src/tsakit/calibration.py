@@ -215,20 +215,6 @@ def _residual_kernel(ops, obs: ObservedEndpoints, r_eff, theta_star, coil_diamet
     return ops.where(feasible, total, PENALTY_RESIDUAL)
 
 
-def _residuals(obs: ObservedEndpoints, *point):
-    """residual elementwise over parameter floats or broadcasting arrays.
-
-    Arguments follow PARAM_ORDER. Python floats, as residual passes
-    them, are scored in Python floats and give a float; anything else,
-    such as grid_oracle's slabs, goes through numpy with its warnings
-    silenced.
-    """
-    if all(type(value) is float for value in point):
-        return _residual_kernel(_FLOAT_OPS, obs, *point)
-    with np.errstate(all="ignore"):
-        return _residual_kernel(_ARRAY_OPS, obs, *point)
-
-
 def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
     """Weighted sum of squared normalized endpoint errors.
 
@@ -236,7 +222,7 @@ def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
     coil capacity, theta_star at or past theta_max) scores the penalty
     constant instead of raising.
     """
-    return _residuals(obs, *(float(getattr(params, n)) for n in PARAM_ORDER))
+    return _residual_kernel(_FLOAT_OPS, obs, *(float(getattr(params, n)) for n in PARAM_ORDER))
 
 
 @dataclass(frozen=True)
@@ -458,7 +444,10 @@ def grid_oracle(
     for start in range(0, heads, step):
         mesh = np.ix_(np.arange(start, min(start + step, heads)), *axes[lead:])
         index = np.unravel_index(mesh[0], shape[:lead])
-        values = _residuals(obs, *(axis[i] for axis, i in zip(axes, index)), *mesh[1:])
+        with np.errstate(all="ignore"):
+            values = _residual_kernel(
+                _ARRAY_OPS, obs, *(axis[i] for axis, i in zip(axes, index)), *mesh[1:]
+            )
         k = int(np.argmin(values))
         if values.flat[k] < best_value:
             best, best_value = start * block + k, float(values.flat[k])

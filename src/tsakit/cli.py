@@ -19,6 +19,7 @@ from . import bicep as bicep_mod
 from . import config as cfgmod
 from .calibration import PENALTY_RESIDUAL, fit_two_phase, predict_endpoints
 from .errors import (
+    ConfigError,
     ConvergenceError,
     InputError,
     TrainingGateError,
@@ -43,11 +44,18 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_GATE = 4
 
 
+def _section(cfg: cfgmod.RunConfig, name: str):
+    """The value of the config section [name], which this command needs."""
+    value = getattr(cfg, name)
+    if value is None:
+        raise ConfigError(f"{cfg.path} has no [{name}] section, which this command needs")
+    return value
+
+
 def _params_for(cfg: cfgmod.RunConfig):
     """Model parameters from [model], else calibrated via [calibration]."""
-    params = cfgmod.model_params(cfg)
-    if params is not None:
-        return params
+    if cfg.model is not None:
+        return cfg.model
     obs, options = cfgmod.calibration_row(cfg)
     result = fit_two_phase(obs, **options)
     if not result.converged:
@@ -183,7 +191,7 @@ def _check_training_gate(cfg, spec, load, params, theta) -> None:
     Only a config with [training] is gated; without it the string is taken
     as broken in. theta is the twist schedule in radians.
     """
-    trained = cfgmod.training_state(cfg)
+    trained = cfg.training
     if (
         trained is not None
         and float(theta.max()) > params.theta_star
@@ -198,8 +206,8 @@ def _check_training_gate(cfg, spec, load, params, theta) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = cfgmod.parse_config(args.config)
-    spec = cfgmod.string_spec(cfg)
-    load = cfgmod.load_case(cfg)
+    spec = _section(cfg, "string")
+    load = _section(cfg, "load")
     params = _params_for(cfg)
     times, theta_rev = _profile(args)
     if np.any(theta_rev < 0):
@@ -208,7 +216,7 @@ def cmd_simulate(args) -> int:
         theta = rev_to_rad(theta_rev)
     _check_training_gate(cfg, spec, load, params, theta)
 
-    pi = cfgmod.pi_model(cfg)
+    pi = cfg.hysteresis
     profile = twist_profile(spec, params, load, theta)
     if pi is None:
         lengths = profile.length
@@ -253,14 +261,12 @@ def cmd_train(args) -> int:
     if args.cycles < 0:
         raise InputError(f"cycles must be nonnegative, got {args.cycles}")
     cfg = cfgmod.parse_config(args.config) if args.config else cfgmod.RunConfig()
-    spec = cfgmod.string_spec(cfg) if cfg.string else None
+    spec = cfg.string
     if spec is not None and spec.material is Material.COMPLIANT:
         print("compliant string: training not required, coiling is available immediately")
         return EXIT_OK
     # Without [training], the toolkit's default stages and shortening.
-    state, shortening = cfgmod.training_state(cfg) or (
-        TrainingState(), DEFAULT_TRAINING_SHORTENING
-    )
+    state, shortening = cfg.training or (TrainingState(), DEFAULT_TRAINING_SHORTENING)
     thresholds = state.thresholds
     # N more cycles count on from the section's cycles already done.
     total = state.cycles_done + args.cycles
@@ -284,12 +290,10 @@ def cmd_train(args) -> int:
 
 def cmd_bicep(args) -> int:
     cfg = cfgmod.parse_config(args.config)
-    geometry = cfgmod.bicep_geometry(cfg)
+    section = _section(cfg, "bicep")
+    geometry = section.geometry
     if geometry is None:
-        pairs = cfgmod.bicep_pairs(cfg)
-        if pairs is None:
-            raise InputError("[bicep] needs either a_mm/b_mm/gamma_deg or pairs")
-        fit = bicep_mod.fit_bicep(pairs, **cfgmod.bicep_load(cfg))
+        fit = bicep_mod.fit_bicep(section.pairs, **section.load)
         geometry = fit.geometry
         print(
             f"fitted geometry: a {geometry.a:.2f} mm, b {geometry.b:.2f} mm, "
@@ -304,10 +308,10 @@ def cmd_bicep(args) -> int:
                 "warning: linkage model cannot reproduce the pairs within "
                 f"{bicep_mod.CONSISTENCY_LIMIT_DEG} deg; reporting the best fit"
             )
-    spec = cfgmod.string_spec(cfg)
-    load = cfgmod.load_case(cfg)
+    spec = _section(cfg, "string")
+    load = _section(cfg, "load")
     params = _params_for(cfg)
-    grid = cfgmod.bicep_sweep_grid(cfg)
+    grid = section.grid
     _check_training_gate(cfg, spec, load, params, rev_to_rad(grid))
     angles = [angle for _, angle in bicep_mod.sweep(geometry, spec, params, load, grid)]
     tensions = [bicep_mod.string_tension(geometry, angle) for angle in angles]
@@ -319,7 +323,7 @@ def cmd_bicep(args) -> int:
 
 def cmd_sense(args) -> int:
     cfg = cfgmod.parse_config(args.config)
-    params = cfgmod.resistance_params(cfg)
+    params = _section(cfg, "sensing")
     log = cfgmod.read_experiment_log(args.log, required=("time_s", "resistance_ohm"))
     strains = estimate_strain(params, log.resistance, log.time)
     out = args.out or "strain_estimate.csv"

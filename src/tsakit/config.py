@@ -2,7 +2,8 @@
 
 Configuration files are flat INI-style text: named sections of
 key = value pairs, units encoded in key names, parsed strictly (unknown
-sections or keys are errors, as are duplicates). CSV files carry a
+sections or keys are errors, as are duplicates), and each section given
+is built into its value when the file is read. CSV files carry a
 mandatory header with units in the column names and are validated row
 by row with line numbers in every diagnostic.
 """
@@ -17,14 +18,15 @@ import importlib.resources
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .bicep import BicepGeometry
+from .bicep import BicepGeometry, _pair_arrays
 from .calibration import OPTIONAL_ENDPOINTS, ObservedEndpoints
-from .errors import ConfigError, CsvFormatError, ParameterError
+from .errors import ConfigError, CsvFormatError, ParameterError, TsaError
 from .hysteresis import PIModel
-from .model import LoadCase, Material, StringSpec
+from .model import LoadCase, Material, StringSpec, TwoPhaseParams
 from .sensing import ResistanceParams
 from .training import DEFAULT_TRAINING_SHORTENING, TrainingState
 from .units import rev_to_rad
@@ -38,6 +40,14 @@ def _unit_fraction(raw: str) -> float:
     return value
 
 
+def _nonnegative(raw: str) -> float:
+    """A finite number >= 0."""
+    value = float(raw)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{raw!r} is not finite and >= 0")
+    return value
+
+
 def _twist_rev(raw: str) -> float:
     """A twist >= 0 in rev that is finite in rad too; NaN, inf and
     overflow to inf are out of range."""
@@ -47,20 +57,40 @@ def _twist_rev(raw: str) -> float:
     return value
 
 
-def _whole_numbers(raw: str) -> str:
-    """A number list whose finite entries are whole (6 or 6.0, not 6.9).
+def _rad(raw: str) -> float:
+    """A twist given in rev, in rad."""
+    return rev_to_rad(float(raw))
 
-    Kept as text: training_state reads the list and reports malformed and
-    non-finite entries.
-    """
-    for token in raw.split(","):
-        try:
-            value = float(token)
-        except ValueError:
-            continue
-        if math.isfinite(value) and not value.is_integer():
-            raise ValueError(f"{token.strip()!r} is not a whole number")
-    return raw
+
+def _numbers(raw: str) -> list:
+    """A comma-separated list of finite numbers; blank entries are skipped."""
+    values = [float(token) for token in raw.split(",") if token.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{raw!r} holds a non-finite number")
+    return values
+
+
+def _rad_list(raw: str) -> list:
+    """A list of twists given in rev, in rad."""
+    return [rev_to_rad(value) for value in _numbers(raw)]
+
+
+def _whole_numbers(raw: str) -> tuple:
+    """A number list whose entries are whole (6 or 6.0, not 6.9), as ints."""
+    values = _numbers(raw)
+    if not all(value.is_integer() for value in values):
+        raise ValueError(f"{raw!r} holds a fraction")
+    return tuple(int(value) for value in values)
+
+
+def _pair(token: str) -> tuple:
+    length, angle = token.split(":")
+    return float(length), float(angle)
+
+
+def _pairs(raw: str) -> list:
+    """(length, angle) floats of length_mm:angle_deg pairs, comma separated."""
+    return [_pair(token) for token in raw.split(",") if token.strip()]
 
 
 def _count(minimum: int):
@@ -75,57 +105,114 @@ def _count(minimum: int):
     return convert
 
 
-# Section -> {key: converter}; None marks an optional section-level choice
-# validated after parsing.
+def _given(**fields) -> dict:
+    """The keyword arguments whose value is not None.
+
+    A caller passes a value its input leaves out as None, so that the
+    dataclass or function default is the one statement of that default.
+    """
+    return {name: value for name, value in fields.items() if value is not None}
+
+
+def _pi_model(thresholds=(0.0,), weights=()) -> PIModel:
+    """[hysteresis]: the weights default to 0. The stop operator at
+    threshold 0 is identically 0, so a weight there would be ignored."""
+    model = PIModel(thresholds=thresholds, weights=weights or [0.0] * len(thresholds))
+    if model.weights[0] != 0.0:
+        raise ParameterError(
+            f"the weight at threshold 0 must be 0, got {weights[0]!r}", field="weights"
+        )
+    return model
+
+
+def _training(shortening=DEFAULT_TRAINING_SHORTENING, **state) -> tuple:
+    """[training]: the TrainingState and the shortening fraction."""
+    return TrainingState(**state), shortening
+
+
+class BicepSection(NamedTuple):
+    """[bicep]: an explicit geometry, or the pairs to fit one to; the
+    payload and forearm keyword arguments of BicepGeometry and
+    fit_bicep; the sweep's twist samples (rev), from 0 to theta_max_rev."""
+
+    geometry: BicepGeometry | None
+    pairs: list | None
+    load: dict
+    grid: np.ndarray
+
+
+_ARM_KEYS = {"a": "a_mm", "b": "b_mm", "gamma": "gamma_deg"}
+
+
+def _bicep(theta_max, samples=121, pairs=None, payload=None, forearm_length=None, **arms):
+    """[bicep]: the whole a_mm/b_mm/gamma_deg triple or pairs, never both,
+    so that no geometry key is read and then ignored."""
+    given = [_ARM_KEYS[name] for name in arms] + ["pairs"] * (pairs is not None)
+    if sorted(given) not in (sorted(_ARM_KEYS.values()), ["pairs"]):
+        raise ParameterError(
+            "needs either all of a_mm/b_mm/gamma_deg or pairs, not both; "
+            f"it gives {', '.join(given) or 'none of them'}"
+        )
+    load = _given(payload=payload, forearm_length=forearm_length)
+    if pairs is not None:
+        _pair_arrays(pairs)    # the pairs fit_bicep would refuse are refused here
+    geometry = None if pairs is not None else BicepGeometry(**arms, **load)
+    return BicepSection(geometry, pairs, load, np.linspace(0.0, theta_max, samples))
+
+
+# Section -> (the build of its value, {key: (field, converter)}). Each
+# converter gives its key's value, and the build takes it as keyword
+# argument field; a key the section leaves out takes the build's default.
 _SCHEMA = {
-    "string": {
-        "diameter_mm": float,
-        "initial_length_mm": float,
-        "material": str,
-        "ply": int,
-    },
-    "load": {"mass_g": float},
-    "model": {
-        "r_eff_mm": float,
-        "theta_star_rev": float,
-        "coil_diameter_mm": float,
-        "coil_pitch_mm": float,
-        "eta": float,
-        "compliance_mm_per_n": float,
-    },
-    "calibration": {
-        "observations": str,
-        "row": int,
-        "max_iter": _count(0),
-    },
-    "hysteresis": {
-        "thresholds_rev": str,
-        "weights_mm": str,
-    },
-    "sensing": {
-        "r0_ohm": float,
-        "sensitivity_ohm_per_pct": float,
-        "tau_transient_s": float,
-        "transient_gain_ohm_per_pct": float,
-        "creep_rate_ohm_per_cycle": float,
-        "creep_saturation_ohm": float,
-    },
-    "training": {
-        "cycles": _count(0),
-        "trained_load_g": float,
-        "thresholds": _whole_numbers,
-        "shortening_fraction": _unit_fraction,
-    },
-    "bicep": {
-        "a_mm": float,
-        "b_mm": float,
-        "gamma_deg": float,
-        "pairs": str,
-        "payload_g": float,
-        "forearm_length_mm": float,
-        "theta_max_rev": _twist_rev,
-        "samples": _count(1),
-    },
+    "string": (StringSpec, {
+        "diameter_mm": ("diameter", float),
+        "initial_length_mm": ("initial_length", float),
+        "material": ("material", lambda raw: Material(raw.lower())),
+        "ply": ("ply", int),
+    }),
+    "load": (LoadCase, {"mass_g": ("mass", float)}),
+    "model": (TwoPhaseParams, {
+        "r_eff_mm": ("r_eff", float),
+        "theta_star_rev": ("theta_star", _rad),
+        "coil_diameter_mm": ("coil_diameter", float),
+        "coil_pitch_mm": ("coil_pitch", float),
+        "eta": ("eta", float),
+        "compliance_mm_per_n": ("compliance", float),
+    }),
+    # Read when a command needs it, by calibration_row: it names a second file.
+    "calibration": (dict, {
+        "observations": ("observations", str),
+        "row": ("row", _count(1)),
+        "max_iter": ("max_iter", _count(0)),
+    }),
+    "hysteresis": (_pi_model, {
+        "thresholds_rev": ("thresholds", _rad_list),
+        "weights_mm": ("weights", _numbers),
+    }),
+    "sensing": (ResistanceParams, {
+        "r0_ohm": ("r0", float),
+        "sensitivity_ohm_per_pct": ("sensitivity", float),
+        "tau_transient_s": ("tau_transient", float),
+        "transient_gain_ohm_per_pct": ("transient_gain", float),
+        "creep_rate_ohm_per_cycle": ("creep_rate", float),
+        "creep_saturation_ohm": ("creep_saturation", float),
+    }),
+    "training": (_training, {
+        "cycles": ("cycles_done", _count(0)),
+        "trained_load_g": ("trained_load", float),
+        "thresholds": ("thresholds", _whole_numbers),
+        "shortening_fraction": ("shortening", _unit_fraction),
+    }),
+    "bicep": (_bicep, {
+        "a_mm": ("a", float),
+        "b_mm": ("b", float),
+        "gamma_deg": ("gamma", float),
+        "pairs": ("pairs", _pairs),
+        "payload_g": ("payload", _nonnegative),
+        "forearm_length_mm": ("forearm_length", _nonnegative),
+        "theta_max_rev": ("theta_max", _twist_rev),
+        "samples": ("samples", _count(1)),
+    }),
 }
 
 _REQUIRED_KEYS = {
@@ -134,25 +221,34 @@ _REQUIRED_KEYS = {
     "model": ("r_eff_mm", "theta_star_rev", "coil_diameter_mm", "coil_pitch_mm"),
     "sensing": ("r0_ohm", "sensitivity_ohm_per_pct", "tau_transient_s"),
     "calibration": ("observations",),
+    "bicep": ("theta_max_rev",),
 }
 
 
 @dataclass
 class RunConfig:
-    """Parsed configuration, one optional block per concern."""
+    """A configuration file as read: its path, and the value of each
+    section it gives, or None for a section it leaves out."""
 
-    string: dict | None = None
-    load: dict | None = None
-    model: dict | None = None
+    path: str | None = None
+    string: StringSpec | None = None
+    load: LoadCase | None = None
+    model: TwoPhaseParams | None = None
     calibration: dict | None = None
-    hysteresis: dict | None = None
-    sensing: dict | None = None
-    training: dict | None = None
-    bicep: dict | None = None
+    hysteresis: PIModel | None = None
+    sensing: ResistanceParams | None = None
+    training: tuple | None = None    # (TrainingState, shortening fraction)
+    bicep: BicepSection | None = None
 
 
 def parse_config(path: str) -> RunConfig:
-    """Read and strictly validate a configuration file."""
+    """Read and strictly validate a configuration file.
+
+    Every key is converted once, and every section the file gives is
+    built into its value here, so a file is valid or refused as a whole,
+    whatever the command. Each refusal names the file, and the
+    section.key where one key decides it.
+    """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     parser.optionxform = str  # keep keys case sensitive
     try:
@@ -163,85 +259,35 @@ def parse_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    blocks = {}
+    sections = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        schema = _SCHEMA[section]
-        values = {}
-        for key, raw in parser.items(section):
+        build, schema = _SCHEMA[section]
+        raws, fields = dict(parser.items(section)), {}
+        for key, raw in raws.items():
             if key not in schema:
                 raise ConfigError(f"unknown key '{key}' in section [{section}] of {path}")
+            field, convert = schema[key]
             try:
-                values[key] = schema[key](raw)
+                fields[field] = convert(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key} in {path}: {raw!r}"
                 ) from exc
         for key in _REQUIRED_KEYS.get(section, ()):
-            if key not in values:
+            if key not in raws:
                 raise ConfigError(f"section [{section}] of {path} is missing '{key}'")
-        blocks[section] = values
-    return RunConfig(**{name: blocks.get(name) for name in _SCHEMA})
-
-
-def _float_list(raw: str, context: str) -> list:
-    try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad number list for {context}: {raw!r}") from exc
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"non-finite number in {context}: {raw!r}")
-    return values
-
-
-def _given(**fields) -> dict:
-    """The keyword arguments whose value is not None.
-
-    A builder passes a key its section leaves out as None, so that the
-    dataclass or function default is the one statement of that default.
-    """
-    return {name: value for name, value in fields.items() if value is not None}
-
-
-def string_spec(cfg: RunConfig) -> StringSpec:
-    if cfg.string is None:
-        raise ConfigError("a [string] section is required for this command")
-    block = cfg.string
-    try:
-        material = Material(block["material"].lower())
-    except ValueError:
-        raise ConfigError(
-            f"string.material must be 'stiff' or 'compliant', got {block['material']!r}"
-        ) from None
-    return StringSpec(
-        diameter=block["diameter_mm"],
-        initial_length=block["initial_length_mm"],
-        material=material,
-        **_given(ply=block.get("ply")),
-    )
-
-
-def load_case(cfg: RunConfig) -> LoadCase:
-    if cfg.load is None:
-        raise ConfigError("a [load] section is required for this command")
-    return LoadCase(mass=cfg.load["mass_g"])
-
-
-def model_params(cfg: RunConfig):
-    """TwoPhaseParams from the [model] block, or None when absent."""
-    if cfg.model is None:
-        return None
-    from .model import TwoPhaseParams
-
-    block = cfg.model
-    return TwoPhaseParams(
-        r_eff=block["r_eff_mm"],
-        theta_star=rev_to_rad(block["theta_star_rev"]),
-        coil_diameter=block["coil_diameter_mm"],
-        coil_pitch=block["coil_pitch_mm"],
-        **_given(eta=block.get("eta"), compliance=block.get("compliance_mm_per_n")),
-    )
+        try:
+            sections[section] = build(**fields)
+        except (TsaError, ValueError) as exc:
+            keys = [key for key in raws if schema[key][0] == getattr(exc, "field", None)]
+            if keys:
+                raise ConfigError(
+                    f"bad value for {section}.{keys[0]} in {path}: {raws[keys[0]]!r}; {exc}"
+                ) from exc
+            raise ConfigError(f"bad [{section}] section in {path}: {exc}") from exc
+    return RunConfig(path=path, **sections)
 
 
 def calibration_row(cfg: RunConfig):
@@ -249,113 +295,18 @@ def calibration_row(cfg: RunConfig):
     [calibration] row that stands in for a missing [model]."""
     if cfg.calibration is None:
         raise ConfigError(
-            "no [model] parameters and no [calibration] observations to fit them from"
+            f"{cfg.path} gives no [model] parameters and no [calibration] "
+            "observations to fit them from"
         )
     block = cfg.calibration
     observations = read_observations(block["observations"])
     row = block.get("row", 1)
-    if not 1 <= row <= len(observations):
-        raise ConfigError(f"calibration row {row} outside 1..{len(observations)}")
-    return observations[row - 1], _given(max_iter=block.get("max_iter"))
-
-
-def pi_model(cfg: RunConfig):
-    """PIModel from the [hysteresis] block, or None when absent."""
-    if cfg.hysteresis is None:
-        return None
-    block = cfg.hysteresis
-    thresholds = [
-        rev_to_rad(v) for v in _float_list(block.get("thresholds_rev", "0"), "hysteresis.thresholds_rev")
-    ]
-    weights = _float_list(block.get("weights_mm", ""), "hysteresis.weights_mm")
-    if not weights:
-        weights = [0.0] * len(thresholds)
-    if len(weights) != len(thresholds):
-        raise ConfigError("hysteresis thresholds and weights must have equal length")
-    model = PIModel(thresholds=np.array(thresholds), weights=np.array(weights))
-    # The stop operator at threshold 0 is identically 0: its weight would be ignored.
-    if model.weights[0] != 0.0:
+    if row > len(observations):
         raise ConfigError(
-            f"hysteresis.weights_mm: the weight at threshold 0 must be 0, got {weights[0]!r}"
+            f"bad value for calibration.row in {cfg.path}: {row} is outside "
+            f"1..{len(observations)}"
         )
-    return model
-
-
-def resistance_params(cfg: RunConfig) -> ResistanceParams:
-    if cfg.sensing is None:
-        raise ConfigError("a [sensing] section is required for this command")
-    block = cfg.sensing
-    return ResistanceParams(
-        r0=block["r0_ohm"],
-        sensitivity=block["sensitivity_ohm_per_pct"],
-        tau_transient=block["tau_transient_s"],
-        **_given(
-            transient_gain=block.get("transient_gain_ohm_per_pct"),
-            creep_rate=block.get("creep_rate_ohm_per_cycle"),
-            creep_saturation=block.get("creep_saturation_ohm"),
-        ),
-    )
-
-
-def training_state(cfg: RunConfig):
-    """(TrainingState, shortening fraction) from [training], or None."""
-    if cfg.training is None:
-        return None
-    block = cfg.training
-    raw = block.get("thresholds")
-    state = TrainingState(
-        **_given(
-            cycles_done=block.get("cycles"),
-            trained_load=block.get("trained_load_g"),
-            thresholds=None if raw is None
-            else tuple(int(v) for v in _float_list(raw, "training.thresholds")),
-        )
-    )
-    return state, block.get("shortening_fraction", DEFAULT_TRAINING_SHORTENING)
-
-
-def bicep_load(cfg: RunConfig) -> dict:
-    """The payload and forearm length that [bicep] gives, as keyword
-    arguments of BicepGeometry and fit_bicep."""
-    block = cfg.bicep or {}
-    return _given(payload=block.get("payload_g"), forearm_length=block.get("forearm_length_mm"))
-
-
-def bicep_geometry(cfg: RunConfig):
-    """Explicit BicepGeometry from [bicep], or None when it must be fitted."""
-    block = cfg.bicep or {}
-    if all(k in block for k in ("a_mm", "b_mm", "gamma_deg")):
-        return BicepGeometry(
-            a=block["a_mm"], b=block["b_mm"], gamma=block["gamma_deg"], **bicep_load(cfg)
-        )
-    return None
-
-
-def bicep_sweep_grid(cfg: RunConfig) -> np.ndarray:
-    """The bicep sweep's twist samples (rev), from 0 to [bicep] theta_max_rev."""
-    block = cfg.bicep or {}
-    if "theta_max_rev" not in block:
-        raise ConfigError("[bicep] needs theta_max_rev for the sweep")
-    return np.linspace(0.0, block["theta_max_rev"], block.get("samples", 121))
-
-
-def bicep_pairs(cfg: RunConfig):
-    """(length, angle) pairs from [bicep] pairs = l:phi,l:phi,..."""
-    block = cfg.bicep or {}
-    raw = block.get("pairs")
-    if raw is None:
-        return None
-    pairs = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            l, phi = token.split(":")
-            pairs.append((float(l), float(phi)))
-        except ValueError as exc:
-            raise ConfigError(f"bad bicep pair {token!r}; expected length_mm:angle_deg") from exc
-    return pairs
+    return observations[row - 1], _given(max_iter=block.get("max_iter"))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +327,8 @@ class ExperimentLog:
     """A logged actuation experiment, one float array per column.
 
     A column absent from the file is None; a blank cell in an optional
-    column reads as NaN.
+    column reads as NaN. A row with fewer fields than the header is
+    refused, not read as blank cells.
     """
 
     time: np.ndarray                        # s
@@ -417,15 +369,15 @@ def _csv_table(path, known, required):
         yield handle, reader
 
 
-def _rows(path, reader, short_ok):
+def _rows(path, reader):
     """(line, record) of each row, its width checked by _check_row_width."""
     for record in reader:
-        _check_row_width(path, reader, record, reader.line_num, short_ok)
+        _check_row_width(path, reader, record, reader.line_num)
         yield reader.line_num, record
 
 
 def _number(path, line, column, value):
-    """A cell as a float, or None when blank (or cut off by a short row)."""
+    """A cell as a float, or None when blank or not in the header."""
     if value is None or value.strip() == "":
         return None
     try:
@@ -440,9 +392,9 @@ def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
     """Read a CSV experiment log into one array per column.
 
     The header must name known columns, each once, and include every
-    required column. Every value must be a finite number, blank cells
-    are allowed only in optional columns, and time must be strictly
-    increasing.
+    required column. Every row must have one field per header column,
+    every value must be a finite number, blank cells are allowed only in
+    optional columns, and time must be strictly increasing.
     """
     with _csv_table(path, _LOG_COLUMNS, required) as (handle, reader):
         columns = None
@@ -479,12 +431,12 @@ def _parsed_columns(handle, fieldnames):
     return columns
 
 
-def _check_row_width(path, reader, record, line, short_ok):
-    """Refuse a csv.DictReader row with more fields than its header, or
-    with fewer unless short_ok (the reader fills a missing field with None)."""
+def _check_row_width(path, reader, record, line):
+    """Refuse a csv.DictReader row with more or fewer fields than its
+    header (the reader fills a missing field with None)."""
     extra = len(record.get(None, ()))
     missing = sum(value is None for value in record.values())
-    if extra or (missing and not short_ok):
+    if extra or missing:
         raise CsvFormatError(
             f"{path}: row has {len(reader.fieldnames) + extra - missing} fields, "
             f"header has {len(reader.fieldnames)}",
@@ -496,7 +448,7 @@ def _validated_columns(path, reader, required):
     """The log body checked row by row: the reference for every value and error."""
     columns = {name: [] for name in reader.fieldnames}
     last_time = None
-    for line, record in _rows(path, reader, short_ok=True):
+    for line, record in _rows(path, reader):
         parsed = {}
         for column, value in record.items():
             parsed[column] = _number(path, line, column, value)
@@ -537,7 +489,7 @@ def read_observations(path: str) -> list:
     """Read characterization endpoints (one ObservedEndpoints per row)."""
     out = []
     with _csv_table(path, (*_OBS_REQUIRED, *_OBS_OPTIONAL), _OBS_REQUIRED) as (_, reader):
-        for line, record in _rows(path, reader, short_ok=False):
+        for line, record in _rows(path, reader):
 
             def number(column, record=record, line=line, optional=False):
                 value = _number(path, line, column, record.get(column))

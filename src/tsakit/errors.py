@@ -8,7 +8,16 @@ from __future__ import annotations
 
 
 class TsaError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    field names the one argument or dataclass field whose value is
+    refused, where one alone is, so that a reader of a config file can
+    name the key that gave it.
+    """
+
+    def __init__(self, *args, field: str | None = None):
+        super().__init__(*args)
+        self.field = field
 
 
 class InputError(TsaError):

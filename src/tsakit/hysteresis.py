@@ -49,13 +49,13 @@ class IllConditionedFit(UserWarning):
 def _validate_thresholds(thresholds) -> np.ndarray:
     t = np.asarray(thresholds, dtype=float)
     if t.ndim != 1 or t.size == 0:
-        raise ParameterError("thresholds must be a nonempty 1-d sequence")
+        raise ParameterError("thresholds must be a nonempty 1-d sequence", field="thresholds")
     if not np.isfinite(t).all():
-        raise ParameterError("thresholds must be finite")
+        raise ParameterError("thresholds must be finite", field="thresholds")
     if np.any(np.diff(t) <= 0):
-        raise ParameterError("thresholds must be strictly ascending")
+        raise ParameterError("thresholds must be strictly ascending", field="thresholds")
     if t[0] < 0.0:
-        raise ParameterError("thresholds must be nonnegative")
+        raise ParameterError("thresholds must be nonnegative", field="thresholds")
     return t
 
 
@@ -63,7 +63,7 @@ def _pi_thresholds(thresholds) -> np.ndarray:
     """Thresholds of a PI model: the first one is 0, the identity operator."""
     t = _validate_thresholds(thresholds)
     if t[0] != 0.0:
-        raise ParameterError("first threshold must be 0")
+        raise ParameterError("first threshold must be 0", field="thresholds")
     return t
 
 
@@ -99,7 +99,7 @@ class PIModel:
         if w.shape != t.shape:
             raise ParameterError("weights and thresholds must have equal length")
         if not ((w >= 0) & (w < np.inf)).all():
-            raise ParameterError("weights must be nonnegative and finite")
+            raise ParameterError("weights must be nonnegative and finite", field="weights")
         object.__setattr__(self, "thresholds", t)
         object.__setattr__(self, "weights", w)
 

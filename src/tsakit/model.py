@@ -77,16 +77,17 @@ class StringSpec:
 
     def __post_init__(self):
         if not 0.0 < self.diameter < math.inf:
-            raise ParameterError("string diameter must be positive and finite")
+            raise ParameterError("string diameter must be positive and finite", field="diameter")
         if not 0.0 < self.initial_length < math.inf:
-            raise ParameterError("initial length must be positive and finite")
+            raise ParameterError("initial length must be positive and finite",
+                                 field="initial_length")
         # Slenderness keeps the helix model meaningful.
         if self.initial_length < 20.0 * self.diameter:
             raise ParameterError(
                 "initial length must be at least 20 times the string diameter"
             )
         if not 1 <= self.ply < math.inf or int(self.ply) != self.ply:
-            raise ParameterError("ply must be a positive integer")
+            raise ParameterError("ply must be a positive integer", field="ply")
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class LoadCase:
 
     def __post_init__(self):
         if not 0.0 <= self.mass < math.inf:
-            raise ParameterError("load mass must be nonnegative and finite")
+            raise ParameterError("load mass must be nonnegative and finite", field="mass")
 
     @property
     def force(self) -> float:
@@ -203,20 +204,21 @@ class TwoPhaseParams:
 
     def __post_init__(self):
         if not 0.0 < self.r_eff < math.inf:
-            raise ParameterError("r_eff must be positive and finite")
+            raise ParameterError("r_eff must be positive and finite", field="r_eff")
         if not 0.0 < self.theta_star < math.inf:
-            raise ParameterError("theta_star must be positive and finite")
+            raise ParameterError("theta_star must be positive and finite", field="theta_star")
         if not 0.0 < self.coil_diameter < math.inf:
-            raise ParameterError("coil_diameter must be positive and finite")
+            raise ParameterError("coil_diameter must be positive and finite", field="coil_diameter")
         if not 0.0 <= self.coil_pitch < math.inf:
-            raise ParameterError("coil_pitch must be nonnegative and finite")
+            raise ParameterError("coil_pitch must be nonnegative and finite", field="coil_pitch")
         if not 0.0 < self.eta <= 1.0:
-            raise ParameterError("eta must lie in (0, 1]")
+            raise ParameterError("eta must lie in (0, 1]", field="eta")
         if not 0.0 <= self.compliance < math.inf:
-            raise ParameterError("compliance must be nonnegative and finite")
+            raise ParameterError("compliance must be nonnegative and finite", field="compliance")
         # pi * coil_diameter overflows from about 5.7e307 mm.
         if not self.coil_circumference < math.inf:
-            raise ParameterError("coil_diameter must give a finite coil circumference")
+            raise ParameterError("coil_diameter must give a finite coil circumference",
+                                 field="coil_diameter")
 
     @property
     def coil_circumference(self) -> float:

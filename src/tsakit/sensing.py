@@ -61,17 +61,20 @@ class ResistanceParams:
 
     def __post_init__(self):
         if not 0.0 < self.r0 < math.inf:
-            raise ParameterError("baseline resistance must be positive and finite")
+            raise ParameterError("baseline resistance must be positive and finite", field="r0")
         if not 0.0 < abs(self.sensitivity) < math.inf:
-            raise ParameterError("sensitivity must be nonzero and finite for invertibility")
+            raise ParameterError("sensitivity must be nonzero and finite for invertibility",
+                                 field="sensitivity")
         if not 0.0 < self.tau_transient < math.inf:
-            raise ParameterError("transient time constant must be positive and finite")
+            raise ParameterError("transient time constant must be positive and finite",
+                                 field="tau_transient")
         if not math.isfinite(self.transient_gain):
-            raise ParameterError("transient gain must be finite")
+            raise ParameterError("transient gain must be finite", field="transient_gain")
         if not 0.0 <= self.creep_rate < math.inf:
-            raise ParameterError("creep rate must be nonnegative and finite")
+            raise ParameterError("creep rate must be nonnegative and finite", field="creep_rate")
         if not 0.0 < self.creep_saturation <= math.inf:
-            raise ParameterError("creep saturation must be positive or inf")
+            raise ParameterError("creep saturation must be positive or inf",
+                                 field="creep_saturation")
 
 
 def creep_component(rate: float, saturation: float, cycles) -> np.ndarray:

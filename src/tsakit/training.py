@@ -34,7 +34,8 @@ def stage_of(cycles: int, thresholds=DEFAULT_STAGE_THRESHOLDS) -> TrainingStage:
         raise ParameterError("cycle count must be nonnegative")
     t = tuple(thresholds)
     if len(t) != 3 or not (0 < t[0] < t[1] < t[2]):
-        raise ParameterError("stage thresholds must be three ascending positive counts")
+        raise ParameterError("stage thresholds must be three ascending positive counts",
+                             field="thresholds")
     if cycles >= t[2]:
         return TrainingStage.UNIFORM
     if cycles >= t[1]:
@@ -55,7 +56,8 @@ class TrainingState:
     def __post_init__(self):
         stage_of(self.cycles_done, self.thresholds)  # validates both fields
         if not 0 <= self.trained_load < math.inf:
-            raise ParameterError("trained load must be nonnegative and finite")
+            raise ParameterError("trained load must be nonnegative and finite",
+                                 field="trained_load")
 
     @property
     def stage(self) -> TrainingStage:

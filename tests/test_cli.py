@@ -148,7 +148,7 @@ class TestSimulate:
         profile = "triangle:amplitude_rev=10,period_s=60,samples=11"
         assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"error: non-finite number in hysteresis.{key}: '0, {bad}'\n"
+            f"error: bad value for hysteresis.{key} in {cfg}: '0, {bad}'\n"
         )
         assert not out.exists()
 
@@ -161,7 +161,8 @@ class TestSimulate:
         profile = "triangle:amplitude_rev=10,period_s=60,samples=11"
         assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "error: hysteresis.weights_mm: the weight at threshold 0 must be 0, got 0.1\n"
+            f"error: bad value for hysteresis.weights_mm in {cfg}: '0.1, 0.3'; "
+            "the weight at threshold 0 must be 0, got 0.1\n"
         )
         assert not out.exists()
 
@@ -674,6 +675,9 @@ class TestCounts:
             ),
             (["bicep"], MODEL_CONFIG + "\n[bicep]\nsamples = -1\n", "bicep.samples", "-1"),
             (["bicep"], MODEL_CONFIG + "\n[bicep]\nsamples = 0\n", "bicep.samples", "0"),
+            # Checked when read, though train fits nothing from [calibration].
+            (["train", "0"], CALIBRATED_CONFIG.replace("row = 2", "row = 0"),
+             "calibration.row", "0"),
             # int() would drop the fraction and gate at cycle 6.
             (
                 ["train", "0"],
@@ -873,10 +877,11 @@ def test_overflowing_coil_circumference_rejected(tmp_path, capsys, command):
                  "theta_max_rev = 20\nsamples = 5\n")
         argv = ["bicep"]
     out = tmp_path / "out.csv"
-    code = main([*argv, "--config", write(tmp_path, text, "run.ini"), "--out", str(out)])
-    assert code == EXIT_INPUT
+    cfg = write(tmp_path, text, "run.ini")
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
-        "error: coil_diameter must give a finite coil circumference\n"
+        f"error: bad value for model.coil_diameter_mm in {cfg}: '1e308'; "
+        "coil_diameter must give a finite coil circumference\n"
     )
     assert not out.exists()
 
@@ -958,16 +963,17 @@ class TestBicep:
         assert len(read_csv_columns(str(out))["angle_deg"]) == 31
 
     @pytest.mark.parametrize(
-        "key, value, name",
+        "key, value, reason",
         [
-            ("a_mm", "nan", "a"),
-            ("b_mm", "inf", "b"),
-            ("gamma_deg", "-inf", "gamma"),
-            ("payload_g", "nan", "payload"),
-            ("forearm_length_mm", "inf", "forearm_length"),
+            ("a_mm", "nan", "; a must be finite, got nan"),
+            ("b_mm", "inf", "; b must be finite, got inf"),
+            ("gamma_deg", "-inf", "; gamma must be finite, got -inf"),
+            # Checked on their own, as fit_bicep takes them with pairs too.
+            ("payload_g", "nan", ""),
+            ("forearm_length_mm", "inf", ""),
         ],
     )
-    def test_non_finite_geometry_rejected(self, tmp_path, capsys, key, value, name):
+    def test_non_finite_geometry_rejected(self, tmp_path, capsys, key, value, reason):
         fields = {
             "a_mm": "83", "b_mm": "151", "gamma_deg": "142.5",
             "payload_g": "500", "forearm_length_mm": "120",
@@ -977,7 +983,9 @@ class TestBicep:
         cfg = write(tmp_path, self.bicep_config(body + "theta_max_rev = 30\n"), "run.ini")
         out = tmp_path / "sweep.csv"
         assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
-        assert f"error: {name} must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: bad value for bicep.{key} in {cfg}: '{value}'{reason}\n"
+        )
         assert not out.exists()
 
     def test_non_finite_pairs_rejected(self, tmp_path, capsys):
@@ -988,7 +996,10 @@ class TestBicep:
         )
         out = tmp_path / "sweep.csv"
         assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
-        assert "error: pairs must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: bad value for bicep.pairs in {cfg}: '215:nan, 135:73.4, 68:147.1'; "
+            "pairs must be finite, got 215:nan\n"
+        )
         assert not out.exists()
 
     def test_missing_theta_max_rejected(self, tmp_path, capsys):
@@ -1045,7 +1056,10 @@ class TestSense:
         log = write(tmp_path, "time_s,resistance_ohm\n0.0,120.0\n1.0,120.4\n", "log.csv")
         out = tmp_path / "strain.csv"
         assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err == f"error: {message}\n"
+        value = line.split(" = ")[1]
+        assert capsys.readouterr().err == (
+            f"error: bad value for sensing.{key} in {cfg}: '{value}'; {message}\n"
+        )
         assert not out.exists()
 
     def test_creep_keys_are_ignored(self, tmp_path):
@@ -1062,6 +1076,14 @@ class TestSense:
             assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_OK
             outputs.add(out.read_bytes())
         assert len(outputs) == 1
+
+    def test_missing_section_names_the_file(self, tmp_path, capsys):
+        cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
+        log = write(tmp_path, "time_s,resistance_ohm\n0.0,120.0\n1.0,120.4\n", "log.csv")
+        assert main(["sense", log, "--config", cfg]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {cfg} has no [sensing] section, which this command needs\n"
+        )
 
     def test_missing_resistance_column(self, tmp_path, capsys):
         cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
@@ -1094,6 +1116,21 @@ class TestSense:
         assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"error: line 4: {log}: non-finite number 'nan' in column time_s\n"
+        )
+        assert not out.exists()
+
+    def test_short_row_rejected(self, tmp_path, capsys):
+        # Read with a blank last cell, the row's force would be its resistance.
+        cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
+        lines = (DATA / "sense_log.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "time_s,resistance_ohm,force_n"
+        time, _, force = lines[100].split(",")
+        lines[100] = f"{time},{force}"
+        log = write(tmp_path, "\n".join(lines) + "\n", "log.csv")
+        out = tmp_path / "strain.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line 101: {log}: row has 2 fields, header has 3\n"
         )
         assert not out.exists()
 
@@ -1136,16 +1173,17 @@ LOG_COLUMNS = ["time_s", "theta_rev", "length_mm", "force_n", "resistance_ohm", 
 def assert_finite_or_located(code, captured, out, names, read):
     """The fuzz pass rule: exit 0 with a finite CSV, or a one-line error and no CSV.
 
-    An exit 2 names one of names (the file, or the mutated section.key),
-    unless read() accepts the input, so that the refusal is the model's
-    verdict on its values. Exit 4 is the training gate's refusal.
+    out is None for a command that writes no CSV. An exit 2 names one of
+    names (the file, or the mutated section.key), unless read() accepts
+    the input, so that the refusal is the model's verdict on its values.
+    Exit 4 is the training gate's refusal.
     """
     if code == EXIT_OK:
-        for column, cells in read_csv_columns(str(out)).items():
+        for column, cells in read_csv_columns(str(out)).items() if out else ():
             if column != "phase":
                 assert all(math.isfinite(float(cell)) for cell in cells), column
         return
-    assert not out.exists()
+    assert out is None or not out.exists()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     if code == EXIT_GATE:
         assert captured.err.startswith(GATE_ERROR[:60]), captured.err
@@ -1153,6 +1191,23 @@ def assert_finite_or_located(code, captured, out, names, read):
     assert code == EXIT_INPUT, captured
     if not any(name in captured.err for name in names):
         read()
+
+
+# Every command that reads a config, and whether it writes a CSV.
+CONFIG_COMMANDS = [
+    (["simulate", "triangle:amplitude_rev=36,period_s=60,samples=41"], True),
+    (["bicep"], True),
+    (["sense", str(DATA / "sense_log.csv")], True),
+    (["train", "0"], False),
+]
+
+
+def run_config_commands(cfg, out, capsys):
+    """(argv, exit code, captured output, CSV path or None) of each config command."""
+    for argv, writes in CONFIG_COMMANDS:
+        out.unlink(missing_ok=True)
+        code = main([*argv, "--config", cfg, *(["--out", str(out)] if writes else [])])
+        yield argv, code, capsys.readouterr(), out if writes else None
 
 
 @st.composite
@@ -1198,17 +1253,58 @@ class TestInputFuzz:
     def test_mutated_readme_config_runs_finite_or_names_the_key(self, tmp_path, capsys, case):
         text, key = case
         cfg = write(tmp_path, text, "run.ini")
-        out = tmp_path / "out.csv"
-        for argv in (
-            ["simulate", "triangle:amplitude_rev=36,period_s=60,samples=41"],
-            ["bicep"],
-            ["sense", str(DATA / "sense_log.csv")],
-        ):
-            out.unlink(missing_ok=True)
-            code = main([*argv, "--config", cfg, "--out", str(out)])
-            assert_finite_or_located(
-                code, capsys.readouterr(), out, (cfg, key), lambda: parse_config(cfg)
-            )
+        for _, code, captured, out in run_config_commands(cfg, tmp_path / "out.csv", capsys):
+            assert_finite_or_located(code, captured, out, (cfg, key), lambda: parse_config(cfg))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=mutated_readme_configs())
+    def test_mutated_readme_config_is_read_alike_by_every_command(self, tmp_path, capsys, case):
+        # A config is valid or not whatever the command. A refusal that
+        # names the config is its read's, and every command gives the same
+        # one; without one, train, which has nothing to refuse past the
+        # read, runs.
+        text, _ = case
+        cfg = write(tmp_path, text, "run.ini")
+        outcomes = {
+            argv[0]: (code, captured.err.partition("\n")[0])
+            for argv, code, captured, _ in run_config_commands(cfg, tmp_path / "out.csv", capsys)
+        }
+        read = {line for code, line in outcomes.values() if code == EXIT_INPUT and cfg in line}
+        if read:
+            assert len(read) == 1, outcomes
+            assert set(outcomes.values()) == {(EXIT_INPUT, read.pop())}
+        else:
+            assert outcomes["train"][0] == EXIT_OK, outcomes
+
+    @pytest.mark.parametrize(
+        "old, new, refusal",
+        [
+            ("eta = 0.11", "eta = 0", "bad value for model.eta in {cfg}: '0'; "
+             "eta must lie in (0, 1]"),
+            ("r0_ohm = 120", "r0_ohm = -1", "bad value for sensing.r0_ohm in {cfg}: '-1'; "
+             "baseline resistance must be positive and finite"),
+            ("diameter_mm = 1.3", "diameter_mm = 0", "bad value for string.diameter_mm in "
+             "{cfg}: '0'; string diameter must be positive and finite"),
+            # With pairs, the arms would be read and then ignored.
+            ("; pairs =", "pairs = 215:13.1, 135:73.4, 68:147.1", "bad [bicep] section in "
+             "{cfg}: needs either all of a_mm/b_mm/gamma_deg or pairs, not both; "
+             "it gives a_mm, b_mm, gamma_deg, pairs"),
+            ("gamma_deg =", None, "bad [bicep] section in {cfg}: needs either all of "
+             "a_mm/b_mm/gamma_deg or pairs, not both; it gives a_mm, b_mm"),
+        ],
+    )
+    def test_bad_readme_config_is_refused_by_every_command(self, tmp_path, capsys, old, new,
+                                                           refusal):
+        # The README line that starts with old becomes new, or goes when new is None.
+        lines = [new if line.startswith(old) else line for line in README_CONFIG]
+        assert lines != README_CONFIG
+        text = "\n".join(line for line in lines if line is not None) + "\n"
+        cfg = write(tmp_path, text, "run.ini")
+        for argv, code, captured, out in run_config_commands(cfg, tmp_path / "out.csv", capsys):
+            assert (code, captured.out, captured.err) == (
+                EXIT_INPUT, "", f"error: {refusal.format(cfg=cfg)}\n"
+            ), argv
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -20,19 +20,11 @@ from hypothesis import strategies as st
 import tsakit.config as config_module
 from tsakit.config import (
     RunConfig,
-    bicep_geometry,
-    bicep_pairs,
     bundled_stiff_path,
     format_number,
-    load_case,
-    model_params,
     parse_config,
-    pi_model,
     read_experiment_log,
     read_observations,
-    resistance_params,
-    string_spec,
-    training_state,
     write_csv,
 )
 from tsakit.errors import ConfigError, CsvFormatError
@@ -67,15 +59,17 @@ def write(tmp_path, text, name="run.ini"):
 
 class TestParseConfig:
     def test_full_round_trip(self, tmp_path):
-        cfg = parse_config(write(tmp_path, FULL_CONFIG))
+        path = write(tmp_path, FULL_CONFIG)
+        cfg = parse_config(path)
         assert isinstance(cfg, RunConfig)
-        spec = string_spec(cfg)
+        assert cfg.path == path
+        spec = cfg.string
         assert spec.diameter == 1.3
         assert spec.initial_length == 214.3
         assert spec.material is Material.STIFF
         assert spec.ply == 1
-        assert load_case(cfg).mass == 2900
-        params = model_params(cfg)
+        assert cfg.load.mass == 2900
+        params = cfg.model
         assert params.r_eff == 0.86
         assert params.theta_star == pytest.approx(rev_to_rad(28.0))
         assert params.eta == 0.11
@@ -137,27 +131,60 @@ class TestParseConfig:
             parse_config(str(tmp_path / "absent.ini"))
 
     def test_bad_material_rejected(self, tmp_path):
-        text = FULL_CONFIG.replace("material = stiff", "material = rubber")
-        with pytest.raises(ConfigError, match="stiff' or 'compliant"):
-            string_spec(parse_config(write(tmp_path, text)))
+        path = write(tmp_path, FULL_CONFIG.replace("material = stiff", "material = rubber"))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"bad value for string.material in {path}: 'rubber'"
 
     def test_material_parsing_is_case_insensitive(self, tmp_path):
         text = FULL_CONFIG.replace("material = stiff", "material = STIFF")
-        spec = string_spec(parse_config(write(tmp_path, text)))
-        assert spec.material is Material.STIFF
+        assert parse_config(write(tmp_path, text)).string.material is Material.STIFF
 
     def test_sections_absent_without_error(self, tmp_path):
         cfg = parse_config(write(tmp_path, "[load]\nmass_g = 100\n"))
-        assert cfg.string is None
-        assert model_params(cfg) is None
-        assert pi_model(cfg) is None
-        assert training_state(cfg) is None
-        assert bicep_geometry(cfg) is None
-        assert bicep_pairs(cfg) is None
-        with pytest.raises(ConfigError, match=r"\[string\] section"):
-            string_spec(cfg)
-        with pytest.raises(ConfigError, match=r"\[sensing\] section"):
-            resistance_params(cfg)
+        assert cfg.load.mass == 100
+        for section in ("string", "model", "calibration", "hysteresis", "sensing",
+                        "training", "bicep"):
+            assert getattr(cfg, section) is None
+
+    @pytest.mark.parametrize(
+        "text, key, value, message",
+        [
+            (FULL_CONFIG.replace("eta = 0.11", "eta = 0"), "model.eta", "0",
+             "eta must lie in (0, 1]"),
+            (FULL_CONFIG.replace("coil_diameter_mm = 4.3", "coil_diameter_mm = 1e308"),
+             "model.coil_diameter_mm", "1e308",
+             "coil_diameter must give a finite coil circumference"),
+            (FULL_CONFIG.replace("ply = 1", "ply = 0"), "string.ply", "0",
+             "ply must be a positive integer"),
+            ("[sensing]\nr0_ohm = -1\nsensitivity_ohm_per_pct = -0.8\ntau_transient_s = 4.0\n",
+             "sensing.r0_ohm", "-1", "baseline resistance must be positive and finite"),
+            ("[training]\nthresholds = 6, 50, 11\n", "training.thresholds", "6, 50, 11",
+             "stage thresholds must be three ascending positive counts"),
+            ("[hysteresis]\nthresholds_rev = 0, -1\nweights_mm = 0, 1\n",
+             "hysteresis.thresholds_rev", "0, -1", "thresholds must be strictly ascending"),
+            ("[bicep]\na_mm = -1\nb_mm = 151\ngamma_deg = 142.5\ntheta_max_rev = 30\n",
+             "bicep.a_mm", "-1", "lever arms must be positive"),
+            ("[bicep]\npairs = 215:13.1, 135:73.4\ntheta_max_rev = 30\n", "bicep.pairs",
+             "215:13.1, 135:73.4", "need at least three (length, angle) pairs"),
+        ],
+    )
+    def test_build_refusal_names_the_key(self, tmp_path, text, key, value, message):
+        # The section's dataclass refuses the value when the file is read,
+        # and the message names the file, the key and the value.
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"bad value for {key} in {path}: {value!r}; {message}"
+
+    def test_build_refusal_of_several_keys_names_the_section(self, tmp_path):
+        path = write(tmp_path, FULL_CONFIG.replace("1.3", "20"))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == (
+            f"bad [string] section in {path}: "
+            "initial length must be at least 20 times the string diameter"
+        )
 
 
 class TestSectionBuilders:
@@ -166,7 +193,7 @@ class TestSectionBuilders:
             "[model]\nr_eff_mm = 0.86\ntheta_star_rev = 28.0\n"
             "coil_diameter_mm = 4.3\ncoil_pitch_mm = 2.6\n"
         )
-        params = model_params(parse_config(write(tmp_path, text)))
+        params = parse_config(write(tmp_path, text)).model
         assert params.eta == 1.0
         assert params.compliance == 0.0
 
@@ -174,33 +201,37 @@ class TestSectionBuilders:
         text = (
             "[hysteresis]\nthresholds_rev = 0, 2, 4\nweights_mm = 0.0, 0.3, 0.1\n"
         )
-        model = pi_model(parse_config(write(tmp_path, text)))
+        model = parse_config(write(tmp_path, text)).hysteresis
         assert model.thresholds == pytest.approx(
             [rev_to_rad(v) for v in (0.0, 2.0, 4.0)]
         )
         assert model.weights == pytest.approx([0.0, 0.3, 0.1])
 
     def test_pi_model_weights_default_to_zero(self, tmp_path):
-        model = pi_model(parse_config(write(tmp_path, "[hysteresis]\nthresholds_rev = 0, 1\n")))
+        model = parse_config(write(tmp_path, "[hysteresis]\nthresholds_rev = 0, 1\n")).hysteresis
         assert model.weights == pytest.approx([0.0, 0.0])
 
     def test_pi_model_length_mismatch(self, tmp_path):
         text = "[hysteresis]\nthresholds_rev = 0, 1\nweights_mm = 0.5\n"
-        with pytest.raises(ConfigError, match="equal length"):
-            pi_model(parse_config(write(tmp_path, text)))
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == (
+            f"bad [hysteresis] section in {path}: weights and thresholds must have equal length"
+        )
 
     def test_non_finite_training_thresholds_rejected(self, tmp_path):
-        cfg = parse_config(write(tmp_path, "[training]\nthresholds = 6, nan, 50\n"))
-        message = "^non-finite number in training.thresholds: '6, nan, 50'$"
-        with pytest.raises(ConfigError, match=message):
-            training_state(cfg)
+        path = write(tmp_path, "[training]\nthresholds = 6, nan, 50\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"bad value for training.thresholds in {path}: '6, nan, 50'"
 
     def test_resistance_defaults(self, tmp_path):
         text = (
             "[sensing]\nr0_ohm = 120\nsensitivity_ohm_per_pct = -0.8\n"
             "tau_transient_s = 4.0\n"
         )
-        params = resistance_params(parse_config(write(tmp_path, text)))
+        params = parse_config(write(tmp_path, text)).sensing
         assert params.transient_gain == 0.0
         assert params.creep_rate == 0.0
         assert math.isinf(params.creep_saturation)
@@ -210,20 +241,20 @@ class TestSectionBuilders:
             "[training]\ncycles = 12\ntrained_load_g = 200\n"
             "thresholds = 6, 11, 50\nshortening_fraction = 0.03\n"
         )
-        state, shortening = training_state(parse_config(write(tmp_path, text)))
+        state, shortening = parse_config(write(tmp_path, text)).training
         assert state.cycles_done == 12
         assert state.trained_load == 200
         assert state.thresholds == (6, 11, 50)
         assert shortening == 0.03
 
     def test_whole_float_thresholds_accepted(self, tmp_path):
-        state, _ = training_state(parse_config(write(tmp_path, "[training]\nthresholds = 2.0, 5, 9e0\n")))
+        state, _ = parse_config(write(tmp_path, "[training]\nthresholds = 2.0, 5, 9e0\n")).training
         assert state.thresholds == (2, 5, 9)
 
     @pytest.mark.parametrize("value", ["0", "0.999"])
     def test_shortening_fraction_in_unit_interval_accepted(self, tmp_path, value):
         cfg = parse_config(write(tmp_path, f"[training]\nshortening_fraction = {value}\n"))
-        assert training_state(cfg)[1] == float(value)
+        assert cfg.training[1] == float(value)
 
     @pytest.mark.parametrize("value", ["1", "5.0", "-0.1", "nan", "inf", "-inf"])
     def test_shortening_fraction_outside_unit_interval_rejected(self, tmp_path, value):
@@ -231,26 +262,52 @@ class TestSectionBuilders:
         with pytest.raises(ConfigError, match="training.shortening_fraction"):
             parse_config(path)
 
-    def test_bicep_geometry_requires_full_triple(self, tmp_path):
-        text = "[bicep]\na_mm = 83\nb_mm = 151\ntheta_max_rev = 30\n"
-        assert bicep_geometry(parse_config(write(tmp_path, text))) is None
+    @pytest.mark.parametrize(
+        "body, given",
+        [
+            ("a_mm = 83\nb_mm = 151\n", "a_mm, b_mm"),
+            ("gamma_deg = 142.5\n", "gamma_deg"),
+            ("a_mm = 83\nb_mm = 151\ngamma_deg = 142.5\npairs = 215:13.1, 135:73.4, 68:147.1\n",
+             "a_mm, b_mm, gamma_deg, pairs"),
+            ("pairs = 215:13.1, 135:73.4, 68:147.1\nb_mm = 999\n", "b_mm, pairs"),
+            ("", "none of them"),
+        ],
+    )
+    def test_bicep_geometry_requires_full_triple_or_pairs(self, tmp_path, body, given):
+        # A geometry key the command would ignore is refused.
+        path = write(tmp_path, "[bicep]\ntheta_max_rev = 30\n" + body)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == (
+            f"bad [bicep] section in {path}: needs either all of a_mm/b_mm/gamma_deg "
+            f"or pairs, not both; it gives {given}"
+        )
+
+    def test_bicep_geometry_parsing(self, tmp_path):
         text = (
             "[bicep]\na_mm = 83\nb_mm = 151\ngamma_deg = 142.5\n"
-            "payload_g = 500\nforearm_length_mm = 120\n"
+            "payload_g = 500\nforearm_length_mm = 120\ntheta_max_rev = 30\n"
         )
-        geom = bicep_geometry(parse_config(write(tmp_path, text)))
+        section = parse_config(write(tmp_path, text)).bicep
+        geom = section.geometry
         assert (geom.a, geom.b, geom.gamma) == (83.0, 151.0, 142.5)
         assert geom.payload == 500.0
+        assert section.pairs is None
+        assert section.load == {"payload": 500.0, "forearm_length": 120.0}
+        assert section.grid.tolist() == np.linspace(0.0, 30.0, 121).tolist()
 
     def test_bicep_pairs_parsing(self, tmp_path):
-        text = "[bicep]\npairs = 215:13.1, 135:73.4, 68:147.1\n"
-        pairs = bicep_pairs(parse_config(write(tmp_path, text)))
-        assert pairs == [(215.0, 13.1), (135.0, 73.4), (68.0, 147.1)]
+        text = "[bicep]\npairs = 215:13.1, 135:73.4, 68:147.1\ntheta_max_rev = 30\nsamples = 3\n"
+        section = parse_config(write(tmp_path, text)).bicep
+        assert section.pairs == [(215.0, 13.1), (135.0, 73.4), (68.0, 147.1)]
+        assert section.geometry is None and section.load == {}
+        assert section.grid.tolist() == [0.0, 15.0, 30.0]
 
     def test_bicep_pairs_malformed_token(self, tmp_path):
-        text = "[bicep]\npairs = 215:13.1, oops\n"
-        with pytest.raises(ConfigError, match="bad bicep pair"):
-            bicep_pairs(parse_config(write(tmp_path, text)))
+        path = write(tmp_path, "[bicep]\npairs = 215:13.1, oops\ntheta_max_rev = 30\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"bad value for bicep.pairs in {path}: '215:13.1, oops'"
 
 
 class TestExperimentLog:
@@ -329,16 +386,16 @@ class TestExperimentLog:
             read_experiment_log(path)
         assert excinfo.value.line == 3
 
-    def test_short_row_has_missing_cells(self, tmp_path):
+    @pytest.mark.parametrize("required", [("time_s",), ("time_s", "theta_rev")])
+    def test_short_row_rejected(self, tmp_path, required):
+        # Read as blank cells, a short row would shift its later values a
+        # column left; it is refused at its line, as in observation tables.
         path = write(
-            tmp_path, "time_s,theta_rev,length_mm\n0.0,0.0\n1.0\n", name="log.csv"
+            tmp_path, "time_s,theta_rev,length_mm\n0.0,0.0,214.3\n1.0,2.0\n", name="log.csv"
         )
-        log = read_experiment_log(path)
-        assert log.theta[0] == 0.0
-        assert np.isnan(log.length[0]) and np.isnan(log.theta[1])
-        with pytest.raises(CsvFormatError, match="missing theta_rev value") as excinfo:
-            read_experiment_log(path, required=("time_s", "theta_rev"))
-        assert excinfo.value.line == 3
+        with pytest.raises(CsvFormatError) as excinfo:
+            read_experiment_log(path, required=required)
+        assert str(excinfo.value) == f"line 3: {path}: row has 2 fields, header has 3"
 
     def test_blank_lines_skipped_whitespace_lines_rejected(self, tmp_path):
         path = write(tmp_path, "time_s\n0.0\n\n1.0\n", name="log.csv")
