@@ -13,7 +13,9 @@ in l. The quasi-static string tension balances the payload's gravity
 moment about the elbow; the sine of the elbow angle cancels between the
 two moment arms, leaving tension = weight * forearm_length * l / (a b),
 valid everywhere except the singular poses where the string line passes
-through the joint.
+through the joint. These maps between length, angle and tension work
+elementwise: each takes a float or an array, checks the whole input at
+once, and refuses the first sample out of range.
 
 Fitting the linkage to measured (length, angle) pairs is an exact
 reduction: for fixed arms the angle SSE is a convex quadratic in gamma,
@@ -72,47 +74,50 @@ class BicepGeometry:
         return (abs(self.a - self.b), self.a + self.b)
 
 
-def _check_length(geom: BicepGeometry, string_length: float) -> None:
-    lo, hi = geom.admissible_lengths
-    if not lo <= string_length <= hi:
-        raise TriangleRangeError(
-            f"string length {string_length:.6g} mm outside the admissible "
-            f"interval [{lo:.6g}, {hi:.6g}] mm",
-            lo=lo,
-            hi=hi,
-        )
-
-
 def _elbow_deg(a, b, string_length):
     """Law-of-cosines elbow angle (deg), elementwise; the cosine is clipped."""
     c = (a * a + b * b - string_length * string_length) / (2.0 * a * b)
     return np.degrees(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def elbow_angle(geom: BicepGeometry, string_length: float) -> float:
-    """Interior angle at the joint (deg) for a given string length."""
-    _check_length(geom, string_length)
-    return float(_elbow_deg(geom.a, geom.b, string_length))
+def angle_from_length(geom: BicepGeometry, string_length):
+    """Bending angle (deg) at each string length (mm), elementwise.
 
-
-def angle_from_length(geom: BicepGeometry, string_length: float) -> float:
-    """Bending angle (deg) at a given string length (mm)."""
-    return geom.gamma - elbow_angle(geom, string_length)
-
-
-def length_from_angle(geom: BicepGeometry, angle: float) -> float:
-    """String length (mm) at a given bending angle (deg)."""
-    psi = geom.gamma - angle
-    if not 0.0 <= psi <= 180.0:
+    Takes a float or an array. Every length must lie in the admissible
+    interval; the first that does not raises TriangleRangeError.
+    """
+    lo, hi = geom.admissible_lengths
+    lengths = np.asarray(string_length, dtype=float)
+    bad = ~((lo <= lengths) & (lengths <= hi))
+    if bad.any():
         raise TriangleRangeError(
-            f"bending angle {angle:.6g} deg outside the admissible interval "
+            f"string length {lengths[bad][0]:.6g} mm outside the admissible "
+            f"interval [{lo:.6g}, {hi:.6g}] mm",
+            lo=lo,
+            hi=hi,
+        )
+    return geom.gamma - _elbow_deg(geom.a, geom.b, lengths)
+
+
+def length_from_angle(geom: BicepGeometry, angle):
+    """String length (mm) at each bending angle (deg), elementwise.
+
+    Takes a float or an array. The elbow angle gamma - angle must lie in
+    [0, 180] deg; the first angle for which it does not raises
+    TriangleRangeError.
+    """
+    angles = np.asarray(angle, dtype=float)
+    psi = geom.gamma - angles
+    bad = ~((0.0 <= psi) & (psi <= 180.0))
+    if bad.any():
+        raise TriangleRangeError(
+            f"bending angle {angles[bad][0]:.6g} deg outside the admissible interval "
             f"[{geom.gamma - 180.0:.6g}, {geom.gamma:.6g}] deg",
             lo=geom.gamma - 180.0,
             hi=geom.gamma,
         )
-    psi_rad = math.radians(psi)
-    return math.sqrt(
-        geom.a**2 + geom.b**2 - 2.0 * geom.a * geom.b * math.cos(psi_rad)
+    return np.sqrt(
+        geom.a**2 + geom.b**2 - 2.0 * geom.a * geom.b * np.cos(np.radians(psi))
     )
 
 
@@ -239,23 +244,28 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     )
 
 
-def string_tension(geom: BicepGeometry, angle: float) -> float:
-    """Quasi-static string tension (N) holding a bending angle (deg).
+def string_tension(geom: BicepGeometry, angle):
+    """Quasi-static string tension (N) holding each bending angle (deg).
 
-    Moment balance about the joint. Both the gravity moment and the
-    string's moment arm scale with sin of the elbow angle, which cancels
-    into tension = weight * forearm_length * l / (a b); poses with the
-    string line through the joint are singular and rejected.
+    Takes a float or an array. Moment balance about the joint. Both the
+    gravity moment and the string's moment arm scale with sin of the
+    elbow angle, which cancels into tension = weight * forearm_length *
+    l / (a b). The checks run over the whole input, in this order: an
+    angle outside the admissible interval (TriangleRangeError, the first
+    such angle), a singular pose with the string line through the joint
+    (SingularConfigurationError), and a tension that overflows
+    (ParameterError).
     """
-    psi = geom.gamma - angle
     l = length_from_angle(geom, angle)
-    if abs(math.sin(math.radians(psi))) < _SINGULAR_SIN:
+    psi = geom.gamma - np.asarray(angle, dtype=float)
+    if np.any(np.abs(np.sin(np.radians(psi))) < _SINGULAR_SIN):
         raise SingularConfigurationError(
             "string line passes through the joint; tension is indeterminate"
         )
     weight = grams_to_newtons(geom.payload)
-    tension = weight * geom.forearm_length * l / (geom.a * geom.b)
-    if not math.isfinite(tension):
+    with np.errstate(over="ignore"):    # an overflow to inf is refused below
+        tension = weight * geom.forearm_length * l / (geom.a * geom.b)
+    if not np.all(np.isfinite(tension)):
         raise ParameterError(
             f"payload {geom.payload:g} g at forearm length {geom.forearm_length:g} mm "
             "gives a non-finite string tension"
@@ -269,14 +279,12 @@ def sweep(
     params: TwoPhaseParams,
     load: LoadCase,
     theta_rev_values,
-) -> list:
-    """Bending angle trajectory over a motor twist schedule.
+) -> np.ndarray:
+    """Bending angle (deg) at each motor twist (rev) of a schedule.
 
-    Returns (theta_rev, angle_deg) tuples; angles are monotone
-    non-decreasing in twist because the string only shortens.
+    One twist_profile pass gives the string lengths, and angle_from_length
+    maps them all at once. Angles are monotone non-decreasing in twist,
+    because the string only shortens.
     """
-    theta_rev = np.asarray(theta_rev_values, dtype=float)
-    lengths = twist_profile(spec, params, load, rev_to_rad(theta_rev)).length
-    return [
-        (t, angle_from_length(geom, l)) for t, l in zip(theta_rev.tolist(), lengths.tolist())
-    ]
+    theta = rev_to_rad(np.asarray(theta_rev_values, dtype=float))
+    return angle_from_length(geom, twist_profile(spec, params, load, theta).length)

@@ -9,6 +9,7 @@ byte-identical across re-runs. Exit codes: 0 success, 2 bad input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -23,13 +24,13 @@ from .errors import (
     ConvergenceError,
     InputError,
     TrainingGateError,
+    TriangleRangeError,
     TsaError,
 )
 from .hysteresis import hysteretic_length
 from .model import Material, Phase, size_for_displacement, strain, twist_profile
 from .sensing import estimate_strain
 from .training import (
-    DEFAULT_TRAINING_SHORTENING,
     TrainingStage,
     TrainingState,
     coiling_available,
@@ -191,16 +192,16 @@ def _check_training_gate(cfg, spec, load, params, theta) -> None:
     Only a config with [training] is gated; without it the string is taken
     as broken in. theta is the twist schedule in radians.
     """
-    trained = cfg.training
+    state = cfg.training
     if (
-        trained is not None
+        state is not None
         and float(theta.max()) > params.theta_star
-        and not coiling_available(spec, trained[0], load)
+        and not coiling_available(spec, state, load)
     ):
         raise TrainingGateError(
             "profile overtwists a stiff string before training reached the "
             "uniform stage at or below the operating load; train for "
-            f"{trained[0].thresholds[2]} cycles at <= {load.mass:g} g first"
+            f"{state.thresholds[2]} cycles at <= {load.mass:g} g first"
         )
 
 
@@ -266,7 +267,7 @@ def cmd_train(args) -> int:
         print("compliant string: training not required, coiling is available immediately")
         return EXIT_OK
     # Without [training], the toolkit's default stages and shortening.
-    state, shortening = cfg.training or (TrainingState(), DEFAULT_TRAINING_SHORTENING)
+    state = cfg.training or TrainingState()
     thresholds = state.thresholds
     # N more cycles count on from the section's cycles already done.
     total = state.cycles_done + args.cycles
@@ -275,13 +276,11 @@ def cmd_train(args) -> int:
     for cycle in (0, *thresholds):
         if cycle <= total:
             print(f"cycle {cycle}: {stage_of(cycle, thresholds).name.lower()}")
-    final = TrainingState(
-        cycles_done=total, trained_load=state.trained_load, thresholds=thresholds
-    )
+    final = dataclasses.replace(state, cycles_done=total)
     done = final.stage is TrainingStage.UNIFORM
     print(f"after {total} cycles: {final.stage.name.lower()}")
     if spec is not None and done:
-        print(f"trained untwisted length: {operating_length(spec, final, shortening):.6g} mm")
+        print(f"trained untwisted length: {operating_length(spec, final):.6g} mm")
     if not done:
         remaining = thresholds[2] - total
         print(f"{remaining} more cycles until uniform coiling")
@@ -313,10 +312,13 @@ def cmd_bicep(args) -> int:
     params = _params_for(cfg)
     grid = section.grid
     _check_training_gate(cfg, spec, load, params, rev_to_rad(grid))
-    angles = [angle for _, angle in bicep_mod.sweep(geometry, spec, params, load, grid)]
-    tensions = [bicep_mod.string_tension(geometry, angle) for angle in angles]
+    try:
+        angles = bicep_mod.sweep(geometry, spec, params, load, grid)
+    except TriangleRangeError as exc:    # the geometry cannot close on the swept string
+        raise ConfigError(f"bad [bicep] section in {cfg.path}: {exc}") from exc
     out = args.out or "bicep_sweep.csv"
-    cfgmod.write_csv(out, ("theta_rev", "angle_deg", "tension_N"), (grid, angles, tensions))
+    cfgmod.write_csv(out, ("theta_rev", "angle_deg", "tension_N"),
+                     (grid, angles, bicep_mod.string_tension(geometry, angles)))
     print(f"wrote {grid.size} samples to {out}")
     return EXIT_OK
 

@@ -28,16 +28,8 @@ from .errors import ConfigError, CsvFormatError, ParameterError, TsaError
 from .hysteresis import PIModel
 from .model import LoadCase, Material, StringSpec, TwoPhaseParams
 from .sensing import ResistanceParams
-from .training import DEFAULT_TRAINING_SHORTENING, TrainingState
+from .training import TrainingState
 from .units import rev_to_rad
-
-
-def _unit_fraction(raw: str) -> float:
-    """A fraction in [0, 1); NaN and inf are out of range too."""
-    value = float(raw)
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{raw!r} is not in [0, 1)")
-    return value
 
 
 def _nonnegative(raw: str) -> float:
@@ -125,11 +117,6 @@ def _pi_model(thresholds=(0.0,), weights=()) -> PIModel:
     return model
 
 
-def _training(shortening=DEFAULT_TRAINING_SHORTENING, **state) -> tuple:
-    """[training]: the TrainingState and the shortening fraction."""
-    return TrainingState(**state), shortening
-
-
 class BicepSection(NamedTuple):
     """[bicep]: an explicit geometry, or the pairs to fit one to; the
     payload and forearm keyword arguments of BicepGeometry and
@@ -197,11 +184,11 @@ _SCHEMA = {
         "creep_rate_ohm_per_cycle": ("creep_rate", float),
         "creep_saturation_ohm": ("creep_saturation", float),
     }),
-    "training": (_training, {
+    "training": (TrainingState, {
         "cycles": ("cycles_done", _count(0)),
         "trained_load_g": ("trained_load", float),
         "thresholds": ("thresholds", _whole_numbers),
-        "shortening_fraction": ("shortening", _unit_fraction),
+        "shortening_fraction": ("shortening", float),
     }),
     "bicep": (_bicep, {
         "a_mm": ("a", float),
@@ -237,7 +224,7 @@ class RunConfig:
     calibration: dict | None = None
     hysteresis: PIModel | None = None
     sensing: ResistanceParams | None = None
-    training: tuple | None = None    # (TrainingState, shortening fraction)
+    training: TrainingState | None = None
     bicep: BicepSection | None = None
 
 

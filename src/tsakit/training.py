@@ -52,12 +52,15 @@ class TrainingState:
     cycles_done: int = 0
     trained_load: float = 0.0  # load used during training (g)
     thresholds: tuple = DEFAULT_STAGE_THRESHOLDS
+    shortening: float = DEFAULT_TRAINING_SHORTENING  # length fraction lost once trained
 
     def __post_init__(self):
         stage_of(self.cycles_done, self.thresholds)  # validates both fields
         if not 0 <= self.trained_load < math.inf:
             raise ParameterError("trained load must be nonnegative and finite",
                                  field="trained_load")
+        if not 0.0 <= self.shortening < 1.0:
+            raise ParameterError("shortening fraction must lie in [0, 1)", field="shortening")
 
     @property
     def stage(self) -> TrainingStage:
@@ -81,22 +84,12 @@ def coiling_available(spec: StringSpec, state: TrainingState, load: LoadCase) ->
     return state.stage is TrainingStage.UNIFORM and load.mass >= state.trained_load
 
 
-def operating_length(
-    spec: StringSpec,
-    state: TrainingState | None,
-    shortening: float = DEFAULT_TRAINING_SHORTENING,
-) -> float:
+def operating_length(spec: StringSpec, state: TrainingState) -> float:
     """Untwisted length after training (mm).
 
-    Completed training leaves a small permanent set on stiff strings;
-    compliant strings are unaffected.
+    Completed training leaves a permanent set of the state's shortening
+    fraction on stiff strings; compliant strings are unaffected.
     """
-    if not 0.0 <= shortening < 1.0:
-        raise ParameterError("shortening fraction must lie in [0, 1)")
-    if (
-        spec.material is Material.STIFF
-        and state is not None
-        and state.stage is TrainingStage.UNIFORM
-    ):
-        return spec.initial_length * (1.0 - shortening)
+    if spec.material is Material.STIFF and state.stage is TrainingStage.UNIFORM:
+        return spec.initial_length * (1.0 - state.shortening)
     return spec.initial_length

@@ -27,7 +27,6 @@ from tsakit.bicep import (
     BicepGeometry,
     _arms,
     angle_from_length,
-    elbow_angle,
     fit_bicep,
     length_from_angle,
     string_tension,
@@ -39,7 +38,7 @@ from tsakit.errors import (
     TriangleRangeError,
     UnderdeterminedError,
 )
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams
+from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
 from tsakit.units import grams_to_newtons, rev_to_rad
 
 GEOM = BicepGeometry(a=83.0, b=151.0, gamma=142.5, payload=500.0, forearm_length=120.0)
@@ -101,8 +100,12 @@ class TestTriangleKinematics:
     def test_fully_extended_and_fully_folded_poses(self):
         # String spanning a + b opens the elbow flat; string equal to
         # b - a folds it shut.
-        assert elbow_angle(GEOM, GEOM.a + GEOM.b) == pytest.approx(180.0, abs=1e-9)
-        assert elbow_angle(GEOM, GEOM.b - GEOM.a) == pytest.approx(0.0, abs=1e-9)
+        assert GEOM.gamma - angle_from_length(GEOM, GEOM.a + GEOM.b) == pytest.approx(
+            180.0, abs=1e-9
+        )
+        assert GEOM.gamma - angle_from_length(GEOM, GEOM.b - GEOM.a) == pytest.approx(
+            0.0, abs=1e-9
+        )
         assert angle_from_length(GEOM, GEOM.a + GEOM.b) == pytest.approx(
             GEOM.gamma - 180.0, abs=1e-9
         )
@@ -118,11 +121,11 @@ class TestTriangleKinematics:
 
     def test_out_of_range_length_reports_interval(self):
         with pytest.raises(TriangleRangeError) as excinfo:
-            elbow_angle(GEOM, GEOM.a + GEOM.b + 1.0)
+            angle_from_length(GEOM, GEOM.a + GEOM.b + 1.0)
         assert excinfo.value.lo == pytest.approx(GEOM.b - GEOM.a)
         assert excinfo.value.hi == pytest.approx(GEOM.a + GEOM.b)
         with pytest.raises(TriangleRangeError):
-            elbow_angle(GEOM, GEOM.b - GEOM.a - 1.0)
+            angle_from_length(GEOM, GEOM.b - GEOM.a - 1.0)
 
     def test_out_of_range_angle_reports_interval(self):
         with pytest.raises(TriangleRangeError) as excinfo:
@@ -278,8 +281,7 @@ class TestFitBicep:
     def test_folded_optimum_beyond_lattice_admits_every_length(self):
         fit = fit_bicep(FOLDED_PAIRS)
         lengths = [l for l, _ in FOLDED_PAIRS]
-        for l in lengths:
-            elbow_angle(fit.geometry, l)
+        angle_from_length(fit.geometry, lengths)
         assert fit.geometry.b - fit.geometry.a == pytest.approx(min(lengths), abs=1e-9)
         assert fit.geometry.b > 400.0
         _, grid_sse = bicep_grid_oracle(FOLDED_PAIRS)
@@ -356,24 +358,90 @@ class TestFitProperties:
         assert abs((a + b) - v) <= 4.0 * math.ulp(v)
 
 
+def hex_cells(values):
+    return [float.hex(float(v)) for v in np.ravel(values)]
+
+
+@st.composite
+def geometries(draw):
+    return BicepGeometry(
+        a=draw(st.floats(1.0, 300.0)),
+        b=draw(st.floats(1.0, 300.0)),
+        gamma=draw(st.floats(-360.0, 360.0)),
+        payload=draw(st.floats(0.0, 5000.0)),
+        forearm_length=draw(st.floats(0.0, 500.0)),
+    )
+
+
+class TestElementwise:
+    """The linkage maps take arrays, and each cell is the scalar call's."""
+
+    @settings(max_examples=200)
+    @given(
+        geom=geometries(),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+        elbows=st.lists(st.floats(1e-3, 180.0 - 1e-3), min_size=1, max_size=30),
+    )
+    def test_array_cells_equal_scalar_calls_bit_for_bit(self, geom, fractions, elbows):
+        lo, hi = geom.admissible_lengths
+        lengths = np.minimum(hi, lo + np.array(fractions) * (hi - lo))
+        angles = geom.gamma - np.array(elbows)
+        for function, values in (
+            (angle_from_length, lengths),
+            (length_from_angle, angles),
+            (string_tension, angles),
+        ):
+            cells = function(geom, values)
+            assert cells.shape == values.shape
+            assert hex_cells(cells) == hex_cells(
+                [function(geom, float(v)) for v in values]
+            ), function.__name__
+
+    @pytest.mark.parametrize(
+        "function, values, message, bounds",
+        [
+            (angle_from_length, [100.0, 300.0, 10.0, 400.0],
+             "string length 300 mm outside the admissible interval [68, 234] mm", (68.0, 234.0)),
+            (angle_from_length, [100.0, math.nan, 300.0],
+             "string length nan mm outside the admissible interval [68, 234] mm", (68.0, 234.0)),
+            (length_from_angle, [60.0, 143.5, -40.0],
+             "bending angle 143.5 deg outside the admissible interval [-37.5, 142.5] deg",
+             (-37.5, 142.5)),
+            (string_tension, [60.0, -40.0, 143.5],
+             "bending angle -40 deg outside the admissible interval [-37.5, 142.5] deg",
+             (-37.5, 142.5)),
+        ],
+    )
+    def test_array_refuses_its_first_bad_sample(self, function, values, message, bounds):
+        with pytest.raises(TriangleRangeError) as excinfo:
+            function(GEOM, np.array(values))
+        assert str(excinfo.value) == message
+        assert (excinfo.value.lo, excinfo.value.hi) == bounds
+
+    def test_singular_sample_refuses_the_array(self):
+        with pytest.raises(SingularConfigurationError):
+            string_tension(GEOM, np.array([60.0, GEOM.gamma, 20.0]))
+
+
 class TestSweep:
+    SPEC = StringSpec(diameter=1.3, initial_length=214.3, material=Material.STIFF, ply=1)
+    PARAMS = TwoPhaseParams(
+        r_eff=0.86, theta_star=rev_to_rad(28.0), coil_diameter=4.3, coil_pitch=2.6, eta=0.11
+    )
+    LOAD = LoadCase(mass=2900.0)
+    GEOM = BicepGeometry(a=83.0, b=151.0, gamma=142.5)
+
     def test_angle_monotone_and_matches_composition(self):
-        spec = StringSpec(
-            diameter=1.3, initial_length=214.3, material=Material.STIFF, ply=1
-        )
-        params = TwoPhaseParams(
-            r_eff=0.86,
-            theta_star=rev_to_rad(28.0),
-            coil_diameter=4.3,
-            coil_pitch=2.6,
-            eta=0.11,
-        )
-        load = LoadCase(mass=2900.0)
-        geom = BicepGeometry(a=83.0, b=151.0, gamma=142.5)
         theta_values = np.linspace(0.0, 30.0, 61)
-        trajectory = sweep(geom, spec, params, load, theta_values)
-        angles = np.array([phi for _, phi in trajectory])
+        angles = sweep(self.GEOM, self.SPEC, self.PARAMS, self.LOAD, theta_values)
+        assert angles.shape == theta_values.shape
         assert np.all(np.diff(angles) >= 0.0)
-        for theta_rev, phi in trajectory[:: 10]:
-            l = length(spec, params, load, rev_to_rad(theta_rev))
-            assert phi == pytest.approx(angle_from_length(geom, l), abs=1e-12)
+        for theta_rev, phi in zip(theta_values[::10], angles[::10]):
+            l = length(self.SPEC, self.PARAMS, self.LOAD, rev_to_rad(theta_rev))
+            assert phi == pytest.approx(angle_from_length(self.GEOM, l), abs=1e-12)
+
+    def test_sweep_is_the_angle_of_one_profile_pass(self):
+        theta_values = np.linspace(0.0, 35.0, 121)
+        lengths = twist_profile(self.SPEC, self.PARAMS, self.LOAD, rev_to_rad(theta_values)).length
+        angles = sweep(self.GEOM, self.SPEC, self.PARAMS, self.LOAD, theta_values)
+        assert hex_cells(angles) == hex_cells(angle_from_length(self.GEOM, lengths))

@@ -494,7 +494,7 @@ def stepped_train_stdout(cycles, thresholds, spec=None, shortening=DEFAULT_TRAIN
     """What train prints, by stepping advance_cycle once per cycle."""
     current = stage_of(0, thresholds)
     lines = [f"cycle 0: {current.name.lower()}"]
-    running = TrainingState(thresholds=thresholds)
+    running = TrainingState(thresholds=thresholds, shortening=shortening)
     for cycle in range(1, cycles + 1):
         running = advance_cycle(running)
         if running.stage is not current:
@@ -503,7 +503,7 @@ def stepped_train_stdout(cycles, thresholds, spec=None, shortening=DEFAULT_TRAIN
     done = current.name == "UNIFORM"
     lines.append(f"after {cycles} cycles: {current.name.lower()}")
     if spec is not None and done:
-        lines.append(f"trained untwisted length: {operating_length(spec, running, shortening):.6g} mm")
+        lines.append(f"trained untwisted length: {operating_length(spec, running):.6g} mm")
     if not done:
         lines.append(f"{thresholds[2] - cycles} more cycles until uniform coiling")
     return "".join(line + "\n" for line in lines)
@@ -1016,6 +1016,28 @@ class TestBicep:
         assert main(["bicep", "--config", cfg]) == EXIT_INPUT
         assert "a_mm/b_mm/gamma_deg or pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, length, interval",
+        [("a_mm = 83", "a_mm = 2", "214.3", "[149, 153]"),
+         ("b_mm = 151", "b_mm = 250", "166.36", "[167, 333]")],
+    )
+    def test_geometry_that_cannot_close_on_the_sweep_names_the_file(
+        self, tmp_path, capsys, old, new, length, interval
+    ):
+        # The first swept length outside the triangle's interval: the
+        # untwisted string, or one far into the overtwist.
+        lines = [new if line == old else line for line in README_CONFIG]
+        assert lines != README_CONFIG
+        cfg = write(tmp_path, "\n".join(lines) + "\n", "run.ini")
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "",
+            f"error: bad [bicep] section in {cfg}: string length {length} mm outside "
+            f"the admissible interval {interval} mm\n",
+        )
+        assert not out.exists()
+
 
 class TestSense:
     def test_round_trip_strain_estimate(self, tmp_path):
@@ -1161,6 +1183,12 @@ for _index, _line in enumerate(README_CONFIG):
         _section = _line[1 : _line.index("]")]
     elif re.match(r"\w+ = ", _line):
         README_KEYS.append((_index, _section, _line.split(" = ")[0]))
+# The README's commented-out optional keys: (line, key).
+README_COMMENTED = [
+    (index, match.group(1))
+    for index, line in enumerate(README_CONFIG)
+    if (match := re.match(r"; (\w+) = ", line))
+]
 BAD_VALUES = ["", "abc", "inf", "-inf", "nan", "-1", "0", "2.5", "1e308", "rubber", "0, 1", "1:2"]
 # Each test log, the command that reads it, that command's config and required columns.
 LOGS = {
@@ -1244,6 +1272,22 @@ def mutated_logs(draw):
     lines[row] = ",".join(fields)
     header = lines[0].split(",")
     return name, "\n".join(lines) + "\n", len(set(header)) < len(header)
+
+
+def test_readme_comments_out_each_optional_key():
+    assert sorted(key for _, key in README_COMMENTED) == [
+        "max_iter", "pairs", "samples", "shortening_fraction", "thresholds"
+    ]
+
+
+@pytest.mark.parametrize("index, key", README_COMMENTED, ids=[k for _, k in README_COMMENTED])
+def test_readme_key_reads_once_uncommented(tmp_path, index, key):
+    # A comment after the value would be read as part of it.
+    lines = list(README_CONFIG)
+    lines[index] = lines[index].removeprefix("; ")
+    if key == "pairs":    # pairs stand in for the explicit arms, never beside them
+        lines = [line for line in lines if not re.match(r"(a_mm|b_mm|gamma_deg) = ", line)]
+    parse_config(write(tmp_path, "\n".join(lines) + "\n", "run.ini"))
 
 
 class TestInputFuzz:

@@ -241,26 +241,30 @@ class TestSectionBuilders:
             "[training]\ncycles = 12\ntrained_load_g = 200\n"
             "thresholds = 6, 11, 50\nshortening_fraction = 0.03\n"
         )
-        state, shortening = parse_config(write(tmp_path, text)).training
+        state = parse_config(write(tmp_path, text)).training
         assert state.cycles_done == 12
         assert state.trained_load == 200
         assert state.thresholds == (6, 11, 50)
-        assert shortening == 0.03
+        assert state.shortening == 0.03
 
     def test_whole_float_thresholds_accepted(self, tmp_path):
-        state, _ = parse_config(write(tmp_path, "[training]\nthresholds = 2.0, 5, 9e0\n")).training
+        state = parse_config(write(tmp_path, "[training]\nthresholds = 2.0, 5, 9e0\n")).training
         assert state.thresholds == (2, 5, 9)
 
     @pytest.mark.parametrize("value", ["0", "0.999"])
     def test_shortening_fraction_in_unit_interval_accepted(self, tmp_path, value):
         cfg = parse_config(write(tmp_path, f"[training]\nshortening_fraction = {value}\n"))
-        assert cfg.training[1] == float(value)
+        assert cfg.training.shortening == float(value)
 
     @pytest.mark.parametrize("value", ["1", "5.0", "-0.1", "nan", "inf", "-inf"])
     def test_shortening_fraction_outside_unit_interval_rejected(self, tmp_path, value):
         path = write(tmp_path, f"[training]\nshortening_fraction = {value}\n")
-        with pytest.raises(ConfigError, match="training.shortening_fraction"):
+        with pytest.raises(ConfigError) as excinfo:
             parse_config(path)
+        assert str(excinfo.value) == (
+            f"bad value for training.shortening_fraction in {path}: '{value}'; "
+            "shortening fraction must lie in [0, 1)"
+        )
 
     @pytest.mark.parametrize(
         "body, given",

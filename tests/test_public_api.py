@@ -31,6 +31,8 @@ MODULES = [
 # Moved into tests/scalar_law.py and tests/oracles.py, or deleted. The
 # training gate lives in the command line alone, not in the law, and
 # parse_config builds every config section, with no builder per section.
+# The bicep linkage maps are elementwise, with no scalar path beside them,
+# and [training] builds one TrainingState, shortening included.
 GONE = [
     "length",
     "length_regular",
@@ -56,6 +58,10 @@ GONE = [
     "bicep_sweep_grid",
     "bicep_pairs",
     "_residuals",
+    "elbow_angle",
+    "_check_length",
+    "_training",
+    "_unit_fraction",
 ]
 
 

@@ -54,6 +54,13 @@ class TestStageOf:
         with pytest.raises(ParameterError, match="trained load"):
             TrainingState(trained_load=load)
 
+    @pytest.mark.parametrize("shortening", [-0.1, 1.0, math.nan, math.inf])
+    def test_shortening_must_lie_in_unit_interval(self, shortening):
+        with pytest.raises(ParameterError) as excinfo:
+            TrainingState(shortening=shortening)
+        assert str(excinfo.value) == "shortening fraction must lie in [0, 1)"
+        assert excinfo.value.field == "shortening"
+
 
 class TestAdvanceCycle:
     def test_monotone_and_absorbing(self):
@@ -77,6 +84,9 @@ class TestAdvanceCycle:
     def test_preserves_trained_load(self):
         state = TrainingState(cycles_done=3, trained_load=200.0)
         assert advance_cycle(state).trained_load == 200.0
+
+    def test_preserves_shortening(self):
+        assert advance_cycle(TrainingState(shortening=0.05)).shortening == 0.05
 
 
 class TestCoilingGate:
@@ -116,10 +126,8 @@ class TestOperatingLength:
         assert operating_length(COMPLIANT, trained) == 210.0
 
     def test_custom_shortening(self):
-        trained = TrainingState(cycles_done=50)
-        assert operating_length(STIFF, trained, shortening=0.05) == pytest.approx(
-            214.3 * 0.95
-        )
+        trained = TrainingState(cycles_done=50, shortening=0.05)
+        assert operating_length(STIFF, trained) == pytest.approx(214.3 * 0.95)
 
     def test_defaults_exported(self):
         assert DEFAULT_STAGE_THRESHOLDS == (6, 11, 50)
