@@ -10,6 +10,16 @@ fit gives the same floats, iteration counts and flags as
 scipy.optimize costs the CLI most of its start-up; these two are all the
 CLI needs of it.
 
+Both run on Python floats, which round as numpy's float64 scalars do and
+cost a fraction of them per operation. The simplex is a list of vertex
+lists, and fun gets a fresh list for each vertex. Each iteration sorts
+the vertices by value: with n + 1 distinct values and no NaN every sort
+gives the one order, and `sorted` finds it; on ties or NaN only numpy's
+own `np.argsort` gives scipy's order, so that path keeps it. The centroid
+adds the vertices row by row from the first, as numpy's reduce over axis
+0 does. Builtin `sum` is not used for it: from CPython 3.12 it
+compensates float sums, which rounds differently.
+
 References: R. P. Brent, *Algorithms for Minimization without
 Derivatives* (1973), ch. 5; J. A. Nelder and R. Mead, *Comput. J.* 7:308
 (1965).
@@ -17,7 +27,10 @@ Derivatives* (1973), ch. 5; J. A. Nelder and R. Mead, *Comput. J.* 7:308
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -42,27 +55,27 @@ def minimize_scalar(fun, bounds, *, xatol=1e-5, maxiter=500) -> Solution:
     the best point, its value or the last value is NaN.
     """
     a, b = bounds
-    if not (np.isfinite(a) and np.isfinite(b)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("Optimization bounds must be finite scalars.")
     if a > b:
         raise ValueError("The lower bound exceeds the upper bound.")
     flag = 0
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     fulc = a + golden_mean * (b - a)
     nfc, xf = fulc, fulc
     rat = e = 0.0
     fx = fun(xf)
     num = 1
-    fu = np.inf
+    fu = math.inf
     ffulc = fnfc = fx
     xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
     tol2 = 2.0 * tol1
 
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
         golden = 1
-        if np.abs(e) > tol1:  # try a parabola through the three best points
+        if abs(e) > tol1:  # try a parabola through the three best points
             golden = 0
             r = (xf - nfc) * (fx - ffulc)
             q = (xf - fulc) * (fx - fnfc)
@@ -70,21 +83,24 @@ def minimize_scalar(fun, bounds, *, xatol=1e-5, maxiter=500) -> Solution:
             q = 2.0 * (q - r)
             if q > 0.0:
                 p = -p
-            q = np.abs(q)
+            q = abs(q)
             r = e
             e = rat
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
                 rat = (p + 0.0) / q
                 x = xf + rat
                 if ((x - a) < tol2) or ((b - x) < tol2):
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+                    rat = tol1 * (-1.0 if xm < xf else 1.0)
             else:
                 golden = 1
         if golden:
             e = (a - xf) if xf >= xm else (b - xf)
             rat = golden_mean * e
 
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        # scipy's np.sign(rat) + (rat == 0) and np.maximum: the bounds are
+        # finite and the loop runs only while tol1 is a number, so neither
+        # rat nor tol1 is NaN here, nor xm - xf above.
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
         fu = fun(x)
         num += 1
         if fu <= fx:
@@ -106,33 +122,43 @@ def minimize_scalar(fun, bounds, *, xatol=1e-5, maxiter=500) -> Solution:
             elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
                 fulc, ffulc = x, fu
         xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
         tol2 = 2.0 * tol1
         if num >= maxiter:
             flag = 1
             break
 
-    if np.isnan(xf) or np.isnan(fx) or np.isnan(fu):
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
         flag = 2
     value = np.asarray(fx)[()]
     return Solution(np.reshape(xf, value.shape)[()], value, num, num, flag == 0)
+
+
+def _by_value(sim: list, fsim: list):
+    """sim and fsim reordered by value, as np.argsort orders fsim."""
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    ranked = [fsim[i] for i in order]
+    if not all(map(operator.lt, ranked, ranked[1:])):  # a tie or a NaN
+        order = np.argsort(fsim).tolist()
+        ranked = [fsim[i] for i in order]
+    return [sim[i] for i in order], ranked
 
 
 def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> Solution:
     """Minimize fun from x0 by the Nelder-Mead simplex, without bounds.
 
     With neither cap given both are 200 per variable; with one given the
-    other is unlimited. fun gets a copy of each vertex. success is False
-    when a cap stops the search before both tolerances are met.
+    other is unlimited. fun gets each vertex as a fresh list of floats.
+    success is False when a cap stops the search before both tolerances
+    are met.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten().tolist()
     n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
+    sim = [x0]
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = x0.copy()
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
+        sim.append(y)
     if maxiter is None and maxfev is None:
         maxiter = maxfev = n * 200
     elif maxiter is None:
@@ -149,7 +175,7 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
         calls += 1
         return fun(x.copy())
 
-    fsim = np.full((n + 1,), np.inf)
+    fsim = [math.inf] * (n + 1)
     try:
         for k in range(n + 1):
             fsim[k] = f(sim[k])
@@ -157,21 +183,20 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
         pass
     # Sorted twice, as scipy does: argsort need not be stable on ties.
     for _ in range(2):
-        ind = fsim.argsort()
-        sim = sim[ind]
-        fsim = fsim[ind]
+        sim, fsim = _by_value(sim, fsim)
 
     iterations = 1
     while calls < maxfev and iterations < maxiter:
         try:
-            if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+            best, worst = sim[0], sim[-1]
+            if (all(abs(fsim[0] - v) <= fatol for v in fsim[1:])
+                    and all(abs(v - w) <= xatol for x in sim[1:] for v, w in zip(x, best))):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
+            xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
                 fxe = f(xe)
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -181,27 +206,25 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
                 sim[-1], fsim[-1] = xr, fxr
             else:
                 if fxr < fsim[-1]:  # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
                     fxc = f(xc)
                     shrink = not fxc <= fxr
                     if not shrink:
                         sim[-1], fsim[-1] = xc, fxc
                 else:  # inside contraction
-                    xcc = 0.5 * xbar + 0.5 * sim[-1]
+                    xcc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
                     fxcc = f(xcc)
                     shrink = not fxcc < fsim[-1]
                     if not shrink:
                         sim[-1], fsim[-1] = xcc, fxcc
                 if shrink:
                     for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        sim[j] = [v + 0.5 * (w - v) for v, w in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
             iterations += 1
         except _EvaluationCap:
             pass
-        ind = fsim.argsort()
-        sim = sim[ind]
-        fsim = fsim[ind]
+        sim, fsim = _by_value(sim, fsim)
 
     success = calls < maxfev and iterations < maxiter
-    return Solution(sim[0], np.min(fsim), iterations, calls, success)
+    return Solution(np.array(sim[0]), np.min(fsim), iterations, calls, success)

@@ -220,7 +220,7 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     # square-root cusp of the elbow angle at the box faces, where a
     # simplex clipped to the bounds collapses onto the face instead.
     def arms(x):
-        tau, s = x.tolist()
+        tau, s = x
         return _arms(abs(lo * math.cos(tau)), hi + s * s, lo, hi)
 
     def sse(x):
@@ -231,7 +231,7 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
         sse, (math.acos((b[k] - a[k]) / lo), math.sqrt(a[k] + b[k] - hi)),
         xatol=1e-10, fatol=1e-12, maxfev=20000,
     )
-    a, b = arms(polish.x)
+    a, b = arms(polish.x.tolist())
     gamma, errors = _fit_errors(a, b, lengths, angles)
     geometry = BicepGeometry(
         a=a, b=b, gamma=float(gamma[0]), payload=payload, forearm_length=forearm_length

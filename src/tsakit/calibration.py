@@ -367,35 +367,38 @@ def fit_two_phase(
             clipped.append(b if v >= b else v)
         return clipped
 
-    def score(vector: list) -> float:
-        return _residual_kernel(_FLOAT_OPS, obs, *clip(vector))
-
-    def with_free(vector: list, z) -> list:
-        full = vector.copy()
-        for k, v in zip(free, z.tolist()):
-            full[k] = v
-        return full
-
     if not free:
         point = params_from_vector(lo)
         value = residual(point, obs)
         return FitResult(point, value, 0, value < PENALTY_RESIDUAL)
 
+    pinned = clip(lo)
+    box = [(k, lo[k], hi[k]) for k in free]
+
+    def place(z: list) -> list:
+        # clip(z placed at the free coordinates of lo): the rest are pinned.
+        full = pinned.copy()
+        for (k, a, b), v in zip(box, z):
+            v = a if v <= a else v
+            full[k] = b if v >= b else v
+        return full
+
     point, r_lo, r_hi = _reduction(obs, bounds)
     iterations = 0
     best, best_value = [0.5 * (a + b) for a, b in zip(lo, hi)], PENALTY_RESIDUAL
     if r_lo <= r_hi:
-        search = minimize_scalar(lambda r: score(point(r)), (r_lo, r_hi), xatol=1e-12)
+        search = minimize_scalar(lambda r: _residual_kernel(_FLOAT_OPS, obs, *clip(point(r))),
+                                 (r_lo, r_hi), xatol=1e-12)
         iterations += int(search.nit)
         best, best_value = clip(point(search.x)), float(search.fun)
 
     polish = minimize(
-        lambda z: score(with_free(lo, z)), [best[k] for k in free],
+        lambda z: _residual_kernel(_FLOAT_OPS, obs, *place(z)), [best[k] for k in free],
         maxiter=max_iter, maxfev=max_iter, xatol=1e-10, fatol=1e-14,
     )
     iterations += int(polish.nit)
     if polish.fun <= best_value:
-        best, best_value = clip(with_free(best, polish.x)), float(polish.fun)
+        best, best_value = place(polish.x.tolist()), float(polish.fun)
     # Nelder-Mead meets its tolerance on the flat penalty plateau too.
     return FitResult(
         params_from_vector(best),

@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     InputError,
+    SingularConfigurationError,
     TrainingGateError,
     TriangleRangeError,
     TsaError,
@@ -312,13 +313,14 @@ def cmd_bicep(args) -> int:
     params = _params_for(cfg)
     grid = section.grid
     _check_training_gate(cfg, spec, load, params, rev_to_rad(grid))
+    # The geometry cannot close on the swept string, or poses it through the joint.
     try:
         angles = bicep_mod.sweep(geometry, spec, params, load, grid)
-    except TriangleRangeError as exc:    # the geometry cannot close on the swept string
+        tensions = bicep_mod.string_tension(geometry, angles)
+    except (TriangleRangeError, SingularConfigurationError) as exc:
         raise ConfigError(f"bad [bicep] section in {cfg.path}: {exc}") from exc
     out = args.out or "bicep_sweep.csv"
-    cfgmod.write_csv(out, ("theta_rev", "angle_deg", "tension_N"),
-                     (grid, angles, bicep_mod.string_tension(geometry, angles)))
+    cfgmod.write_csv(out, ("theta_rev", "angle_deg", "tension_N"), (grid, angles, tensions))
     print(f"wrote {grid.size} samples to {out}")
     return EXIT_OK
 

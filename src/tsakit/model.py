@@ -18,7 +18,7 @@ a steeper torque requirement. This module models both regimes:
   with the coil count.
 
 One private kernel, _law, states the law elementwise, with the rounding
-the fits depend on (libm pow for squares, math.hypot for the coil). Its
+the fits depend on (squares as x * x, math.hypot for the coil). Its
 body takes one of two op sets for what goes beyond + - * /: _FLOAT_OPS
 runs it in Python floats, _ARRAY_OPS in numpy floats and arrays, and
 both give the same bits. twist_profile evaluates it over a twist array
@@ -109,17 +109,6 @@ class LoadCase:
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def _square(x):
-    """x ** 2 as libm pow rounds it, also elementwise on arrays.
-
-    numpy squares arrays by multiplication, which differs from pow in the
-    last bit for about one value in a thousand; fits follow the bits.
-    """
-    if not isinstance(x, np.ndarray):
-        return np.float64(x) ** 2
-    return np.fromiter((v**2 for v in x.flat), float, x.size).reshape(x.shape)
-
-
 def _array_hypot(x, y):
     """math.hypot as numpy floats, per element on arrays.
 
@@ -137,13 +126,6 @@ def _float_sqrt(x):
         return math.nan
 
 
-def _float_square(x):
-    try:
-        return x**2
-    except OverflowError:  # numpy's inf
-        return math.inf
-
-
 def _float_div(x, y):
     try:
         return x / y
@@ -158,9 +140,10 @@ def _float_where(condition, x, y):
 class _Ops(NamedTuple):
     """What the law's kernels need beyond + - * and division by constants.
 
-    Two sets round alike: squares as libm pow, hypot as math.hypot. Where
-    Python raises (the square root of a negative, an overflowing square, a
-    zero divisor), the float set returns numpy's NaN or inf.
+    Two sets round alike: squares as x * x, which IEEE multiplication
+    rounds alike in Python and numpy, and hypot as math.hypot. Where Python
+    raises (the square root of a negative, a zero divisor), the float set
+    returns numpy's NaN or inf.
     """
 
     sqrt: Callable
@@ -171,9 +154,9 @@ class _Ops(NamedTuple):
 
 
 # Python floats in and out, as calibration's fit scores its iterates.
-_FLOAT_OPS = _Ops(_float_sqrt, _float_square, math.hypot, _float_div, _float_where)
+_FLOAT_OPS = _Ops(_float_sqrt, lambda x: x * x, math.hypot, _float_div, _float_where)
 # numpy floats and broadcasting arrays; callers set the numpy error state.
-_ARRAY_OPS = _Ops(np.sqrt, _square, _array_hypot, operator.truediv, np.where)
+_ARRAY_OPS = _Ops(np.sqrt, np.square, _array_hypot, operator.truediv, np.where)
 
 
 def _coil(ops, coil_diameter, coil_pitch):

@@ -41,7 +41,6 @@ from tsakit.model import (
     StringSpec,
     TwoPhaseParams,
     bundle_diameter,
-    _square,
     coil_circumference,
     contraction,
 )
@@ -133,7 +132,7 @@ def oracle_residual(obs, point):
     except TsaError:
         return PENALTY_RESIDUAL
     l0, force = obs.spec.initial_length, obs.load.force
-    slope_reg = params.theta_star * params.r_eff**2 / l1
+    slope_reg = params.theta_star * (params.r_eff * params.r_eff) / l1
     slope_over = params.per_coil_shortening / TWO_PI
     terms = [
         (WEIGHT_CONTRACTION, contraction(l1, l0), obs.contraction_regular_pct),
@@ -156,10 +155,8 @@ def oracle_residual(obs, point):
         terms.append((WEIGHT_SECONDARY, torque, obs.max_torque_overtwist_nm))
     total = 0.0
     for weight, predicted, observed in terms:
-        try:
-            total += weight * ((predicted - observed) / observed) ** 2
-        except OverflowError:  # a square past the float range is inf
-            total += math.inf
+        error = (predicted - observed) / observed
+        total += weight * (error * error)
     return total
 
 
@@ -453,20 +450,20 @@ class TestEndpointKernel:
 
     def test_float_ops_return_what_numpy_returns(self):
         specials = [0.0, -0.0, 1.0, -1.0, 1e200, -1e200, 5e-324, math.inf, -math.inf, math.nan]
+        # Draws whose libm pow square differs from the product: both op sets
+        # square by multiplication, as np.square does.
+        draws = np.random.default_rng(3).uniform(0.0, 10.0, 100_000).tolist()
+        pow_differs = [v for v in draws if v**2 != v * v]
+        assert pow_differs
         with np.errstate(all="ignore"):
+            for x in specials + pow_differs:
+                assert type(model._FLOAT_OPS.square(x)) is float
+                assert model._FLOAT_OPS.square(x).hex() == float(np.square(x)).hex()
             for x in specials:
                 assert model._FLOAT_OPS.sqrt(x).hex() == float(np.sqrt(x)).hex()
-                assert model._FLOAT_OPS.square(x).hex() == float(np.float64(x) ** 2).hex()
                 for y in specials:
                     assert type(model._FLOAT_OPS.div(x, y)) is float
                     assert model._FLOAT_OPS.div(x, y).hex() == float(np.float64(x) / y).hex()
-
-    def test_squares_round_as_python_floats_do(self):
-        # numpy squares arrays by multiplication; a fit follows libm pow.
-        values = np.random.default_rng(3).uniform(0.0, 10.0, 100_000)
-        expected = [v**2 for v in values.tolist()]
-        assert _square(values).tolist() == expected
-        assert [float(_square(v)) for v in values[:1000].tolist()] == expected[:1000]
 
     def test_coil_circumference_is_math_hypot_per_element(self):
         diameters = np.random.default_rng(4).uniform(0.5, 30.0, 100_000)

@@ -1038,6 +1038,21 @@ class TestBicep:
         )
         assert not out.exists()
 
+    def test_singular_pose_on_the_sweep_names_the_file(self, tmp_path, capsys):
+        # a + b = 83 + 131.3 mm is the untwisted string: at zero twist the
+        # string line passes through the joint.
+        lines = ["b_mm = 131.3" if line == "b_mm = 151" else line for line in README_CONFIG]
+        assert lines != README_CONFIG
+        cfg = write(tmp_path, "\n".join(lines) + "\n", "run.ini")
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "",
+            f"error: bad [bicep] section in {cfg}: string line passes through the joint; "
+            "tension is indeterminate\n",
+        )
+        assert not out.exists()
+
 
 class TestSense:
     def test_round_trip_strain_estimate(self, tmp_path):

@@ -98,9 +98,9 @@ def test_law_checks_and_clip_live_in_one_place(owner, name):
 
 
 def test_law_rounding_is_stated_in_model_alone():
-    # calibration squares and states the law through model, never a copy,
-    # and runs it with model's op sets.
-    for name in ("_square", "_law", "_coil", "coil_circumference", "_FLOAT_OPS", "_ARRAY_OPS"):
+    # calibration states the law through model, never a copy, and runs it
+    # with model's op sets.
+    for name in ("_law", "_coil", "coil_circumference", "_FLOAT_OPS", "_ARRAY_OPS"):
         assert vars(calibration).get(name, getattr(model, name)) is getattr(model, name)
 
 

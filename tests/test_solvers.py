@@ -76,35 +76,41 @@ def assert_same_fit(ours, theirs):
 
 
 # Objectives: smooth bowls, a banana valley, flat plateaus and steps with ties, and
-# NaN on part of the domain or everywhere.
+# NaN on part of the domain or everywhere. Each takes np.asarray(x) first, so it
+# computes alike from tsakit's lists and floats and from scipy's arrays.
 
 
 def quadratic(center, scale):
     center, scale = np.array(center), np.array(scale)
 
     def f(x):
+        x = np.asarray(x)
         return float(np.sum(scale * (x - center) ** 2))
 
     return f
 
 
 def rosenbrock(x):
+    x = np.asarray(x)
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
 
 def plateau(radius):
     def f(x):
+        x = np.asarray(x)
         return float(min(np.sum(x * x), radius))
 
     return f
 
 
 def staircase(x):
+    x = np.asarray(x)
     return float(np.floor(np.sum(x * x)))
 
 
 def nan_beyond(limit):
     def f(x):
+        x = np.asarray(x)
         value = float(np.sum(x * x))
         return math.nan if np.max(np.abs(x)) > limit else value
 
@@ -166,19 +172,38 @@ class TestNelderMead:
         assert not ours.success or options == {"maxfev": np.inf}
         assert_same_solution(ours, scipy_minimize(rosenbrock, [-1.2, 1.0, 0.5], **options))
 
-    def test_objective_gets_a_copy(self):
+    def test_objective_gets_a_fresh_list(self):
         seen = []
 
         def f(x):
             seen.append(x)
-            value = float(np.sum(x * x))
-            x[:] = math.nan  # must not reach the simplex
+            value = float(np.sum(np.square(x)))
+            x[:] = [math.nan] * len(x)  # must not reach the simplex
             return value
 
         ours = _solvers.minimize(f, [1.0, 2.0], maxfev=50)
+        assert all(type(x) is list for x in seen)
         assert len({id(x) for x in seen}) == len(seen) == ours.nfev
+        assert type(ours.x) is np.ndarray and ours.x.dtype == np.float64
         assert not np.isnan(ours.x).any()
         assert_same_solution(ours, scipy_minimize(f, [1.0, 2.0], maxfev=50))
+
+    # Tied or NaN values have numpy's order alone, so they must reach np.argsort;
+    # distinct values never need it.
+    @pytest.mark.parametrize(
+        "fun, x0, ties",
+        [
+            (plateau(0.0), [1.0, -2.0, 0.5], True),        # every value tied
+            (nan_beyond(2.05), [1.0, 2.0], True),          # the vertex (1, 2.1) is NaN
+            (quadratic([0.3, -1.0], [1.0, 2.0]), [1.0, 2.0], False),
+        ],
+        ids=["all-tied", "nan-vertex", "distinct"],
+    )
+    def test_ties_and_nan_sort_as_numpy_does(self, fun, x0, ties):
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            ours = _solvers.minimize(fun, x0)
+        assert argsort.called == ties
+        assert_same_solution(ours, scipy_minimize(fun, x0))
 
 
 class TestBoundedBrent:
@@ -213,6 +238,21 @@ class TestBoundedBrent:
         ours = _solvers.minimize_scalar(fun, (0.0, 1.0))
         assert not ours.success and ours.nit < 500 and ours.fun == 0.0
         assert_same_solution(ours, scipy_minimize_scalar(fun, (0.0, 1.0)))
+
+    # Windows at the ends of the float range, where b - a or a + b overflows,
+    # and tolerances that stop the search at once: steps stay numbers, or the
+    # loop never runs.
+    @pytest.mark.parametrize(
+        "window", [(1e308, 1.5e308), (-8e307, 8e307), (-1e308, 1e308), (0.0, 5e-324)]
+    )
+    @pytest.mark.parametrize("xatol", [1e-5, 0.0, math.nan, math.inf])
+    def test_extreme_windows_match_scipy(self, window, xatol):
+        for fun in (quadratic([0.0], [1.0]), staircase, always_nan):
+            with np.errstate(all="ignore"):
+                assert_same_solution(
+                    _solvers.minimize_scalar(fun, window, xatol=xatol, maxiter=60),
+                    scipy_minimize_scalar(fun, window, xatol=xatol, maxiter=60),
+                )
 
     @pytest.mark.parametrize("window", [(0.0, math.inf), (math.nan, 1.0), (2.0, 1.0)])
     def test_rejects_what_scipy_rejects(self, window):
