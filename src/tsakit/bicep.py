@@ -92,9 +92,7 @@ def angle_from_length(geom: BicepGeometry, string_length):
     if bad.any():
         raise TriangleRangeError(
             f"string length {lengths[bad][0]:.6g} mm outside the admissible "
-            f"interval [{lo:.6g}, {hi:.6g}] mm",
-            lo=lo,
-            hi=hi,
+            f"interval [{lo:.6g}, {hi:.6g}] mm"
         )
     return geom.gamma - _elbow_deg(geom.a, geom.b, lengths)
 
@@ -112,9 +110,7 @@ def length_from_angle(geom: BicepGeometry, angle):
     if bad.any():
         raise TriangleRangeError(
             f"bending angle {angles[bad][0]:.6g} deg outside the admissible interval "
-            f"[{geom.gamma - 180.0:.6g}, {geom.gamma:.6g}] deg",
-            lo=geom.gamma - 180.0,
-            hi=geom.gamma,
+            f"[{geom.gamma - 180.0:.6g}, {geom.gamma:.6g}] deg"
         )
     return np.sqrt(
         geom.a**2 + geom.b**2 - 2.0 * geom.a * geom.b * np.cos(np.radians(psi))
@@ -130,7 +126,13 @@ class BicepFit:
 
 
 def _pair_arrays(pairs):
-    """(lengths, angles) of (string length mm, bending angle deg) pairs, validated."""
+    """(lengths, angles) of (string length mm, bending angle deg) pairs, validated.
+
+    Every refusal fit_bicep makes from the pairs alone is made here, so
+    that [bicep] pairs are refused when the config is read. Only "no
+    admissible geometry", which rests on fit_bicep's arm lattice, is left
+    to the fit.
+    """
     pts = np.array([(float(l), float(phi)) for l, phi in pairs], dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise UnderdeterminedError("need at least three (length, angle) pairs", field="pairs")
@@ -144,6 +146,13 @@ def _pair_arrays(pairs):
                                    field="pairs")
     if np.any(lengths <= 0):
         raise ParameterError("string lengths must be positive", field="pairs")
+    if (lengths - lengths.mean()) @ (angles - angles.mean()) >= 0:
+        raise UnderdeterminedError(
+            "bending angles do not fall as the string lengthens "
+            "(least-squares slope of angle on length is not negative); "
+            "the linkage angle falls with length, so such pairs are refused",
+            field="pairs",
+        )
     return lengths, angles
 
 
@@ -196,12 +205,6 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     finite best fit, and are refused all the same.
     """
     lengths, angles = _pair_arrays(pairs)
-    if (lengths - lengths.mean()) @ (angles - angles.mean()) >= 0:
-        raise UnderdeterminedError(
-            "bending angles do not fall as the string lengthens "
-            "(least-squares slope of angle on length is not negative); "
-            "the linkage angle falls with length, so such pairs are refused"
-        )
     lo, hi = float(lengths.min()), float(lengths.max())
 
     # The a <= b half of the 4 mm lattice: the SSE is symmetric in

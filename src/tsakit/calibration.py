@@ -38,14 +38,12 @@ from .errors import GridCapError, ParameterError
 from .model import (
     LoadCase,
     Material,
-    Phase,
     StringSpec,
     TwoPhaseParams,
     _ARRAY_OPS,
     _FLOAT_OPS,
     _coil,
     _law,
-    bundle_diameter,
     contraction,
 )
 from .units import TWO_PI, rev_to_rad
@@ -189,7 +187,8 @@ def _residual_kernel(ops, obs: ObservedEndpoints, r_eff, theta_star, coil_diamet
     )
 
     def term(weight, predicted, observed):
-        return weight * ops.square((predicted - observed) / observed)
+        error = (predicted - observed) / observed
+        return weight * (error * error)
 
     total = term(WEIGHT_CONTRACTION, c_reg, obs.contraction_regular_pct)
     total = total + term(WEIGHT_CONTRACTION, c_tot, obs.contraction_total_pct)
@@ -255,7 +254,7 @@ class ParamBounds:
     def default(cls, obs: ObservedEndpoints) -> "ParamBounds":
         """Physically motivated box for a given observation."""
         d = obs.spec.diameter
-        pitch = bundle_diameter(obs.spec, Phase.REGULAR)  # close packed coils
+        pitch = 2.0 * d  # close-packed coils: one pitch is the two-string bundle
         theta_max = obs.theta_max
         stiff = obs.spec.material is Material.STIFF
         return cls(

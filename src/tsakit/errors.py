@@ -45,12 +45,8 @@ class DomainError(TsaError):
 class CoilCapacityError(DomainError):
     """Twist angle beyond the point where coils consume the whole bundle.
 
-    theta_max is the largest admissible twist (rad) so callers can clamp.
+    The message states the largest admissible twist (rad).
     """
-
-    def __init__(self, message: str, theta_max: float):
-        self.theta_max = theta_max
-        super().__init__(message)
 
 
 class ParameterError(TsaError):
@@ -67,15 +63,10 @@ class TrainingGateError(TsaError):
 
 
 class TriangleRangeError(DomainError):
-    """String length outside the linkage triangle inequality.
+    """String length or bending angle outside what the linkage triangle closes on.
 
-    Carries the admissible closed interval (lo, hi) in mm.
+    The message states the admissible closed interval.
     """
-
-    def __init__(self, message: str, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
-        super().__init__(message)
 
 
 class SingularConfigurationError(DomainError):

@@ -51,10 +51,6 @@ from .units import TWO_PI, grams_to_newtons
 # Lower clamp used where a strictly positive length is required.
 LENGTH_FLOOR = 1e-9
 
-# Default bundle growth factors relative to the string diameter.
-BUNDLE_FACTOR_REGULAR = 2.0
-BUNDLE_FACTOR_OVERTWIST = 4.0
-
 
 class Material(Enum):
     STIFF = "stiff"
@@ -140,23 +136,22 @@ def _float_where(condition, x, y):
 class _Ops(NamedTuple):
     """What the law's kernels need beyond + - * and division by constants.
 
-    Two sets round alike: squares as x * x, which IEEE multiplication
-    rounds alike in Python and numpy, and hypot as math.hypot. Where Python
-    raises (the square root of a negative, a zero divisor), the float set
-    returns numpy's NaN or inf.
+    Two sets round alike: hypot as math.hypot, and where Python raises
+    (the square root of a negative, a zero divisor), the float set returns
+    numpy's NaN or inf. The kernels square as x * x, which IEEE
+    multiplication rounds alike in Python and numpy.
     """
 
     sqrt: Callable
-    square: Callable
     hypot: Callable
     div: Callable     # x / y for a divisor that may be zero
     where: Callable   # elementwise x if condition else y
 
 
 # Python floats in and out, as calibration's fit scores its iterates.
-_FLOAT_OPS = _Ops(_float_sqrt, lambda x: x * x, math.hypot, _float_div, _float_where)
+_FLOAT_OPS = _Ops(_float_sqrt, math.hypot, _float_div, _float_where)
 # numpy floats and broadcasting arrays; callers set the numpy error state.
-_ARRAY_OPS = _Ops(np.sqrt, np.square, _array_hypot, operator.truediv, np.where)
+_ARRAY_OPS = _Ops(np.sqrt, _array_hypot, operator.truediv, np.where)
 
 
 def _coil(ops, coil_diameter, coil_pitch):
@@ -167,11 +162,6 @@ def _coil(ops, coil_diameter, coil_pitch):
     """
     circumference = ops.hypot(math.pi * coil_diameter, coil_pitch)
     return circumference, circumference - coil_pitch
-
-
-def coil_circumference(coil_diameter, coil_pitch):
-    """Bundle length one coil consumes (mm), as numpy floats or arrays."""
-    return _coil(_ARRAY_OPS, coil_diameter, coil_pitch)[0]
 
 
 @dataclass(frozen=True)
@@ -206,16 +196,7 @@ class TwoPhaseParams:
     @property
     def coil_circumference(self) -> float:
         """Bundle length consumed by one coil (mm), one coil per revolution."""
-        return float(coil_circumference(self.coil_diameter, self.coil_pitch))
-
-    @property
-    def per_coil_shortening(self) -> float:
-        """Net axial length lost per coil (mm)."""
-        return float(_coil(_ARRAY_OPS, self.coil_diameter, self.coil_pitch)[1])
-
-    @property
-    def theta_star_rev(self) -> float:
-        return self.theta_star / TWO_PI
+        return _coil(_FLOAT_OPS, self.coil_diameter, self.coil_pitch)[0]
 
 
 class _Law(NamedTuple):
@@ -248,7 +229,7 @@ def _law(ops, spec, load, twist, coils, r_eff, coil_diameter, coil_pitch, compli
     helix = ops.sqrt(l_eff * l_eff - wound * wound)
     circumference, shortening = _coil(ops, coil_diameter, coil_pitch)
     return _Law(l_eff, wound, helix, circumference, coils * circumference,
-                helix - coils * shortening, ops.div(twist * ops.square(r_eff), helix),
+                helix - coils * shortening, ops.div(twist * (r_eff * r_eff), helix),
                 shortening / TWO_PI)
 
 
@@ -290,14 +271,15 @@ def twist_profile(
     """The two-phase law over a whole twist array, in one pass of _law.
 
     The length is sqrt(L_eff^2 - (theta r_eff)^2) up to theta_star and
-    falls by per_coil_shortening per revolution past it; the ratio is
-    -theta * r_eff^2 / length in the regular phase and
-    -per_coil_shortening / 2 pi past theta_star. The first inadmissible
-    sample raises, checked in this order: a negative or NaN twist
-    (DomainError), a helix wound past L_eff (DomainError), and coils that
-    would consume more bundle than the regular phase left
-    (CoilCapacityError, carrying the largest admissible twist). The law
-    knows nothing of training: the string is taken as broken in.
+    falls by one coil's shortening, its circumference less its pitch, per
+    revolution past it; the ratio is -theta * r_eff^2 / length in the
+    regular phase and minus that shortening / 2 pi past theta_star. The
+    first inadmissible sample raises, checked in this order: a negative
+    or NaN twist (DomainError), a helix wound past L_eff (DomainError),
+    and coils that would consume more bundle than the regular phase left
+    (CoilCapacityError, whose message states the largest admissible
+    twist). The law knows nothing of training: the string is taken as
+    broken in.
     """
     theta = np.asarray(thetas, dtype=float)
     over = theta > params.theta_star
@@ -319,8 +301,7 @@ def twist_profile(
         limit = params.theta_star + TWO_PI * float(law.helix.flat[k]) / params.coil_circumference
         raise CoilCapacityError(
             f"twist {float(theta.flat[k]):.6g} rad exceeds the coil capacity limit "
-            f"{limit:.6g} rad",
-            theta_max=limit,
+            f"{limit:.6g} rad"
         )
     ratio = np.where(over, -law.slope_overtwist, -law.slope_regular)
     torque = load.force * np.abs(ratio) * 1e-3 / params.eta
@@ -339,13 +320,3 @@ def size_for_displacement(required_displacement: float, contraction_fraction: fl
         raise DomainError("contraction fraction must lie in (0, 1)")
     return required_displacement / contraction_fraction
 
-
-def bundle_diameter(spec: StringSpec, phase: Phase) -> float:
-    """Bundle envelope diameter (mm) in the given phase.
-
-    Twice the string diameter for a regular two-string bundle and twice
-    that again once coils stack.
-    """
-    if phase is Phase.REGULAR:
-        return BUNDLE_FACTOR_REGULAR * spec.diameter
-    return BUNDLE_FACTOR_OVERTWIST * spec.diameter

@@ -9,7 +9,7 @@ are cycle-count thresholds, configurable per string batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import ParameterError
@@ -65,11 +65,6 @@ class TrainingState:
     @property
     def stage(self) -> TrainingStage:
         return stage_of(self.cycles_done, self.thresholds)
-
-
-def advance_cycle(state: TrainingState) -> TrainingState:
-    """One more completed training cycle. The uniform stage is absorbing."""
-    return replace(state, cycles_done=state.cycles_done + 1)
 
 
 def coiling_available(spec: StringSpec, state: TrainingState, load: LoadCase) -> bool:

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from tsakit.bicep import _pair_arrays, length_from_angle
+from tsakit.bicep import length_from_angle
 from tsakit.calibration import PARAM_ORDER, ObservedEndpoints, predict_endpoints
-from tsakit.errors import SingularConfigurationError, UnderdeterminedError
+from tsakit.errors import ParameterError, SingularConfigurationError, UnderdeterminedError
 from tsakit.units import grams_to_newtons
 
 
@@ -21,9 +21,12 @@ def bicep_grid_oracle(pairs):
 
     Arms step 4 mm in (0, 400] mm and gamma 2 deg in (0, 360) deg.
     fit_bicep's polished solution must never be worse than the best grid
-    cell. Returns ((a, b, gamma), sse_deg2).
+    cell. Scores any finite pairs, also those fit_bicep refuses. Returns
+    ((a, b, gamma), sse_deg2).
     """
-    lengths, angles = _pair_arrays(pairs)
+    lengths, angles = np.array(pairs, dtype=float).reshape(-1, 2).T
+    if not (np.isfinite(lengths).all() and np.isfinite(angles).all()):
+        raise ParameterError("pairs must be finite")
     # Vectorized over gamma via sse(g) = sum((g - t_k)^2), t_k = elbow_k + phi_k.
     arm_axis = np.arange(4.0, 400.0 + 1e-9, 4.0)
     gamma_axis = np.arange(2.0, 360.0, 2.0)

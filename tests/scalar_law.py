@@ -12,6 +12,16 @@ from tsakit.model import effective_length
 from tsakit.units import TWO_PI
 
 
+def coil(params):
+    """(circumference, per-coil shortening) of one coil (mm).
+
+    One turn of bundle around the coil's centerline, advancing one pitch:
+    the hypotenuse of pi * coil_diameter and coil_pitch, less the pitch.
+    """
+    circumference = math.hypot(math.pi * params.coil_diameter, params.coil_pitch)
+    return circumference, circumference - params.coil_pitch
+
+
 def validate_for(params, spec):
     """Check the invariants that tie parameters to a specific string.
 
@@ -22,7 +32,7 @@ def validate_for(params, spec):
         raise ParameterError("r_eff must lie between half and twice the string diameter")
     if params.theta_star * params.r_eff >= spec.initial_length:
         raise ParameterError("theta_star exceeds the kinematic limit of the regular phase")
-    if params.coil_circumference <= params.coil_pitch:
+    if coil(params)[0] <= params.coil_pitch:
         raise ParameterError("coil must consume more bundle than its pitch")
 
 
@@ -44,14 +54,14 @@ def length_regular(spec, params, load, theta):
 def max_theta(spec, params, load):
     """Largest admissible twist before coils consume the whole bundle (rad)."""
     l1 = length_regular(spec, params, load, params.theta_star)
-    return params.theta_star + TWO_PI * l1 / params.coil_circumference
+    return params.theta_star + TWO_PI * l1 / coil(params)[0]
 
 
 def length(spec, params, load, theta):
     """Axial length at any admissible twist (mm). Piecewise two-phase law.
 
     Past theta_star one coil forms per revolution. Raises DomainError for
-    a negative or NaN twist, and CoilCapacityError (carrying the maximum
+    a negative or NaN twist, and CoilCapacityError (stating the maximum
     admissible twist) once the coils would consume more bundle than the
     regular phase left over.
     """
@@ -61,11 +71,11 @@ def length(spec, params, load, theta):
         return length_regular(spec, params, load, theta)
     l1 = length_regular(spec, params, load, params.theta_star)
     coils = (theta - params.theta_star) / TWO_PI
-    if coils * params.coil_circumference > l1:
+    circumference, shortening = coil(params)
+    if coils * circumference > l1:
         limit = max_theta(spec, params, load)
         raise CoilCapacityError(
             f"twist {theta:.6g} rad exceeds the coil capacity limit "
-            f"{limit:.6g} rad",
-            theta_max=limit,
+            f"{limit:.6g} rad"
         )
-    return l1 - coils * params.per_coil_shortening
+    return l1 - coils * shortening

@@ -122,16 +122,18 @@ class TestTriangleKinematics:
     def test_out_of_range_length_reports_interval(self):
         with pytest.raises(TriangleRangeError) as excinfo:
             angle_from_length(GEOM, GEOM.a + GEOM.b + 1.0)
-        assert excinfo.value.lo == pytest.approx(GEOM.b - GEOM.a)
-        assert excinfo.value.hi == pytest.approx(GEOM.a + GEOM.b)
+        assert str(excinfo.value).endswith(
+            f"interval [{GEOM.b - GEOM.a:.6g}, {GEOM.a + GEOM.b:.6g}] mm"
+        )
         with pytest.raises(TriangleRangeError):
             angle_from_length(GEOM, GEOM.b - GEOM.a - 1.0)
 
     def test_out_of_range_angle_reports_interval(self):
         with pytest.raises(TriangleRangeError) as excinfo:
             length_from_angle(GEOM, GEOM.gamma + 1.0)
-        assert excinfo.value.lo == pytest.approx(GEOM.gamma - 180.0)
-        assert excinfo.value.hi == pytest.approx(GEOM.gamma)
+        assert str(excinfo.value).endswith(
+            f"interval [{GEOM.gamma - 180.0:.6g}, {GEOM.gamma:.6g}] deg"
+        )
         with pytest.raises(TriangleRangeError):
             length_from_angle(GEOM, GEOM.gamma - 181.0)
 
@@ -398,25 +400,22 @@ class TestElementwise:
             ), function.__name__
 
     @pytest.mark.parametrize(
-        "function, values, message, bounds",
+        "function, values, message",
         [
             (angle_from_length, [100.0, 300.0, 10.0, 400.0],
-             "string length 300 mm outside the admissible interval [68, 234] mm", (68.0, 234.0)),
+             "string length 300 mm outside the admissible interval [68, 234] mm"),
             (angle_from_length, [100.0, math.nan, 300.0],
-             "string length nan mm outside the admissible interval [68, 234] mm", (68.0, 234.0)),
+             "string length nan mm outside the admissible interval [68, 234] mm"),
             (length_from_angle, [60.0, 143.5, -40.0],
-             "bending angle 143.5 deg outside the admissible interval [-37.5, 142.5] deg",
-             (-37.5, 142.5)),
+             "bending angle 143.5 deg outside the admissible interval [-37.5, 142.5] deg"),
             (string_tension, [60.0, -40.0, 143.5],
-             "bending angle -40 deg outside the admissible interval [-37.5, 142.5] deg",
-             (-37.5, 142.5)),
+             "bending angle -40 deg outside the admissible interval [-37.5, 142.5] deg"),
         ],
     )
-    def test_array_refuses_its_first_bad_sample(self, function, values, message, bounds):
+    def test_array_refuses_its_first_bad_sample(self, function, values, message):
         with pytest.raises(TriangleRangeError) as excinfo:
             function(GEOM, np.array(values))
         assert str(excinfo.value) == message
-        assert (excinfo.value.lo, excinfo.value.hi) == bounds
 
     def test_singular_sample_refuses_the_array(self):
         with pytest.raises(SingularConfigurationError):

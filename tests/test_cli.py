@@ -27,7 +27,6 @@ from tsakit.model import Material, StringSpec
 from tsakit.training import (
     DEFAULT_TRAINING_SHORTENING,
     TrainingState,
-    advance_cycle,
     operating_length,
     stage_of,
 )
@@ -491,12 +490,12 @@ class TestTrainingGate:
 
 
 def stepped_train_stdout(cycles, thresholds, spec=None, shortening=DEFAULT_TRAINING_SHORTENING):
-    """What train prints, by stepping advance_cycle once per cycle."""
+    """What train prints, by stepping the training state one cycle at a time."""
     current = stage_of(0, thresholds)
     lines = [f"cycle 0: {current.name.lower()}"]
     running = TrainingState(thresholds=thresholds, shortening=shortening)
     for cycle in range(1, cycles + 1):
-        running = advance_cycle(running)
+        running = TrainingState(cycle, thresholds=thresholds, shortening=shortening)
         if running.stage is not current:
             current = running.stage
             lines.append(f"cycle {cycle}: {current.name.lower()}")
@@ -939,7 +938,8 @@ class TestBicep:
         out = tmp_path / "sweep.csv"
         assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "error: bending angles do not fall as the string lengthens "
+            f"error: bad value for bicep.pairs in {cfg}: '{pairs}'; "
+            "bending angles do not fall as the string lengthens "
             "(least-squares slope of angle on length is not negative); "
             "the linkage angle falls with length, so such pairs are refused\n"
         )

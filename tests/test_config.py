@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tsakit.config as config_module
+from tsakit.bicep import fit_bicep
 from tsakit.config import (
     RunConfig,
     bundled_stiff_path,
@@ -27,7 +28,7 @@ from tsakit.config import (
     read_observations,
     write_csv,
 )
-from tsakit.errors import ConfigError, CsvFormatError
+from tsakit.errors import ConfigError, CsvFormatError, TsaError
 from tsakit.model import Material
 from tsakit.units import rev_to_rad
 
@@ -187,6 +188,25 @@ class TestParseConfig:
         )
 
 
+@st.composite
+def bicep_pair_lists(draw):
+    """Up to 7 (length mm, angle deg) pairs, one in five with a non-finite number.
+
+    Whole numbers make repeated lengths and exact slopes common, lengths
+    past 800 mm leave fit_bicep's arm lattice no admissible cell, and
+    angles reach 1e6 deg; near the float limit the slope and the fit
+    overflow with a RuntimeWarning.
+    """
+    lengths = st.integers(-5, 300).map(float) | st.floats(-10.0, 1000.0)
+    angles = st.integers(-90, 200).map(float) | st.floats(-1e6, 1e6)
+    pairs = draw(st.lists(st.tuples(lengths, angles), max_size=7))
+    if pairs and draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, len(pairs) - 1))
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        pairs[k] = (bad, pairs[k][1]) if draw(st.booleans()) else (pairs[k][0], bad)
+    return pairs
+
+
 class TestSectionBuilders:
     def test_model_defaults(self, tmp_path):
         text = (
@@ -306,6 +326,27 @@ class TestSectionBuilders:
         assert section.pairs == [(215.0, 13.1), (135.0, 73.4), (68.0, 147.1)]
         assert section.geometry is None and section.load == {}
         assert section.grid.tolist() == [0.0, 15.0, 30.0]
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bicep_pair_lists())
+    def test_bicep_pairs_refused_when_fit_bicep_refuses_them(self, tmp_path, pairs):
+        # fit_bicep refuses some pairs from the pairs alone, and the rest
+        # only for its arm lattice ("no admissible geometry"). The config
+        # refuses exactly the first kind, naming bicep.pairs.
+        try:
+            fit_bicep(pairs)
+        except TsaError as exc:
+            refused = "no admissible geometry" not in str(exc)
+        else:
+            refused = False
+        raw = ", ".join(f"{length!r}:{angle!r}" for length, angle in pairs)
+        path = write(tmp_path, f"[bicep]\npairs = {raw}\ntheta_max_rev = 30\n")
+        if refused:
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(path)
+            assert str(excinfo.value).startswith(f"bad value for bicep.pairs in {path}: {raw!r}; ")
+        else:
+            assert parse_config(path).bicep.pairs == pairs
 
     def test_bicep_pairs_malformed_token(self, tmp_path):
         path = write(tmp_path, "[bicep]\npairs = 215:13.1, oops\ntheta_max_rev = 30\n")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from scalar_law import length, length_regular, max_theta
+from scalar_law import coil, length, length_regular, max_theta
 from tsakit.calibration import predict_endpoints
 from tsakit.errors import (
     CoilCapacityError,
@@ -22,14 +22,10 @@ from tsakit.errors import (
     ParameterError,
 )
 from tsakit.model import (
-    BUNDLE_FACTOR_OVERTWIST,
-    BUNDLE_FACTOR_REGULAR,
     LoadCase,
     Material,
-    Phase,
     StringSpec,
     TwoPhaseParams,
-    bundle_diameter,
     contraction,
     effective_length,
     size_for_displacement,
@@ -191,7 +187,8 @@ class TestLengthOvertwist:
         arc = coil_turn_arc_oracle(coil_diameter, coil_pitch)
         assert arc == pytest.approx(6.35, rel=1e-10)
         assert params.coil_circumference == pytest.approx(arc, rel=1e-10)
-        assert params.per_coil_shortening == pytest.approx(3.75, rel=1e-9)
+        over_ratio = twist_profile(make_spec(), params, LOAD, [params.theta_star + 1.0]).ratio
+        assert -over_ratio[0] * TWO_PI == pytest.approx(3.75, rel=1e-9)
 
         spec = make_spec()
         one_rev_in = length(spec, params, LOAD, params.theta_star + TWO_PI)
@@ -208,13 +205,13 @@ class TestLengthOvertwist:
         steps = np.diff(lengths)
         assert np.allclose(steps, steps[0], rtol=1e-12)
 
-    def test_capacity_error_carries_theta_max(self):
+    def test_capacity_error_states_theta_max(self):
         spec = make_spec()
         params = make_params()
         limit = max_theta(spec, params, LOAD)
         with pytest.raises(CoilCapacityError) as err:
             length(spec, params, LOAD, limit + 1.0)
-        assert err.value.theta_max == pytest.approx(limit)
+        assert str(err.value).endswith(f"coil capacity limit {limit:.6g} rad")
         # Just inside the limit must still evaluate.
         assert length(spec, params, LOAD, limit - 1e-6) > 0.0
 
@@ -230,7 +227,7 @@ class TestLengthDispatch:
         )
         l1 = length_regular(spec, params, LOAD, t)
         assert length(spec, params, LOAD, t + 3.0) == pytest.approx(
-            l1 - 3.0 / TWO_PI * params.per_coil_shortening
+            l1 - 3.0 / TWO_PI * coil(params)[1]
         )
 
     @pytest.mark.parametrize("theta", [math.nan, -0.1, -math.inf])
@@ -288,7 +285,7 @@ class TestTransmissionRatio:
         params = make_params()
         base = params.theta_star
         values = set(ratio_at(spec, params, LOAD, [base + k * 0.31 for k in range(1, 101)]))
-        expected = -params.per_coil_shortening / TWO_PI
+        expected = -coil(params)[1] / TWO_PI
         assert all(v == pytest.approx(expected, rel=1e-12) for v in values)
 
     def test_matches_central_differences(self):
@@ -311,7 +308,7 @@ class TestTransmissionRatio:
             assert analytic == pytest.approx(numeric, rel=1e-6)
 
     @given(point=feasible_points())
-    @example(point=(make_spec(), make_params(), LOAD, make_params().theta_star_rev + 1.0))
+    @example(point=(make_spec(), make_params(), LOAD, rad_to_rev(make_params().theta_star) + 1.0))
     def test_kink_requires_side(self, point):
         # The profile takes the regular side at theta_star; the calibrated
         # endpoints report both sides as slope magnitudes. Both read the
@@ -322,7 +319,7 @@ class TestTransmissionRatio:
         pred = predict_endpoints(spec, params, load, theta_max_rev)
         left, right = -pred["speed_regular"], -pred["speed_overtwist"]
         assert left == at_star
-        assert right == at_max == -params.per_coil_shortening / TWO_PI
+        assert right == at_max == -coil(params)[1] / TWO_PI
         assert left < 0 and right < 0
         profile = twist_profile(spec, params, load, thetas)
         contractions = [contraction(x, spec.initial_length) for x in profile.length.tolist()]
@@ -420,16 +417,6 @@ class TestSizing:
     def test_non_finite_displacement(self, displacement):
         with pytest.raises(DomainError, match="^required displacement must be nonnegative and finite$"):
             size_for_displacement(displacement, 0.5)
-
-
-class TestBundleDiameter:
-    def test_regular_default_two_strings(self):
-        assert bundle_diameter(make_spec(1.3, 214.3), Phase.REGULAR) == pytest.approx(2.6)
-
-    def test_overtwist_default_doubles_again(self):
-        spec = make_spec(1.0, 224.2)
-        assert bundle_diameter(spec, Phase.OVERTWIST) == pytest.approx(4.0)
-        assert BUNDLE_FACTOR_OVERTWIST == 2 * BUNDLE_FACTOR_REGULAR
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
-"""The package's public surface: what tsakit exports, and what it no longer ships.
+"""The package's public surface: its modules, and what they no longer ship.
 
+The modules are the API; the tsakit package module re-exports nothing.
 Test-only references (the scalar two-phase law, the bicep grid scan and
 statics, synthetic calibration endpoints) live under tests/, not in the
 package; the package keeps what a command or the modelling workflow uses.
@@ -9,7 +10,12 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +26,7 @@ import tsakit.config as config
 import tsakit.model as model
 from tsakit.bicep import sweep
 from tsakit.calibration import ParamBounds
+from tsakit.errors import CoilCapacityError, TriangleRangeError
 from tsakit.hysteresis import PIModel, hysteretic_length
 from tsakit.model import TwoPhaseParams, twist_profile
 
@@ -32,7 +39,9 @@ MODULES = [
 # training gate lives in the command line alone, not in the law, and
 # parse_config builds every config section, with no builder per section.
 # The bicep linkage maps are elementwise, with no scalar path beside them,
-# and [training] builds one TrainingState, shortening included.
+# and [training] builds one TrainingState, shortening included. The
+# package module re-exports nothing, and the names no command, README
+# example or acceptance check reached are deleted.
 GONE = [
     "length",
     "length_regular",
@@ -62,21 +71,56 @@ GONE = [
     "_check_length",
     "_training",
     "_unit_fraction",
+    "__all__",
+    "__version__",
+    "advance_cycle",
+    "bundle_diameter",
+    "BUNDLE_FACTOR_REGULAR",
+    "BUNDLE_FACTOR_OVERTWIST",
+    "coil_circumference",
+]
+
+# Class attributes deleted with the names above; TwoPhaseParams keeps its
+# coil_circumference property.
+GONE_ATTRIBUTES = [
+    (TwoPhaseParams, "theta_star_rev"),
+    (TwoPhaseParams, "per_coil_shortening"),
+    (model._Ops, "square"),
+    (CoilCapacityError("message"), "theta_max"),
+    (TriangleRangeError("message"), "lo"),
+    (TriangleRangeError("message"), "hi"),
 ]
 
 
-def test_all_is_sorted_and_resolves():
-    assert tsakit.__all__ == sorted(tsakit.__all__)
-    assert len(set(tsakit.__all__)) == len(tsakit.__all__)
-    for name in tsakit.__all__:
-        assert getattr(tsakit, name) is not None
+def test_package_import_loads_no_module():
+    # A fresh interpreter: import tsakit adds itself to sys.modules and
+    # nothing else, neither a tsakit submodule nor numpy.
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import tsakit\n"
+        "print(json.dumps([sorted(set(sys.modules) - before), hasattr(tsakit, '__all__')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tsakit.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env)
+    assert json.loads(run.stdout) == [["tsakit"], False]
 
 
 @pytest.mark.parametrize("name", GONE)
 def test_test_only_name_is_not_shipped(name):
-    assert name not in tsakit.__all__
     for module in [tsakit, *MODULES]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    GONE_ATTRIBUTES,
+    ids=[f"{getattr(o, '__name__', type(o).__name__)}.{n}" for o, n in GONE_ATTRIBUTES],
+)
+def test_deleted_attribute_is_gone(owner, name):
+    assert not hasattr(owner, name)
+
 
 
 @pytest.mark.parametrize("method", ["zeros", "reset", "copy", "step"])
@@ -100,7 +144,7 @@ def test_law_checks_and_clip_live_in_one_place(owner, name):
 def test_law_rounding_is_stated_in_model_alone():
     # calibration states the law through model, never a copy, and runs it
     # with model's op sets.
-    for name in ("_law", "_coil", "coil_circumference", "_FLOAT_OPS", "_ARRAY_OPS"):
+    for name in ("_law", "_coil", "_FLOAT_OPS", "_ARRAY_OPS"):
         assert vars(calibration).get(name, getattr(model, name)) is getattr(model, name)
 
 

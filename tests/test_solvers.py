@@ -34,7 +34,7 @@ from tsakit.bicep import BicepGeometry, angle_from_length, fit_bicep
 from tsakit.calibration import ObservedEndpoints, ParamBounds, fit_two_phase
 from tsakit.config import bundled_compliant_path, bundled_stiff_path, read_observations
 from tsakit.errors import ParameterError, UnderdeterminedError
-from tsakit.model import LoadCase, Phase, StringSpec, TwoPhaseParams, bundle_diameter
+from tsakit.model import LoadCase, StringSpec, TwoPhaseParams
 from tsakit.units import rad_to_rev
 
 # The fits' own calls, with scipy behind them.
@@ -277,7 +277,7 @@ def noisy_rows(draw):
         r_eff=r_eff,
         theta_star=draw(st.floats(0.05, 0.95)) * spec.initial_length / r_eff,
         coil_diameter=draw(st.floats(0.5 * d, 10.0 * d)),
-        coil_pitch=bundle_diameter(spec, Phase.REGULAR),
+        coil_pitch=2.0 * d,
         eta=draw(st.floats(0.02, 1.0)),
     )
     capacity = max_theta(spec, truth, load)

@@ -10,7 +10,6 @@ from tsakit.training import (
     DEFAULT_STAGE_THRESHOLDS,
     TrainingStage,
     TrainingState,
-    advance_cycle,
     coiling_available,
     operating_length,
     stage_of,
@@ -34,6 +33,11 @@ class TestStageOf:
         assert stage_of(18) is TrainingStage.INLINE_UNEVEN
         assert stage_of(49) is TrainingStage.INLINE_UNEVEN
         assert stage_of(50) is TrainingStage.UNIFORM
+
+    def test_monotone_and_absorbing(self):
+        seen = [stage_of(cycles) for cycles in range(82)]
+        assert all(a <= b for a, b in zip(seen, seen[1:]))
+        assert seen[-1] is TrainingStage.UNIFORM
 
     def test_custom_thresholds(self):
         assert stage_of(3, (2, 5, 9)) is TrainingStage.MIXED
@@ -60,33 +64,6 @@ class TestStageOf:
             TrainingState(shortening=shortening)
         assert str(excinfo.value) == "shortening fraction must lie in [0, 1)"
         assert excinfo.value.field == "shortening"
-
-
-class TestAdvanceCycle:
-    def test_monotone_and_absorbing(self):
-        state = TrainingState()
-        seen = [state.stage]
-        for _ in range(80):
-            state = advance_cycle(state)
-            seen.append(state.stage)
-        assert all(a <= b for a, b in zip(seen, seen[1:]))
-        assert seen[-1] is TrainingStage.UNIFORM
-        assert advance_cycle(state).stage is TrainingStage.UNIFORM
-
-    def test_named_transitions(self):
-        five = TrainingState(cycles_done=5)
-        assert five.stage is TrainingStage.PERPENDICULAR
-        assert advance_cycle(five).stage is TrainingStage.MIXED
-        forty_nine = TrainingState(cycles_done=49)
-        assert forty_nine.stage is TrainingStage.INLINE_UNEVEN
-        assert advance_cycle(forty_nine).stage is TrainingStage.UNIFORM
-
-    def test_preserves_trained_load(self):
-        state = TrainingState(cycles_done=3, trained_load=200.0)
-        assert advance_cycle(state).trained_load == 200.0
-
-    def test_preserves_shortening(self):
-        assert advance_cycle(TrainingState(shortening=0.05)).shortening == 0.05
 
 
 class TestCoilingGate:
