@@ -12,13 +12,19 @@ CLI needs of it.
 
 Both run on Python floats, which round as numpy's float64 scalars do and
 cost a fraction of them per operation. The simplex is a list of vertex
-lists, and fun gets a fresh list for each vertex. Each iteration sorts
-the vertices by value: with n + 1 distinct values and no NaN every sort
-gives the one order, and `sorted` finds it; on ties or NaN only numpy's
-own `np.argsort` gives scipy's order, so that path keeps it. The centroid
-adds the vertices row by row from the first, as numpy's reduce over axis
-0 does. Builtin `sum` is not used for it: from CPython 3.12 it
-compensates float sums, which rounds differently.
+lists, and fun gets a fresh list for each vertex. Each iteration ranks
+the vertices by value, as scipy's `np.argsort` does: with n + 1 distinct
+values and no NaN every sort gives the one order, and `sorted` finds it;
+on ties or NaN only numpy's own `np.argsort` gives scipy's order, so that
+path keeps it. Most iterations replace the worst vertex alone. When the
+other n were ranked with distinct values, `bisect` places the new one
+among them, which is the one order again; a tie or NaN in its value, a
+shrink, an evaluation cap or a ranking that held a tie falls back to the
+full sort. The convergence test checks the spread to the worst value
+first, which alone fails on most iterations. The centroid adds the
+vertices row by row from the first, as numpy's reduce over axis 0 does.
+Builtin `sum` is not used for it: from CPython 3.12 it compensates float
+sums, which rounds differently.
 
 References: R. P. Brent, *Algorithms for Minimization without
 Derivatives* (1973), ch. 5; J. A. Nelder and R. Mead, *Comput. J.* 7:308
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 
@@ -135,13 +142,29 @@ def minimize_scalar(fun, bounds, *, xatol=1e-5, maxiter=500) -> Solution:
 
 
 def _by_value(sim: list, fsim: list):
-    """sim and fsim reordered by value, as np.argsort orders fsim."""
+    """sim and fsim reordered by value, as np.argsort orders fsim, and
+    whether the values are distinct (no tie and no NaN)."""
     order = sorted(range(len(fsim)), key=fsim.__getitem__)
     ranked = [fsim[i] for i in order]
-    if not all(map(operator.lt, ranked, ranked[1:])):  # a tie or a NaN
+    distinct = all(map(operator.lt, ranked, ranked[1:]))
+    if not distinct:
         order = np.argsort(fsim).tolist()
         ranked = [fsim[i] for i in order]
-    return [sim[i] for i in order], ranked
+    return [sim[i] for i in order], ranked, distinct
+
+
+def _rank_last(sim: list, fsim: list) -> bool:
+    """Move the last vertex to its rank among the others, which are ranked
+    and distinct; False, with nothing moved, when its value is NaN or ties
+    one of theirs."""
+    n = len(fsim) - 1
+    value = fsim[n]
+    k = bisect_left(fsim, value, 0, n)
+    if value != value or (k < n and fsim[k] == value):
+        return False
+    sim.insert(k, sim.pop())
+    fsim.insert(k, fsim.pop())
+    return True
 
 
 def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> Solution:
@@ -183,13 +206,15 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
         pass
     # Sorted twice, as scipy does: argsort need not be stable on ties.
     for _ in range(2):
-        sim, fsim = _by_value(sim, fsim)
+        sim, fsim, distinct = _by_value(sim, fsim)
 
     iterations = 1
     while calls < maxfev and iterations < maxiter:
+        resort = False  # after a shrink or at a cap, every vertex is ranked anew
         try:
             best, worst = sim[0], sim[-1]
-            if (all(abs(fsim[0] - v) <= fatol for v in fsim[1:])
+            if (abs(fsim[0] - fsim[-1]) <= fatol
+                    and all(abs(fsim[0] - v) <= fatol for v in fsim[1:])
                     and all(abs(v - w) <= xatol for x in sim[1:] for v, w in zip(x, best))):
                 break
             xbar = [reduce(operator.add, column) / n for column in zip(*sim[:-1])]
@@ -218,13 +243,15 @@ def minimize(fun, x0, *, maxiter=None, maxfev=None, xatol=1e-4, fatol=1e-4) -> S
                     if not shrink:
                         sim[-1], fsim[-1] = xcc, fxcc
                 if shrink:
+                    resort = True
                     for j in range(1, n + 1):
                         sim[j] = [v + 0.5 * (w - v) for v, w in zip(best, sim[j])]
                         fsim[j] = f(sim[j])
             iterations += 1
         except _EvaluationCap:
-            pass
-        sim, fsim = _by_value(sim, fsim)
+            resort = True
+        if resort or not distinct or not _rank_last(sim, fsim):
+            sim, fsim, distinct = _by_value(sim, fsim)
 
     success = calls < maxfev and iterations < maxiter
     return Solution(np.array(sim[0]), np.min(fsim), iterations, calls, success)

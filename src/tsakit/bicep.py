@@ -131,7 +131,9 @@ def _pair_arrays(pairs):
     Every refusal fit_bicep makes from the pairs alone is made here, so
     that [bicep] pairs are refused when the config is read. Only "no
     admissible geometry", which rests on fit_bicep's arm lattice, is left
-    to the fit.
+    to the fit. Numbers near the float limit are refused where the fit's
+    squared angle errors or the slope of angle on length would overflow,
+    so no pairs that pass make the fit overflow.
     """
     pts = np.array([(float(l), float(phi)) for l, phi in pairs], dtype=float).reshape(-1, 2)
     if len(pts) < 3:
@@ -146,7 +148,18 @@ def _pair_arrays(pairs):
                                    field="pairs")
     if np.any(lengths <= 0):
         raise ParameterError("string lengths must be positive", field="pairs")
-    if (lengths - lengths.mean()) @ (angles - angles.mean()) >= 0:
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow is refused below
+        slope = (lengths - lengths.mean()) @ (angles - angles.mean())
+        # Twice a bound on the fit's sum of squared angle errors: each error
+        # is gamma less the elbow angle, in [-180, 360] deg, less the angle.
+        error_bound = 2.0 * (np.abs(angles) + 360.0) @ (np.abs(angles) + 360.0)
+    if not math.isfinite(error_bound):
+        raise ParameterError("bending angles are too large: the fit's squared angle "
+                             "errors (deg^2) would overflow", field="pairs")
+    if not math.isfinite(slope):
+        raise ParameterError("pairs are too large: the least-squares slope of angle "
+                             "on length overflows", field="pairs")
+    if slope >= 0:
         raise UnderdeterminedError(
             "bending angles do not fall as the string lengthens "
             "(least-squares slope of angle on length is not negative); "

@@ -20,6 +20,14 @@ the fit score one point at a time, in numpy where grid_oracle scores
 slabs of cells and predict_endpoints reports. Both give the same bits;
 infeasible points score the penalty from the mask.
 
+The residual is staged per observation. _residual_kernel reads once what
+the observation alone fixes (the string's length and diameter, the
+load's force, theta_max, the observed endpoints and which optional terms
+are present) and returns score, a function of the six parameters alone.
+fit_two_phase builds one score for its Brent search and polish, and
+grid_oracle one for all its slabs, so each evaluation runs only the law,
+the mask and the terms.
+
 Speed endpoints constrain the model through the overtwist-to-regular
 speed ratio unless a constant motor speed is supplied, in which case
 they are matched absolutely. Torque endpoints are always matched
@@ -109,12 +117,14 @@ class ObservedEndpoints:
         return rev_to_rad(self.theta_max_rev)
 
 
-def _endpoints(ops, spec, load, theta_max, r_eff, theta_star, coil_diameter, coil_pitch, eta,
-               compliance):
+def _endpoints(ops, initial_length, force, diameter, theta_max, r_eff, theta_star,
+               coil_diameter, coil_pitch, eta, compliance):
     """Model endpoints, elementwise over floats or broadcasting arrays.
 
     The model's one law kernel at theta_star with the coils formed by
-    theta_max, in the op set ops, plus the parameter-box mask. Returns (feasible,
+    theta_max, in the op set ops, plus the parameter-box mask. The
+    string's initial length and diameter (mm), the load's force (N) and
+    theta_max (rad) come as numbers. Returns (feasible,
     contraction_regular_pct, contraction_total_pct, slope_regular,
     slope_overtwist), the slopes being |dL/dtheta| (mm/rad) on either
     side of theta_star. feasible holds where the parameters pass every
@@ -125,22 +135,21 @@ def _endpoints(ops, spec, load, theta_max, r_eff, theta_star, coil_diameter, coi
     test is false on NaN. Where it fails, the other values are
     meaningless, and callers silence numpy's warnings about them.
     """
-    law = _law(ops, spec, load, theta_star, (theta_max - theta_star) / TWO_PI,
+    law = _law(ops, initial_length, force, theta_star, (theta_max - theta_star) / TWO_PI,
                r_eff, coil_diameter, coil_pitch, compliance)
-    l0 = spec.initial_length
     feasible = (
-        (0.5 * spec.diameter <= r_eff) & (r_eff <= 2.0 * spec.diameter)
+        (0.5 * diameter <= r_eff) & (r_eff <= 2.0 * diameter)
         & (0.0 < theta_star) & (theta_star < theta_max)
         & (0.0 < coil_diameter) & (coil_diameter < math.inf)
         & (0.0 <= coil_pitch) & (coil_pitch < math.inf)
         & (0.0 < eta) & (eta <= 1.0)
         & (0.0 <= compliance) & (compliance < math.inf)
-        & (law.wound < l0)  # as L_eff >= L0, also below the helix limit
+        & (law.wound < initial_length)  # as L_eff >= L0, also below the helix limit
         & (law.circumference > coil_pitch)
         & (law.coiled <= law.helix)
     )
-    return (feasible, contraction(law.helix, l0), contraction(law.length, l0),
-            law.slope_regular, law.slope_overtwist)
+    return (feasible, contraction(law.helix, initial_length),
+            contraction(law.length, initial_length), law.slope_regular, law.slope_overtwist)
 
 
 @np.errstate(all="ignore")
@@ -159,7 +168,8 @@ def predict_endpoints(
     ParameterError where residual would score the penalty.
     """
     feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
-        _ARRAY_OPS, spec, load, rev_to_rad(theta_max_rev), *(getattr(params, n) for n in PARAM_ORDER)
+        _ARRAY_OPS, spec.initial_length, load.force, spec.diameter, rev_to_rad(theta_max_rev),
+        *(getattr(params, n) for n in PARAM_ORDER)
     )
     if not feasible:
         raise ParameterError("parameters are infeasible for this string, load and twist")
@@ -174,44 +184,58 @@ def predict_endpoints(
     }
 
 
-def _residual_kernel(ops, obs: ObservedEndpoints, r_eff, theta_star, coil_diameter, coil_pitch,
-                     eta, compliance):
-    """residual elementwise in the op set ops, over floats or broadcasting arrays.
+def _term(weight, predicted, observed):
+    """One weighted squared normalized error of the residual."""
+    error = (predicted - observed) / observed
+    return weight * (error * error)
 
-    Arguments follow PARAM_ORDER; infeasible points score
-    PENALTY_RESIDUAL. The one statement of the residual's terms.
+
+def _residual_kernel(ops, obs: ObservedEndpoints):
+    """The residual of obs, staged: score(r_eff, theta_star, coil_diameter,
+    coil_pitch, eta, compliance).
+
+    What depends on the observation alone is read here, once: the
+    string's length and diameter, the load's force, theta_max, the
+    observed endpoints and which of the optional terms are present.
+    score then runs elementwise in the op set ops, over floats or
+    broadcasting arrays, and gives infeasible points PENALTY_RESIDUAL.
+    The one statement of the residual's terms.
     """
-    feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
-        ops, obs.spec, obs.load, obs.theta_max,
-        r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance,
-    )
-
-    def term(weight, predicted, observed):
-        error = (predicted - observed) / observed
-        return weight * (error * error)
-
-    total = term(WEIGHT_CONTRACTION, c_reg, obs.contraction_regular_pct)
-    total = total + term(WEIGHT_CONTRACTION, c_tot, obs.contraction_total_pct)
-
+    l0, diameter = obs.spec.initial_length, obs.spec.diameter
+    force, theta_max = obs.load.force, obs.theta_max
+    c_reg_obs, c_tot_obs = obs.contraction_regular_pct, obs.contraction_total_pct
     v_reg, v_over = obs.max_speed_regular_mm_s, obs.max_speed_overtwist_mm_s
+    omega = ratio = None
     if obs.motor_speed_rev_s is not None:
         omega = rev_to_rad(obs.motor_speed_rev_s)
-        if v_reg is not None:
-            total = total + term(WEIGHT_SECONDARY, slope_reg * omega, v_reg)
-        if v_over is not None:
-            total = total + term(WEIGHT_SECONDARY, slope_over * omega, v_over)
     elif v_reg is not None and v_over is not None:
         # No motor profile: only the between-phase speed ratio is informative.
-        total = total + term(WEIGHT_SECONDARY, ops.div(slope_over, slope_reg), v_over / v_reg)
+        ratio = v_over / v_reg
+    torque_reg, torque_over = obs.max_torque_regular_nm, obs.max_torque_overtwist_nm
 
-    force = obs.load.force
-    if obs.max_torque_regular_nm is not None:
-        total = total + term(WEIGHT_SECONDARY, ops.div(force * slope_reg * 1e-3, eta),
-                             obs.max_torque_regular_nm)
-    if obs.max_torque_overtwist_nm is not None:
-        total = total + term(WEIGHT_SECONDARY, ops.div(force * slope_over * 1e-3, eta),
-                             obs.max_torque_overtwist_nm)
-    return ops.where(feasible, total, PENALTY_RESIDUAL)
+    def score(r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance):
+        feasible, c_reg, c_tot, slope_reg, slope_over = _endpoints(
+            ops, l0, force, diameter, theta_max,
+            r_eff, theta_star, coil_diameter, coil_pitch, eta, compliance,
+        )
+        total = (_term(WEIGHT_CONTRACTION, c_reg, c_reg_obs)
+                 + _term(WEIGHT_CONTRACTION, c_tot, c_tot_obs))
+        if omega is not None:
+            if v_reg is not None:
+                total = total + _term(WEIGHT_SECONDARY, slope_reg * omega, v_reg)
+            if v_over is not None:
+                total = total + _term(WEIGHT_SECONDARY, slope_over * omega, v_over)
+        elif ratio is not None:
+            total = total + _term(WEIGHT_SECONDARY, ops.div(slope_over, slope_reg), ratio)
+        if torque_reg is not None:
+            total = total + _term(WEIGHT_SECONDARY, ops.div(force * slope_reg * 1e-3, eta),
+                                  torque_reg)
+        if torque_over is not None:
+            total = total + _term(WEIGHT_SECONDARY, ops.div(force * slope_over * 1e-3, eta),
+                                  torque_over)
+        return ops.where(feasible, total, PENALTY_RESIDUAL)
+
+    return score
 
 
 def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
@@ -221,7 +245,7 @@ def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
     coil capacity, theta_star at or past theta_max) scores the penalty
     constant instead of raising.
     """
-    return _residual_kernel(_FLOAT_OPS, obs, *(float(getattr(params, n)) for n in PARAM_ORDER))
+    return _residual_kernel(_FLOAT_OPS, obs)(*(float(getattr(params, n)) for n in PARAM_ORDER))
 
 
 @dataclass(frozen=True)
@@ -382,17 +406,17 @@ def fit_two_phase(
             full[k] = b if v >= b else v
         return full
 
+    score = _residual_kernel(_FLOAT_OPS, obs)
     point, r_lo, r_hi = _reduction(obs, bounds)
     iterations = 0
     best, best_value = [0.5 * (a + b) for a, b in zip(lo, hi)], PENALTY_RESIDUAL
     if r_lo <= r_hi:
-        search = minimize_scalar(lambda r: _residual_kernel(_FLOAT_OPS, obs, *clip(point(r))),
-                                 (r_lo, r_hi), xatol=1e-12)
+        search = minimize_scalar(lambda r: score(*clip(point(r))), (r_lo, r_hi), xatol=1e-12)
         iterations += int(search.nit)
         best, best_value = clip(point(search.x)), float(search.fun)
 
     polish = minimize(
-        lambda z: _residual_kernel(_FLOAT_OPS, obs, *place(z)), [best[k] for k in free],
+        lambda z: score(*place(z)), [best[k] for k in free],
         maxiter=max_iter, maxfev=max_iter, xatol=1e-10, fatol=1e-14,
     )
     iterations += int(polish.nit)
@@ -443,13 +467,12 @@ def grid_oracle(
     heads = math.prod(shape[:lead])
     step = GRID_SLAB_CELLS // block
     best, best_value = 0, math.inf
+    score = _residual_kernel(_ARRAY_OPS, obs)
     for start in range(0, heads, step):
         mesh = np.ix_(np.arange(start, min(start + step, heads)), *axes[lead:])
         index = np.unravel_index(mesh[0], shape[:lead])
         with np.errstate(all="ignore"):
-            values = _residual_kernel(
-                _ARRAY_OPS, obs, *(axis[i] for axis, i in zip(axes, index)), *mesh[1:]
-            )
+            values = score(*(axis[i] for axis, i in zip(axes, index)), *mesh[1:])
         k = int(np.argmin(values))
         if values.flat[k] < best_value:
             best, best_value = start * block + k, float(values.flat[k])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -336,7 +337,13 @@ def cmd_sense(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after it.
+
+    Parsing leaves the parser as it was, so repeated main calls in one
+    process reuse it; it is not built at import, which every command pays.
+    """
     parser = argparse.ArgumentParser(
         prog="tsakit",
         description="Two-phase twisted string actuator toolkit",

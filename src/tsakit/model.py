@@ -212,19 +212,22 @@ class _Law(NamedTuple):
     slope_overtwist: np.ndarray  # per-coil shortening / 2 pi, |dL/dtheta| past it (mm/rad)
 
 
-def _law(ops, spec, load, twist, coils, r_eff, coil_diameter, coil_pitch, compliance):
+def _law(ops, initial_length, force, twist, coils, r_eff, coil_diameter, coil_pitch,
+         compliance):
     """The two-phase law, elementwise over floats or broadcasting arrays.
 
-    twist is the regular-phase twist, theta_star once it is passed, and
-    coils the coil count past theta_star. This is the one statement of
-    the law: twist_profile, effective_length and the calibration
-    endpoints all read it from here. ops is _FLOAT_OPS for Python floats
+    initial_length is the untwisted L0 (mm) and force the load's weight
+    (N), numbers that a caller scoring many points reads once. twist is
+    the regular-phase twist, theta_star once it is passed, and coils the
+    coil count past theta_star. This is the one statement of the law:
+    twist_profile, effective_length and the calibration endpoints all
+    read it from here. ops is _FLOAT_OPS for Python floats
     and _ARRAY_OPS for numpy floats and arrays; the body is the same and
     so are the bits. It checks nothing and sets no numpy error state;
     where the helix is wound past L_eff its values are NaN, and callers
     mask them.
     """
-    l_eff = spec.initial_length + compliance * load.force
+    l_eff = initial_length + compliance * force
     wound = twist * r_eff
     helix = ops.sqrt(l_eff * l_eff - wound * wound)
     circumference, shortening = _coil(ops, coil_diameter, coil_pitch)
@@ -236,8 +239,8 @@ def _law(ops, spec, load, twist, coils, r_eff, coil_diameter, coil_pitch, compli
 def effective_length(spec: StringSpec, params: TwoPhaseParams, load: LoadCase) -> float:
     """Untwisted length including the elastic stretch under load (mm)."""
     # The law's L_eff, read at zero twist.
-    return _law(_ARRAY_OPS, spec, load, 0.0, 0.0, params.r_eff, params.coil_diameter,
-                params.coil_pitch, params.compliance).l_eff
+    return _law(_ARRAY_OPS, spec.initial_length, load.force, 0.0, 0.0, params.r_eff,
+                params.coil_diameter, params.coil_pitch, params.compliance).l_eff
 
 
 def strain(length_mm: float, initial_length_mm: float) -> float:
@@ -287,7 +290,7 @@ def twist_profile(
     twist = np.where(over, params.theta_star, theta)
     coils = np.where(over, (theta - params.theta_star) / TWO_PI, 0.0)
     with np.errstate(all="ignore"):
-        law = _law(_ARRAY_OPS, spec, load, twist, coils,
+        law = _law(_ARRAY_OPS, spec.initial_length, load.force, twist, coils,
                    params.r_eff, params.coil_diameter, params.coil_pitch, params.compliance)
     bad = ~(theta >= 0) | (law.wound >= law.l_eff) | (law.coiled > law.helix)
     if bad.any():

@@ -370,12 +370,12 @@ class TestEndpointKernel:
         want = [oracle_residual(obs, point) for point in points]
         # On floats, as fit_two_phase scores its iterates.
         for point, expected in zip(points, want):
-            got = float(calibration._residual_kernel(model._FLOAT_OPS, obs, *point))
+            got = float(calibration._residual_kernel(model._FLOAT_OPS, obs)(*point))
             assert got.hex() == expected.hex()
         # On arrays, as grid_oracle scores its cells.
         columns = [np.array(column) for column in zip(*points)]
         with np.errstate(all="ignore"):
-            got = calibration._residual_kernel(model._ARRAY_OPS, obs, *columns).tolist()
+            got = calibration._residual_kernel(model._ARRAY_OPS, obs)(*columns).tolist()
         assert [v.hex() for v in got] == [v.hex() for v in want]
         # Through the public entry points, wherever a TwoPhaseParams exists.
         for point, expected in zip(points, want):
@@ -427,11 +427,11 @@ class TestEndpointKernel:
     def test_float_and_array_paths_agree_where_python_raises(self, name):
         kind, point, expected = self.EDGE_POINTS[name]
         obs = self.edge_observation(kind)
-        got = calibration._residual_kernel(model._FLOAT_OPS, obs, *point)
+        got = calibration._residual_kernel(model._FLOAT_OPS, obs)(*point)
         assert type(got) is float
         with np.errstate(all="ignore"):
-            columns = calibration._residual_kernel(
-                model._ARRAY_OPS, obs, *(np.array([v]) for v in point)
+            columns = calibration._residual_kernel(model._ARRAY_OPS, obs)(
+                *(np.array([v]) for v in point)
             ).tolist()
         assert got.hex() == columns[0].hex()
         if name != "regular_slope_underflows":

@@ -8,6 +8,7 @@ import configparser
 import csv
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from tsakit.cli import (
     EXIT_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    build_parser,
     main,
 )
 from tsakit.config import bundled_stiff_path, parse_config, read_experiment_log
@@ -866,6 +868,46 @@ class TestCalibrate:
             assert not out.exists()
 
 
+def test_one_parser_serves_repeated_calls(tmp_path, capsys):
+    # main builds its parser once per process. Each call in a run of them,
+    # argparse's own exit included, gives what it gives on a fresh parser.
+    def calibrate(*options):
+        return ["calibrate", bundled_stiff_path(), "--out", "params.ini", *options]
+
+    commands = [
+        calibrate(),
+        ["size", "10", "0.7"],
+        calibrate("--max-iter", "many"),  # argparse refuses it: SystemExit(2)
+        calibrate("--max-iter", "30"),
+        calibrate(),
+    ]
+
+    def run(argv, folder):
+        folder.mkdir(parents=True, exist_ok=True)
+        argv = [str(folder / arg) if arg == "params.ini" else arg for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = folder / "params.ini"
+        written = out.read_bytes() if out.exists() else None
+        return code, capsys.readouterr(), written
+
+    fresh = []
+    for k, argv in enumerate(commands):
+        build_parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh_{k}"))
+    build_parser.cache_clear()
+    parser = build_parser()
+    reused = [run(argv, tmp_path / f"reused_{k}") for k, argv in enumerate(commands)]
+    assert build_parser() is parser
+    assert reused == fresh
+    # Not vacuous: the calls differ from one another.
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, 2, EXIT_NO_CONVERGENCE, EXIT_OK]
+    assert "invalid int value: 'many'" in fresh[2][1].err
+    assert fresh[3][2] != fresh[4][2] == fresh[0][2]
+
+
 @pytest.mark.parametrize("command", ["simulate", "bicep"])
 def test_overflowing_coil_circumference_rejected(tmp_path, capsys, command):
     # pi * 1e308 mm overflows: every length would be NaN, written with exit 0.
@@ -942,6 +984,33 @@ class TestBicep:
             "bending angles do not fall as the string lengthens "
             "(least-squares slope of angle on length is not negative); "
             "the linkage angle falls with length, so such pairs are refused\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pairs, reason",
+        [
+            ("1:1e308, 2:-1.5e308, 3:1.7e308",
+             "bending angles are too large: "
+             "the fit's squared angle errors (deg^2) would overflow"),
+            ("1e308:1, 1.5e308:0, 1.7e308:-1",
+             "pairs are too large: the least-squares slope of angle on length overflows"),
+        ],
+        ids=["angles", "lengths"],
+    )
+    def test_pairs_near_the_float_limit_rejected(self, tmp_path, capsys, pairs, reason):
+        # Their slope once overflowed to NaN, which passed the falling-angle
+        # check, and the command printed numpy warnings and a 1e308 deg fit.
+        cfg = write(
+            tmp_path, self.bicep_config(f"pairs = {pairs}\ntheta_max_rev = 20\n"), "run.ini"
+        )
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert caught == []
+        assert capsys.readouterr() == (
+            "", f"error: bad value for bicep.pairs in {cfg}: '{pairs}'; {reason}\n"
         )
         assert not out.exists()
 

@@ -194,11 +194,12 @@ def bicep_pair_lists(draw):
 
     Whole numbers make repeated lengths and exact slopes common, lengths
     past 800 mm leave fit_bicep's arm lattice no admissible cell, and
-    angles reach 1e6 deg; near the float limit the slope and the fit
-    overflow with a RuntimeWarning.
+    either number may be any finite float, up to the float limit, where
+    the slope or the fit's squared errors would overflow.
     """
-    lengths = st.integers(-5, 300).map(float) | st.floats(-10.0, 1000.0)
-    angles = st.integers(-90, 200).map(float) | st.floats(-1e6, 1e6)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lengths = st.integers(-5, 300).map(float) | st.floats(-10.0, 1000.0) | finite
+    angles = st.integers(-90, 200).map(float) | st.floats(-1e6, 1e6) | finite
     pairs = draw(st.lists(st.tuples(lengths, angles), max_size=7))
     if pairs and draw(st.integers(0, 4)) == 0:
         k = draw(st.integers(0, len(pairs) - 1))

@@ -206,6 +206,39 @@ class TestNelderMead:
         assert_same_solution(ours, scipy_minimize(fun, x0))
 
 
+    # Objectives rounded to 0.01, from starts where every first value is
+    # distinct: the simplex is ranked a vertex at a time until its values
+    # tie, and from there on np.argsort ranks it, as in scipy. Ranking the
+    # new vertex into a ranked run that holds a tie would keep an order
+    # that argsort need not keep, which can leave scipy's path.
+    @pytest.mark.parametrize(
+        "fun, x0",
+        [
+            (rosenbrock, [0.5, -3.0, 4.5, 3.5]),
+            (quadratic([0.3, 1.0, 0.3, 0.5], [0.5, 10.0, 1.0, 10.0]), [-0.5, -2.0, -2.0, 0.5]),
+        ],
+        ids=["rosenbrock", "bowl"],
+    )
+    def test_ties_first_met_mid_run_match_scipy(self, fun, x0):
+        values = []
+
+        def rounded(x):
+            values.append(round(fun(x), 2))
+            return values[-1]
+
+        sorted_at, numpy_argsort = [], np.argsort
+
+        def argsort(a, *args, **kwargs):
+            sorted_at.append(len(values))  # evaluations so far
+            return numpy_argsort(a, *args, **kwargs)
+
+        with mock.patch.object(np, "argsort", argsort):
+            ours = _solvers.minimize(rounded, x0)
+        assert len(set(values[:len(x0) + 1])) == len(x0) + 1
+        assert len(x0) + 1 < sorted_at[0] < ours.nfev
+        assert_same_solution(ours, scipy_minimize(lambda x: round(fun(x), 2), x0))
+
+
 class TestBoundedBrent:
     @settings(max_examples=400)
     @given(
