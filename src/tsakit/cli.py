@@ -23,7 +23,9 @@ from .calibration import PENALTY_RESIDUAL, fit_two_phase, predict_endpoints
 from .errors import (
     ConfigError,
     ConvergenceError,
+    HelixLimitError,
     InputError,
+    NonInvertibleError,
     SingularConfigurationError,
     TrainingGateError,
     TriangleRangeError,
@@ -64,6 +66,11 @@ def _params_for(cfg: cfgmod.RunConfig):
     if not result.converged:
         raise ConvergenceError("calibration did not converge; try more iterations")
     return result.params
+
+
+def _law_sections(cfg: cfgmod.RunConfig) -> str:
+    """The config sections that the two-phase law's admissible twist rests on."""
+    return f"[string], [load] and [{'model' if cfg.model is not None else 'calibration'}]"
 
 
 def cmd_calibrate(args) -> int:
@@ -220,11 +227,14 @@ def cmd_simulate(args) -> int:
     _check_training_gate(cfg, spec, load, params, theta)
 
     pi = cfg.hysteresis
-    profile = twist_profile(spec, params, load, theta)
+    try:
+        profile = twist_profile(spec, params, load, theta)
+    except HelixLimitError as exc:
+        raise ConfigError(f"bad {_law_sections(cfg)} sections in {cfg.path}: {exc}") from exc
     if pi is None:
         lengths = profile.length
     else:
-        lengths = hysteretic_length(spec, params, load, pi, theta)
+        lengths = hysteretic_length(spec, params, load, pi, theta, profile.length)
 
     motor_speed = np.gradient(theta, times) if times.size > 1 else np.zeros_like(theta)
     phase = np.where(profile.overtwist, Phase.OVERTWIST.value, Phase.REGULAR.value)
@@ -318,6 +328,10 @@ def cmd_bicep(args) -> int:
     try:
         angles = bicep_mod.sweep(geometry, spec, params, load, grid)
         tensions = bicep_mod.string_tension(geometry, angles)
+    except HelixLimitError as exc:
+        raise ConfigError(
+            f"bad [bicep], {_law_sections(cfg)} sections in {cfg.path}: {exc}"
+        ) from exc
     except (TriangleRangeError, SingularConfigurationError) as exc:
         raise ConfigError(f"bad [bicep] section in {cfg.path}: {exc}") from exc
     out = args.out or "bicep_sweep.csv"
@@ -330,7 +344,10 @@ def cmd_sense(args) -> int:
     cfg = cfgmod.parse_config(args.config)
     params = _section(cfg, "sensing")
     log = cfgmod.read_experiment_log(args.log, required=("time_s", "resistance_ohm"))
-    strains = estimate_strain(params, log.resistance, log.time)
+    try:
+        strains = estimate_strain(params, log.resistance, log.time)
+    except NonInvertibleError as exc:
+        raise ConfigError(f"bad [sensing] section in {cfg.path}: {exc}") from exc
     out = args.out or "strain_estimate.csv"
     cfgmod.write_csv(out, ("time_s", "strain_pct"), (log.time, strains))
     print(f"wrote {len(log)} samples to {out}")

@@ -681,7 +681,7 @@ def _text_cells(column) -> np.ndarray:
         text = np.array(encoded, dtype=np.bytes_)
         cells = text.view(np.uint8).reshape(len(encoded), text.dtype.itemsize)
         sizes = np.array([len(cell) for cell in encoded])
-    cells[np.arange(cells.shape[1]) >= sizes[:, None]] = _PAD
+    np.copyto(cells, _PAD, where=np.arange(cells.shape[1]) >= sizes[:, None])
     return cells
 
 

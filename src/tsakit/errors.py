@@ -42,6 +42,10 @@ class DomainError(TsaError):
     """Kinematic quantity requested outside the model's admissible domain."""
 
 
+class HelixLimitError(DomainError):
+    """Twist that winds the regular helix past the string's effective length."""
+
+
 class CoilCapacityError(DomainError):
     """Twist angle beyond the point where coils consume the whole bundle.
 

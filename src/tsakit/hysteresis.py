@@ -16,12 +16,14 @@ One play step with threshold t is a clamp of the previous output,
 y_k = max(x_k - t, min(x_k + t, y_{k-1})). Clamps compose into clamps:
 applying [lo_a, hi_a] after [lo_b, hi_b] is the clamp to
 [max(lo_a, min(hi_a, lo_b)), max(lo_a, min(hi_a, hi_b))]. So the whole
-recursion is a prefix scan over clamp bounds, evaluated in log2(n)
-whole-array passes (see play_responses). Min and max only select one of
-their arguments, so the scan returns the recursion's own floats and never
-rounds; the one freedom is which of +0.0 and -0.0 a tie selects. Every
-column is scanned on its own, so a subset of the thresholds gives those
-columns of the full call bit for bit.
+recursion is a prefix scan over clamp bounds, evaluated in log2(r)
+whole-array passes over the r ends of the input's strictly monotone runs;
+inside a run each output is the clamp of the one at the run's start (see
+play_responses). Min and max only select one of their arguments, so the
+scan returns the recursion's own floats and never rounds; the one freedom
+is which of +0.0 and -0.0 a tie selects. The run ends depend on the
+inputs alone and every column is scanned on its own, so a subset of the
+thresholds gives those columns of the full call bit for bit.
 """
 
 from __future__ import annotations
@@ -116,17 +118,21 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     from states (one per threshold), or fresh at 0. Thresholds, inputs and
     states must be finite.
 
-    Row k is F_k(states) with F_k = f_k o ... o f_0, where f_j is the
-    clamp to [x_j - t, x_j + t]. A clamp is monotone, so f_a o f_b is the
-    clamp to [f_a(lo_b), f_a(hi_b)]; as lo_a <= hi_a, f_a(y) equals both
-    max(lo_a, min(hi_a, y)) and min(hi_a, max(lo_a, y)), and the scan uses
-    whichever form needs no extra buffer. A Hillis-Steele pass at stride s
-    composes each row's clamp with the one s rows earlier; after the passes
-    at s = 1, 2, 4, ... every row holds its whole prefix F_k. Each bound
-    stays one of the x_j -/+ t, selected and never recomputed, so the
-    outputs equal the recursion's exactly, up to which signed zero a tie
-    between +0.0 and -0.0 keeps. Work memory is three n x m arrays, the
-    result included.
+    Inside a strictly monotone run of inputs the play step never reads the
+    clamp bound behind the input: rising from a run end a, y_k = max(x_k -
+    t, y_a), and falling, y_k = min(x_k + t, y_a), both the clamp of y_a to
+    [x_k - t, x_k + t]. So the recursion runs only over the run ends (the
+    first and last samples, and every sample whose two steps do not share
+    a strict sign, plateaus included), in _clamp_scan, and each sample is
+    then the clamp of the output at the last run end at or before it. The
+    cost is O(n m) plus the scan's O(r m log2 r) over r run ends: a
+    triangle of c cycles has about 2c, and an input that turns at every
+    sample, such as white noise, makes every sample a run end and costs
+    the full scan plus a few O(n m) passes. Work memory is two n x m
+    arrays, the result included, and the scan's three r x m arrays.
+
+    Min and max only select, so the outputs equal the recursion's floats,
+    up to which signed zero a tie between +0.0 and -0.0 keeps.
     """
     t = _validate_thresholds(thresholds)
     xs = np.asarray(inputs, dtype=float)
@@ -135,6 +141,30 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise ParameterError("inputs must be finite")
     states = _validate_states(states, t)
+    up, down = xs[1:] > xs[:-1], xs[1:] < xs[:-1]
+    at_end = np.ones(xs.size, dtype=bool)
+    at_end[1:-1] = ~(up[1:] & up[:-1] | down[1:] & down[:-1])
+    ends = np.flatnonzero(at_end)
+    out = np.repeat(_clamp_scan(xs[ends], t, states), np.diff(ends, append=xs.size), axis=0)
+    bound = np.add.outer(xs, t)
+    np.minimum(bound, out, out=out)
+    np.subtract(xs[:, None], t, out=bound)
+    return np.maximum(bound, out, out=out)
+
+
+def _clamp_scan(xs: np.ndarray, t: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The play recursion over every sample of xs, as a doubling scan.
+
+    Row k is F_k(states) with F_k = f_k o ... o f_0, where f_j is the
+    clamp to [x_j - t, x_j + t]. A clamp is monotone, so f_a o f_b is the
+    clamp to [f_a(lo_b), f_a(hi_b)]; as lo_a <= hi_a, f_a(y) equals both
+    max(lo_a, min(hi_a, y)) and min(hi_a, max(lo_a, y)), and the scan uses
+    whichever form needs no extra buffer. A Hillis-Steele pass at stride s
+    composes each row's clamp with the one s rows earlier; after the passes
+    at s = 1, 2, 4, ... every row holds its whole prefix F_k. Each bound
+    stays one of the x_j -/+ t, selected and never recomputed. Work memory
+    is three n x m arrays, the result included.
+    """
     lo = np.subtract.outer(xs, t)
     hi = np.add.outer(xs, t)
     spare = np.empty_like(lo)
@@ -244,16 +274,18 @@ def hysteretic_length(
     load: LoadCase,
     model: PIModel,
     thetas,
+    backbone,
 ) -> np.ndarray:
     """Length sequence with the hysteresis correction applied (mm).
 
-    The backbone is the two-phase law; the correction is the weighted
-    stop operator sum driven by twist from the virgin state, so winding
-    branches sit above the backbone and unwinding branches below it.
-    Twist is in rad and the weights in mm per rad. Output is clamped to
-    (0, L_eff]. With all weights zero this is exactly the backbone.
+    The backbone is the two-phase law's length at each twist,
+    twist_profile(spec, params, load, thetas).length, which the caller
+    already holds; the correction is the weighted stop operator sum driven
+    by twist from the virgin state, so winding branches sit above the
+    backbone and unwinding branches below it. Twist is in rad and the
+    weights in mm per rad. Output is clamped to (0, L_eff]. With all
+    weights zero this is exactly the backbone.
     """
     xs = np.asarray(thetas, dtype=float)
-    backbone = twist_profile(spec, params, load, xs).length
     correction = (xs[:, None] - play_responses(model.thresholds, xs)) @ model.weights
     return np.clip(backbone + correction, LENGTH_FLOOR, effective_length(spec, params, load))

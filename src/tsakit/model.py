@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CoilCapacityError, DomainError, ParameterError
+from .errors import CoilCapacityError, DomainError, HelixLimitError, ParameterError
 from .units import TWO_PI, grams_to_newtons
 
 # Lower clamp used where a strictly positive length is required.
@@ -278,7 +278,7 @@ def twist_profile(
     revolution past it; the ratio is -theta * r_eff^2 / length in the
     regular phase and minus that shortening / 2 pi past theta_star. The
     first inadmissible sample raises, checked in this order: a negative
-    or NaN twist (DomainError), a helix wound past L_eff (DomainError),
+    or NaN twist (DomainError), a helix wound past L_eff (HelixLimitError),
     and coils that would consume more bundle than the regular phase left
     (CoilCapacityError, whose message states the largest admissible
     twist). The law knows nothing of training: the string is taken as
@@ -298,7 +298,7 @@ def twist_profile(
         if not theta.flat[k] >= 0:
             raise DomainError("twist must be nonnegative")
         if law.wound.flat[k] >= law.l_eff:
-            raise DomainError(
+            raise HelixLimitError(
                 "helix winding consumed the whole string before theta was reached"
             )
         limit = params.theta_star + TWO_PI * float(law.helix.flat[k]) / params.coil_circumference

@@ -7,7 +7,7 @@ what the kinematics tests check against geometric oracles.
 
 import math
 
-from tsakit.errors import CoilCapacityError, DomainError, ParameterError
+from tsakit.errors import CoilCapacityError, DomainError, HelixLimitError, ParameterError
 from tsakit.model import effective_length
 from tsakit.units import TWO_PI
 
@@ -45,7 +45,7 @@ def length_regular(spec, params, load, theta):
     l_eff = effective_length(spec, params, load)
     wound = theta * params.r_eff
     if wound >= l_eff:
-        raise DomainError(
+        raise HelixLimitError(
             "helix winding consumed the whole string before theta was reached"
         )
     return math.sqrt(l_eff * l_eff - wound * wound)
@@ -61,9 +61,9 @@ def length(spec, params, load, theta):
     """Axial length at any admissible twist (mm). Piecewise two-phase law.
 
     Past theta_star one coil forms per revolution. Raises DomainError for
-    a negative or NaN twist, and CoilCapacityError (stating the maximum
-    admissible twist) once the coils would consume more bundle than the
-    regular phase left over.
+    a negative or NaN twist, HelixLimitError for a helix wound past L_eff,
+    and CoilCapacityError (stating the maximum admissible twist) once the
+    coils would consume more bundle than the regular phase left over.
     """
     if not theta >= 0:  # NaN included
         raise DomainError("twist must be nonnegative")

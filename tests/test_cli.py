@@ -25,6 +25,7 @@ from tsakit.cli import (
     main,
 )
 from tsakit.config import bundled_stiff_path, parse_config, read_experiment_log
+from tsakit.errors import TsaError
 from tsakit.model import Material, StringSpec
 from tsakit.training import (
     DEFAULT_TRAINING_SHORTENING,
@@ -1123,6 +1124,45 @@ class TestBicep:
         assert not out.exists()
 
 
+HELIX_ERROR = "helix winding consumed the whole string before theta was reached"
+
+
+@pytest.mark.parametrize(
+    "argv, sections",
+    [(["simulate", "triangle:amplitude_rev=20,period_s=60,samples=41"],
+      "[string], [load] and [model]"),
+     (["bicep"], "[bicep], [string], [load] and [model]")],
+    ids=["simulate", "bicep"],
+)
+def test_helix_limit_names_the_file_and_sections(tmp_path, capsys, argv, sections):
+    # r_eff 2 mm winds the whole 214.3 mm string by 214.3 / 2 rad, about
+    # 17 rev: short of theta_star, and of the 20 and 30 rev swept.
+    lines = ["r_eff_mm = 2" if line == "r_eff_mm = 0.86" else line for line in README_CONFIG]
+    assert lines != README_CONFIG
+    cfg = write(tmp_path, "\n".join(lines) + "\n", "run.ini")
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: bad {sections} sections in {cfg}: {HELIX_ERROR}\n")
+    assert not out.exists()
+
+
+def test_helix_limit_of_calibrated_parameters_names_calibration(tmp_path, capsys):
+    # The fit keeps theta_star * r_eff below its row's string, not below a
+    # shorter [string] simulated with it.
+    cfg = write(
+        tmp_path,
+        CALIBRATED_CONFIG.replace("initial_length_mm = 214.3", "initial_length_mm = 30"),
+        "run.ini",
+    )
+    out = tmp_path / "out.csv"
+    argv = ["simulate", "triangle:amplitude_rev=20,period_s=60,samples=41"]
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", f"error: bad [string], [load] and [calibration] sections in {cfg}: {HELIX_ERROR}\n"
+    )
+    assert not out.exists()
+
+
 class TestSense:
     def test_round_trip_strain_estimate(self, tmp_path):
         cfg = write(tmp_path, SENSING_CONFIG, "run.ini")
@@ -1388,20 +1428,22 @@ class TestInputFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=mutated_readme_configs())
     def test_mutated_readme_config_is_read_alike_by_every_command(self, tmp_path, capsys, case):
-        # A config is valid or not whatever the command. A refusal that
-        # names the config is its read's, and every command gives the same
-        # one; without one, train, which has nothing to refuse past the
-        # read, runs.
+        # A config is valid or not whatever the command. A config that
+        # parse_config refuses gets that refusal from every command; one it
+        # reads lets train, which has nothing to refuse past the read, run.
+        # Run-time refusals name the config too, so only the read itself
+        # tells them apart.
         text, _ = case
         cfg = write(tmp_path, text, "run.ini")
         outcomes = {
             argv[0]: (code, captured.err.partition("\n")[0])
             for argv, code, captured, _ in run_config_commands(cfg, tmp_path / "out.csv", capsys)
         }
-        read = {line for code, line in outcomes.values() if code == EXIT_INPUT and cfg in line}
-        if read:
-            assert len(read) == 1, outcomes
-            assert set(outcomes.values()) == {(EXIT_INPUT, read.pop())}
+        try:
+            parse_config(cfg)
+        except TsaError as exc:
+            refusal = f"error: {exc}".partition("\n")[0]
+            assert set(outcomes.values()) == {(EXIT_INPUT, refusal)}, outcomes
         else:
             assert outcomes["train"][0] == EXIT_OK, outcomes
 
@@ -1506,5 +1548,18 @@ class TestInputFuzz:
         log = write(tmp_path, "\n".join(lines) + "\n", "log.csv")
         out = tmp_path / "strain.csv"
         assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error: recovered strain nan% at time ")
+        assert capsys.readouterr().err.startswith(
+            f"error: bad [sensing] section in {cfg}: recovered strain nan% at time "
+        )
+        assert not out.exists()
+
+    def test_cancelling_gain_names_the_file(self, tmp_path, capsys):
+        cfg = write(tmp_path, SENSING_CONFIG + "transient_gain_ohm_per_pct = 0.8\n", "run.ini")
+        out = tmp_path / "strain.csv"
+        argv = ["sense", str(DATA / "sense_log.csv"), "--config", cfg, "--out", str(out)]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: bad [sensing] section in {cfg}: sensitivity and transient gain "
+            "cancel; strain steps are unobservable\n"
+        )
         assert not out.exists()

@@ -90,9 +90,10 @@ TRIANGLE = "triangle:amplitude_rev=36,period_s=60,cycles=2,samples=401"
 PAST_CAPACITY = "triangle:amplitude_rev=45,period_s=60,samples=501"
 CAPACITY_ERROR = "error: twist 245.421 rad exceeds the coil capacity limit 245.246 rad\n"
 
-# The other errors of the law, each as simulate reports it: a theta_star of
-# 40 rev winds 0.86 mm * 40 rev past the 214.3 mm string, and 10 training
-# cycles leave the stiff string short of the uniform stage at 50.
+# The other errors of the law, each as simulate reports it, {config} being
+# the config path: a theta_star of 40 rev winds 0.86 mm * 40 rev past the
+# 214.3 mm string, and 10 training cycles leave the stiff string short of
+# the uniform stage at 50.
 LAW_ERRORS = {
     "negative_twist": (
         MODEL_CONFIG,
@@ -104,7 +105,8 @@ LAW_ERRORS = {
         MODEL_CONFIG.replace("theta_star_rev = 28.0", "theta_star_rev = 40.0"),
         PAST_CAPACITY,
         EXIT_INPUT,
-        "error: helix winding consumed the whole string before theta was reached\n",
+        "error: bad [string], [load] and [model] sections in {config}: "
+        "helix winding consumed the whole string before theta was reached\n",
     ),
     "training_gate": (
         MODEL_CONFIG + "\n[training]\ncycles = 10\ntrained_load_g = 2900\n",
@@ -164,7 +166,7 @@ def test_law_errors_word_for_word(tmp_path, capsys, name, extra):
     config_text, profile, exit_code, message = LAW_ERRORS[name]
     code, out = run_case(tmp_path, config_text + extra, ["simulate", profile])
     assert code == exit_code
-    assert capsys.readouterr().err == message
+    assert capsys.readouterr().err == message.format(config=tmp_path / "run.ini")
     assert not out.exists()
 
 

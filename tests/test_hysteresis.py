@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsakit import hysteresis
 from tsakit.errors import ParameterError, UnderdeterminedError
 from tsakit.hysteresis import (
     IllConditionedFit,
@@ -20,7 +21,14 @@ from tsakit.hysteresis import (
     play_responses,
 )
 from scalar_law import length
-from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
+from tsakit.model import (
+    LENGTH_FLOOR,
+    LoadCase,
+    Material,
+    StringSpec,
+    TwoPhaseParams,
+    twist_profile,
+)
 from tsakit.units import rev_to_rad
 
 
@@ -50,6 +58,12 @@ QUARTERS = st.integers(-400, 400).map(lambda k: k / 4)
 VALUES = st.one_of(QUARTERS, st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))
 
 
+# Ascending from 0, 1 to 8 of them, on the quarter grid or general.
+THRESHOLDS = st.lists(
+    st.one_of(st.integers(1, 40).map(lambda k: k / 4), st.floats(1e-3, 50.0)), max_size=7
+).map(lambda gaps: np.cumsum([0.0] + gaps))
+
+
 @st.composite
 def play_cases(draw):
     """Thresholds (1 to 8), inputs (0 to 2000 samples) and start states.
@@ -58,9 +72,7 @@ def play_cases(draw):
     repetition of segments: a plateau of one value, or a step of exactly
     one threshold up or down from the previous input.
     """
-    gap = st.one_of(st.integers(1, 40).map(lambda k: k / 4), st.floats(1e-3, 50.0))
-    gaps = draw(st.lists(gap, max_size=7))
-    thresholds = np.cumsum([0.0] + gaps)
+    thresholds = draw(THRESHOLDS)
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         steps = rng.integers(-8, 9, draw(st.integers(0, 2000))) / 4
@@ -83,6 +95,42 @@ def play_cases(draw):
         xs = np.tile(np.array(period, dtype=float), draw(st.integers(1, 30)))[:2000]
     states = np.array(draw(st.lists(VALUES, min_size=thresholds.size, max_size=thresholds.size)))
     return thresholds, xs, states
+
+
+@st.composite
+def run_cases(draw):
+    """Thresholds, inputs made of monotone runs, and start states.
+
+    The inputs join pieces of up to 300 samples: strictly rising or falling
+    runs, plateaus of one repeated value, and zigzags that turn at every
+    sample, so that long runs, plateaus and inputs of run ends alone all
+    occur; one case in five keeps only the first 0, 1 or 2 samples. Each
+    state lies outside the first sample's clamp, by up to 1e3.
+    """
+    thresholds = draw(THRESHOLDS)
+    step = st.one_of(st.integers(1, 8).map(lambda k: k / 4), st.floats(1e-3, 10.0))
+    pieces = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["up", "down", "flat", "zigzag"]), st.integers(1, 300), step),
+            max_size=12,
+        )
+    )
+    x = start = draw(VALUES)
+    xs = []
+    for kind, count, size in pieces:
+        for k in range(count):
+            sign = {"up": 1.0, "down": -1.0, "flat": 0.0, "zigzag": (-1.0) ** k}[kind]
+            x += sign * size
+            xs.append(x)
+    if draw(st.integers(0, 4)) == 0:
+        xs = xs[: draw(st.integers(0, 2))]
+    xs = np.array(xs, dtype=float)
+    first = xs[0] if xs.size else start
+    outside = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=thresholds.size,
+                                     max_size=thresholds.size)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=thresholds.size,
+                                   max_size=thresholds.size)))
+    return thresholds, xs, first + signs * (thresholds + outside)
 
 
 def has_negative_zero(*arrays):
@@ -204,6 +252,34 @@ class TestPlayScan:
             play_oracle(thresholds, xs, states),
             exact=not has_negative_zero(xs, states),
         )
+
+    @settings(max_examples=300)
+    @given(case=run_cases())
+    def test_monotone_runs_match_sequential_recursion(self, case):
+        thresholds, xs, states = case
+        assert_same_plays(
+            play_responses(thresholds, xs, states),
+            play_oracle(thresholds, xs, states),
+            exact=not has_negative_zero(xs, states),
+        )
+
+    def test_scan_gets_the_run_ends_alone(self, monkeypatch):
+        # A triangle of c cycles has a run end at its first and last sample
+        # and at each turn, about 2c: only those rows are scanned.
+        rows = []
+
+        def counting_scan(xs, t, states):
+            rows.append(xs.size)
+            return scan(xs, t, states)
+
+        scan = hysteresis._clamp_scan
+        monkeypatch.setattr(hysteresis, "_clamp_scan", counting_scan)
+        cycles = 4
+        xs = triangle(8.0, cycles, 250)
+        t, states = np.array([0.0, 1.0, 2.5]), np.array([0.0, 0.5, -3.0])
+        got = play_responses(t, xs, states)
+        assert len(rows) == 1 and rows[0] <= 2 * cycles + 2
+        assert got.tobytes() == play_oracle(t, xs, states).tobytes()
 
     def test_every_short_length(self):
         # Each scan depth up to 2**6 + 1 samples, from states that the
@@ -408,13 +484,36 @@ PARAMS = TwoPhaseParams(
 LOAD = LoadCase(mass=200.0)
 
 
+def law_length(thetas):
+    """The backbone that hysteretic_length corrects."""
+    return twist_profile(SPEC, PARAMS, LOAD, thetas).length
+
+
 class TestHystereticLength:
     def test_zero_weights_reproduce_backbone(self):
         thetas = rev_to_rad(triangle(20.0, 2, 40))
         model = PIModel(thresholds=np.array([0.0, 1.0, 2.0]), weights=np.zeros(3))
-        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         backbone = np.array([length(SPEC, PARAMS, LOAD, float(t)) for t in thetas])
         assert out == pytest.approx(backbone, rel=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=2),
+        offset=st.floats(-300.0, 300.0),
+        periods=st.integers(1, 3),
+    )
+    def test_corrects_the_backbone_it_is_given(self, weights, offset, periods):
+        # The backbone is taken as given, not recomputed: any array gets
+        # the stop correction added and the clamp to (0, L_eff] applied.
+        thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
+        model = PIModel(thresholds=thresholds, weights=np.array([0.0, *weights]))
+        thetas = rev_to_rad(triangle(20.0, periods, 60))
+        backbone = law_length(thetas) + offset
+        stops = thetas[:, None] - play_oracle(thresholds, thetas, np.zeros(3))
+        want = np.clip(backbone + stops @ model.weights, LENGTH_FLOOR, 210.0 + 0.5 * LOAD.force)
+        got = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, backbone)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
     def test_loop_encloses_area(self):
         thetas = rev_to_rad(triangle(20.0, 1, 80))
@@ -422,7 +521,7 @@ class TestHystereticLength:
             thresholds=np.array([0.0, rev_to_rad(2.0), rev_to_rad(6.0)]),
             weights=np.array([0.0, 0.4, 0.4]),
         )
-        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         # theta rises then falls, so the path integral equals the area
         # between the winding branch (above) and the unwinding branch.
         area = float(np.trapezoid(out, thetas))
@@ -434,7 +533,7 @@ class TestHystereticLength:
             thresholds=np.array([0.0, rev_to_rad(3.0)]),
             weights=np.array([0.1, 0.5]),
         )
-        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         period = 60
         assert out[period : 2 * period] == pytest.approx(
             out[2 * period : 3 * period], abs=1e-9
@@ -448,8 +547,8 @@ class TestHystereticLength:
             thresholds=np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)]),
             weights=np.array([0.0, 0.3, 0.2]),
         )
-        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
-        again = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
+        again = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         assert again.tobytes() == lengths.tobytes()
         outputs = pi_apply(model, thetas)
         assert pi_apply(model, thetas).tobytes() == outputs.tobytes()
@@ -461,7 +560,7 @@ class TestHystereticLength:
             thresholds=np.array([0.0, rev_to_rad(1.0)]),
             weights=np.array([0.0, 500.0]),
         )
-        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        out = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         l_eff = 210.0 + 0.5 * LOAD.force
         assert np.all(out <= l_eff + 1e-9)
         assert np.all(out > 0.0)
@@ -503,7 +602,7 @@ class TestHystereticLength:
         assert fit_residual < backbone_residual
         # Replaying the identified model reproduces the data up to the
         # physical ceiling at the unloaded effective length.
-        replay = hysteretic_length(SPEC, PARAMS, LOAD, fitted, thetas)
+        replay = hysteretic_length(SPEC, PARAMS, LOAD, fitted, thetas, law_length(thetas))
         l_eff = 210.0 + PARAMS.compliance * LOAD.force
         assert replay == pytest.approx(np.minimum(observed, l_eff), abs=1e-9)
 
@@ -514,7 +613,7 @@ class TestHystereticLength:
         thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
         model = PIModel(thresholds=thresholds, weights=np.array([0.0, 0.3, 0.2]))
         thetas = rev_to_rad(triangle(20.0, 2, 200))
-        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         l_eff = 210.0 + PARAMS.compliance * LOAD.force
         assert np.count_nonzero(lengths == l_eff) > 0.05 * lengths.size
         fitted, residual = identify_length_correction(
@@ -544,6 +643,6 @@ class TestHystereticLength:
         thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
         model = PIModel(thresholds=thresholds, weights=np.array([0.0, w1, w2]))
         thetas = rev_to_rad(triangle(amplitude, periods, samples))
-        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas)
+        lengths = hysteretic_length(SPEC, PARAMS, LOAD, model, thetas, law_length(thetas))
         fitted, _ = identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, thresholds)
         assert fitted.weights == pytest.approx(model.weights, abs=1e-9)

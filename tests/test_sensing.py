@@ -455,7 +455,7 @@ class TestPlausibilityGate:
         code = main(["sense", str(log), "--config", str(config), "--out", str(out)])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: recovered strain ")
+        assert err.startswith(f"error: bad [sensing] section in {config}: recovered strain ")
         assert err.endswith(
             f" at time {first:g} s is outside (-100, 100)%; "
             "the sensing parameters do not explain this log\n"

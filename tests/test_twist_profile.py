@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsakit.errors import CoilCapacityError, DomainError, TsaError
+from tsakit.errors import CoilCapacityError, DomainError, HelixLimitError, TsaError
 from scalar_law import coil, length, max_theta
 from tsakit.model import LoadCase, Material, StringSpec, TwoPhaseParams, twist_profile
 from tsakit.units import TWO_PI, rev_to_rad
@@ -151,7 +151,7 @@ def test_helix_limit_is_a_domain_error(thetas):
     # theta_star past L_eff / r_eff: a sample past that limit is a helix
     # error, in the regular phase or past theta_star alike.
     past = TwoPhaseParams(r_eff=0.86, theta_star=300.0, coil_diameter=4.3, coil_pitch=2.6)
-    with pytest.raises(DomainError) as raised:
+    with pytest.raises(HelixLimitError) as raised:
         twist_profile(SPEC, past, LOAD, thetas)
     assert str(raised.value) == "helix winding consumed the whole string before theta was reached"
 
