@@ -125,11 +125,12 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     first and last samples, and every sample whose two steps do not share
     a strict sign, plateaus included), in _clamp_scan, and each sample is
     then the clamp of the output at the last run end at or before it. The
-    cost is O(n m) plus the scan's O(r m log2 r) over r run ends: a
-    triangle of c cycles has about 2c, and an input that turns at every
-    sample, such as white noise, makes every sample a run end and costs
-    the full scan plus a few O(n m) passes. Work memory is two n x m
-    arrays, the result included, and the scan's three r x m arrays.
+    cost is O(n m) plus the scan's O(r m log2 r) over r run ends. A
+    triangle of c cycles has about 2c; white noise turns at about two
+    samples in three; and an input that turns at every sample makes every
+    sample a run end, which costs the full scan plus a few O(n m) passes.
+    Work memory is the n x m result, a few n-long arrays and the scan's
+    three r x m arrays.
 
     Min and max only select, so the outputs equal the recursion's floats,
     up to which signed zero a tie between +0.0 and -0.0 keeps.
@@ -146,10 +147,11 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     at_end[1:-1] = ~(up[1:] & up[:-1] | down[1:] & down[:-1])
     ends = np.flatnonzero(at_end)
     out = np.repeat(_clamp_scan(xs[ends], t, states), np.diff(ends, append=xs.size), axis=0)
-    bound = np.add.outer(xs, t)
-    np.minimum(bound, out, out=out)
-    np.subtract(xs[:, None], t, out=bound)
-    return np.maximum(bound, out, out=out)
+    bound = np.empty_like(xs)
+    for threshold, column in zip(t, out.T):    # n-long passes, not n x m broadcasts
+        np.minimum(np.add(xs, threshold, out=bound), column, out=column)
+        np.maximum(np.subtract(xs, threshold, out=bound), column, out=column)
+    return out
 
 
 def _clamp_scan(xs: np.ndarray, t: np.ndarray, states: np.ndarray) -> np.ndarray:

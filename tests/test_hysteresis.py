@@ -105,7 +105,7 @@ def run_cases(draw):
     runs, plateaus of one repeated value, and zigzags that turn at every
     sample, so that long runs, plateaus and inputs of run ends alone all
     occur; one case in five keeps only the first 0, 1 or 2 samples. Each
-    state lies outside the first sample's clamp, by up to 1e3.
+    state lies on or outside the first sample's clamp, by up to 1e3.
     """
     thresholds = draw(THRESHOLDS)
     step = st.one_of(st.integers(1, 8).map(lambda k: k / 4), st.floats(1e-3, 10.0))
