@@ -47,6 +47,10 @@ CONSISTENCY_LIMIT_DEG = 1.5
 
 _SINGULAR_SIN = 1e-9
 
+# Longest arm (mm) of fit_bicep's 4 mm arm lattice, so the longest string
+# length any lattice cell closes on is twice this.
+_ARM_MAX = 400.0
+
 
 @dataclass(frozen=True)
 class BicepGeometry:
@@ -128,12 +132,12 @@ class BicepFit:
 def _pair_arrays(pairs):
     """(lengths, angles) of (string length mm, bending angle deg) pairs, validated.
 
-    Every refusal fit_bicep makes from the pairs alone is made here, so
-    that [bicep] pairs are refused when the config is read. Only "no
-    admissible geometry", which rests on fit_bicep's arm lattice, is left
-    to the fit. Numbers near the float limit are refused where the fit's
-    squared angle errors or the slope of angle on length would overflow,
-    so no pairs that pass make the fit overflow.
+    Every refusal fit_bicep makes is made here, so that [bicep] pairs are
+    refused when the config is read. Numbers near the float limit are
+    refused where the fit's squared angle errors or the slope of angle on
+    length would overflow, so no pairs that pass make the fit overflow.
+    A length longer than 2 * _ARM_MAX leaves fit_bicep's arm lattice no
+    admissible cell, and is refused last.
     """
     pts = np.array([(float(l), float(phi)) for l, phi in pairs], dtype=float).reshape(-1, 2)
     if len(pts) < 3:
@@ -166,6 +170,9 @@ def _pair_arrays(pairs):
             "the linkage angle falls with length, so such pairs are refused",
             field="pairs",
         )
+    if lengths.max() > 2.0 * _ARM_MAX:
+        raise UnderdeterminedError("no admissible geometry covers the observed lengths",
+                                   field="pairs")
     return lengths, angles
 
 
@@ -205,28 +212,28 @@ def fit_bicep(pairs, payload: float = 0.0, forearm_length: float = 0.0) -> Bicep
     and v >= l_max, with a <= b canonical. The admissible cells of a 4 mm
     arm lattice in (0, 400] mm are scored in one pass, ties going to the
     smallest (a, b), and the best starts one Nelder-Mead polish over the
-    box, so the fit never loses to a grid scan of that lattice. An optimum
-    on the folded (b - a = l_min) or fully extended (a + b = l_max)
-    boundary is a face of the box, and the reported arms admit every
-    observed length in floating point. When any observation misses by more
-    than 1.5 deg the linkage model cannot explain the data and the fit is
-    flagged inconsistent. The angle of every linkage strictly falls with
-    length, and as the arms grow every elbow flattens, so angles that do
-    not fall can pull the arms away without bound. By policy, pairs whose
-    least-squares slope of angle on length is not negative raise
-    UnderdeterminedError. The rule is not exact: some such pairs have a
-    finite best fit, and are refused all the same.
+    box, so the fit never loses to a grid scan of that lattice. A length
+    above 800 mm, on which no cell closes, raises UnderdeterminedError.
+    An optimum on the folded (b - a = l_min) or fully extended
+    (a + b = l_max) boundary is a face of the box, and the reported arms
+    admit every observed length in floating point. When any observation
+    misses by more than 1.5 deg the linkage model cannot explain the data
+    and the fit is flagged inconsistent. The angle of every linkage
+    strictly falls with length, and as the arms grow every elbow flattens,
+    so angles that do not fall can pull the arms away without bound. By
+    policy, pairs whose least-squares slope of angle on length is not
+    negative raise UnderdeterminedError. The rule is not exact: some such
+    pairs have a finite best fit, and are refused all the same.
     """
     lengths, angles = _pair_arrays(pairs)
     lo, hi = float(lengths.min()), float(lengths.max())
 
     # The a <= b half of the 4 mm lattice: the SSE is symmetric in
-    # the arms, bit for bit, so C-order ties already go to a <= b.
-    axis = np.arange(4.0, 400.0 + 1e-9, 4.0)
+    # the arms, bit for bit, so C-order ties already go to a <= b. As
+    # _pair_arrays refused hi > 2 * _ARM_MAX, a = b = _ARM_MAX is a cell.
+    axis = np.arange(4.0, _ARM_MAX + 1e-9, 4.0)
     a, b = np.meshgrid(axis, axis, indexing="ij")
     keep = (a <= b) & (b - a <= lo) & (hi <= a + b)
-    if not keep.any():
-        raise UnderdeterminedError("no admissible geometry covers the observed lengths")
     a, b = a[keep], b[keep]
     _, err = _fit_errors(a[:, None], b[:, None], lengths, angles)
     k = int(np.argmin(np.sum(err * err, axis=1)))

@@ -4,11 +4,12 @@ Characterizing a string pair yields a handful of endpoint measurements:
 contraction at the end of regular twisting, total contraction at full
 twist, and optionally peak speeds and torques per phase. This module
 turns those endpoints into TwoPhaseParams via a weighted normalized
-least squares residual, minimized inside a parameter box without random
-starts: the contraction endpoints fix every parameter but r_eff in
-closed form, a bounded 1-D search over r_eff follows, and one
-Nelder-Mead polish finishes the fit. A brute-force grid oracle provides
-an independent check of the solver.
+least squares residual, minimized without random starts inside one fixed
+box per observation (_box), which pins the pitch at the two-string
+bundle and a stiff string's compliance at 0. The contraction endpoints
+fix every parameter but r_eff in closed form, a bounded 1-D search over
+r_eff follows, and one Nelder-Mead polish finishes the fit. A
+brute-force grid oracle provides an independent check of the solver.
 
 The model endpoints come from the two-phase law as the model states it
 once, in model._law, the kernel twist_profile evaluates for simulate:
@@ -248,52 +249,27 @@ def residual(params: TwoPhaseParams, obs: ObservedEndpoints) -> float:
     return _residual_kernel(_FLOAT_OPS, obs)(*(float(getattr(params, n)) for n in PARAM_ORDER))
 
 
-@dataclass(frozen=True)
-class ParamBounds:
-    """Per-parameter closed intervals; a degenerate interval pins a value."""
+def _box(obs: ObservedEndpoints) -> tuple:
+    """The closed interval (lo, hi) of each parameter, in PARAM_ORDER, that
+    the fit searches for obs.
 
-    r_eff: tuple
-    theta_star: tuple          # rad
-    coil_diameter: tuple
-    coil_pitch: tuple
-    eta: tuple
-    compliance: tuple
-
-    def __post_init__(self):
-        for name in PARAM_ORDER:
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ParameterError(f"{name}: bounds must be finite")
-            if lo > hi:
-                raise ParameterError(f"{name}: lower bound exceeds upper bound")
-        if self.eta[0] <= 0 or self.eta[1] > 1:
-            raise ParameterError("eta bounds must lie in (0, 1]")
-        for name in ("r_eff", "theta_star", "coil_diameter"):
-            if getattr(self, name)[0] <= 0:
-                raise ParameterError(f"{name} bounds must be positive")
-        if self.coil_pitch[0] < 0 or self.compliance[0] < 0:
-            raise ParameterError("coil_pitch and compliance bounds must be nonnegative")
-
-    @classmethod
-    def default(cls, obs: ObservedEndpoints) -> "ParamBounds":
-        """Physically motivated box for a given observation."""
-        d = obs.spec.diameter
-        pitch = 2.0 * d  # close-packed coils: one pitch is the two-string bundle
-        theta_max = obs.theta_max
-        stiff = obs.spec.material is Material.STIFF
-        return cls(
-            r_eff=(d / 2.0, 2.0 * d),
-            theta_star=(0.02 * theta_max, 0.98 * theta_max),
-            coil_diameter=(0.5 * d, 10.0 * d),
-            coil_pitch=(pitch, pitch),
-            eta=(0.02, 1.0),
-            compliance=(0.0, 0.0) if stiff else (0.0, 5.0),
-        )
-
-    def arrays(self):
-        lo = np.array([getattr(self, n)[0] for n in PARAM_ORDER])
-        hi = np.array([getattr(self, n)[1] for n in PARAM_ORDER])
-        return lo, hi
+    r_eff lies within half and twice the string diameter d, theta_star
+    within 2 % and 98 % of theta_max, the coil diameter within 0.5 d and
+    10 d, and eta in [0.02, 1]. The pitch is pinned at the two-string
+    bundle, 2 d, and the compliance at 0 for a stiff string; a compliant
+    one may stretch up to 5 mm/N.
+    """
+    d = obs.spec.diameter
+    pitch = 2.0 * d  # close-packed coils: one pitch is the two-string bundle
+    theta_max = obs.theta_max
+    return (
+        (d / 2.0, 2.0 * d),
+        (0.02 * theta_max, 0.98 * theta_max),
+        (0.5 * d, 10.0 * d),
+        (pitch, pitch),
+        (0.02, 1.0),
+        (0.0, 0.0) if obs.spec.material is Material.STIFF else (0.0, 5.0),
+    )
 
 
 def params_from_vector(vector) -> TwoPhaseParams:
@@ -309,10 +285,10 @@ class FitResult:
     converged: bool
 
 
-def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
+def _reduction(obs: ObservedEndpoints):
     """Everything but r_eff in closed form, and the r_eff window.
 
-    At the pinned pitch and the lowest compliance, the regular
+    At the box's pinned pitch and lowest compliance, the regular
     contraction fixes theta_star * r_eff, the total contraction then
     fixes the per-coil shortening and so coil_diameter, and 1/eta is the
     least-squares fit of the torque endpoints. Returns point(r), the
@@ -323,7 +299,7 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
     l0, force, theta_max = obs.spec.initial_length, obs.load.force, obs.theta_max
     l1 = l0 * (1.0 - obs.contraction_regular_pct / 100.0)
     l_end = l0 * (1.0 - obs.contraction_total_pct / 100.0)
-    pitch, compliance = bounds.coil_pitch[0], bounds.compliance[0]
+    r_box, t_box, c_box, (pitch, _), (eta_lo, eta_hi), (compliance, _) = _box(obs)
     wound = math.sqrt((l0 + compliance * force) ** 2 - l1 * l1)  # theta_star * r_eff
     drop = TWO_PI * (l1 - l_end)  # per-coil shortening times the overtwist span
     torques = (obs.max_torque_regular_nm, obs.max_torque_overtwist_nm)
@@ -335,8 +311,8 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
         coil_diameter = math.sqrt((shortening + pitch) ** 2 - pitch * pitch) / math.pi
         slopes = (wound * r / l1, shortening / TWO_PI)
         q = [force * s * 1e-3 / t for s, t in zip(slopes, torques) if t is not None]
-        eta = sum(x * x for x in q) / sum(q) if any(q) else bounds.eta[1]
-        eta = min(max(eta, bounds.eta[0]), bounds.eta[1])
+        eta = sum(x * x for x in q) / sum(q) if any(q) else eta_hi
+        eta = min(max(eta, eta_lo), eta_hi)
         return [r, theta_star, coil_diameter, pitch, eta, compliance]
 
     def theta_star_at(coil_diameter):
@@ -344,15 +320,15 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
 
     # Each bound is monotone in theta_star = wound / r_eff.
     t_lo = max(
-        bounds.theta_star[0],
-        wound / bounds.r_eff[1],
-        theta_star_at(bounds.coil_diameter[0]),
-        theta_max - TWO_PI * l_end / pitch if pitch > 0 else 0.0,  # coil capacity
+        t_box[0],
+        wound / r_box[1],
+        theta_star_at(c_box[0]),
+        theta_max - TWO_PI * l_end / pitch,  # coil capacity
     )
     t_hi = min(
-        bounds.theta_star[1],
-        wound / bounds.r_eff[0],
-        theta_star_at(bounds.coil_diameter[1]),
+        t_box[1],
+        wound / r_box[0],
+        theta_star_at(c_box[1]),
     )
     # A window that rounding alone empties is the single point t_lo.
     if not (wound < l0 and 0.0 < t_lo <= t_hi * (1.0 + 1e-9)):
@@ -360,11 +336,7 @@ def _reduction(obs: ObservedEndpoints, bounds: ParamBounds):
     return point, wound / max(t_hi, t_lo), wound / t_lo
 
 
-def fit_two_phase(
-    obs: ObservedEndpoints,
-    bounds: ParamBounds | None = None,
-    max_iter: int = 4000,
-) -> FitResult:
+def fit_two_phase(obs: ObservedEndpoints, *, max_iter: int = 4000) -> FitResult:
     """Fit TwoPhaseParams to measured endpoints, deterministically.
 
     The contraction endpoints reduce the fit to r_eff alone (see
@@ -373,12 +345,10 @@ def fit_two_phase(
     polish over all free parameters, capped at max_iter iterations,
     then starts from the best point (from the box centre if the window
     is empty), and the better of the two is returned. Iterates are
-    projected onto the bounds box before being scored, so the returned
-    parameters always satisfy the bounds.
+    projected onto the box of _box(obs) before being scored, so the
+    returned parameters always lie in it.
     """
-    if bounds is None:
-        bounds = ParamBounds.default(obs)
-    lo, hi = (side.tolist() for side in bounds.arrays())
+    lo, hi = ([float(v) for v in side] for side in zip(*_box(obs)))
     free = [k for k in range(len(PARAM_ORDER)) if hi[k] > lo[k]]
 
     def clip(vector: list) -> list:
@@ -390,24 +360,18 @@ def fit_two_phase(
             clipped.append(b if v >= b else v)
         return clipped
 
-    if not free:
-        point = params_from_vector(lo)
-        value = residual(point, obs)
-        return FitResult(point, value, 0, value < PENALTY_RESIDUAL)
-
-    pinned = clip(lo)
     box = [(k, lo[k], hi[k]) for k in free]
 
     def place(z: list) -> list:
         # clip(z placed at the free coordinates of lo): the rest are pinned.
-        full = pinned.copy()
+        full = lo.copy()
         for (k, a, b), v in zip(box, z):
             v = a if v <= a else v
             full[k] = b if v >= b else v
         return full
 
     score = _residual_kernel(_FLOAT_OPS, obs)
-    point, r_lo, r_hi = _reduction(obs, bounds)
+    point, r_lo, r_hi = _reduction(obs)
     iterations = 0
     best, best_value = [0.5 * (a + b) for a, b in zip(lo, hi)], PENALTY_RESIDUAL
     if r_lo <= r_hi:
@@ -431,17 +395,15 @@ def fit_two_phase(
     )
 
 
-def grid_oracle(
-    obs: ObservedEndpoints, grid: dict, cell_cap: int = GRID_CELL_CAP
-) -> tuple[TwoPhaseParams, float]:
+def grid_oracle(obs: ObservedEndpoints, grid: dict) -> tuple[TwoPhaseParams, float]:
     """Exhaustive residual evaluation over an explicit parameter grid.
 
     grid maps each parameter name to the values to scan (singletons pin
     a parameter); every axis must be non-empty and finite. Refuses grids
-    above cell_cap. Cells are scored in slabs of at most GRID_SLAB_CELLS,
-    in the C order of the sorted axes, which is the lexicographic order of
-    the parameter tuples, and the first minimum wins: ties go to the
-    smallest parameter tuple.
+    above GRID_CELL_CAP cells before scoring any. Cells are scored in
+    slabs of at most GRID_SLAB_CELLS, in the C order of the sorted axes,
+    which is the lexicographic order of the parameter tuples, and the
+    first minimum wins: ties go to the smallest parameter tuple.
     """
     unknown = set(grid) - set(PARAM_ORDER)
     if unknown:
@@ -455,8 +417,8 @@ def grid_oracle(
             raise ParameterError(f"{name}: grid axis must be non-empty and finite")
     shape = tuple(axis.size for axis in axes)
     cells = math.prod(shape)
-    if cells > cell_cap:
-        raise GridCapError(f"grid has {cells} cells, above the cap of {cell_cap}")
+    if cells > GRID_CELL_CAP:
+        raise GridCapError(f"grid has {cells} cells, above the cap of {GRID_CELL_CAP}")
 
     # A slab is a run of `step` combinations of the leading axes, each with
     # the whole sub-grid of `block` cells over the trailing axes. Those

@@ -231,6 +231,15 @@ class TestFitBicep:
         with pytest.raises(UnderdeterminedError):
             fit_bicep([(215.0, 13.1), (215.0, 14.0), (135.0, 73.4)])
 
+    def test_rejects_lengths_past_the_arm_lattice(self):
+        # The 4 mm lattice's longest arms, a = b = 400 mm, close on at most
+        # 800 mm; pairs up to that length start the polish from a cell.
+        with pytest.raises(
+            UnderdeterminedError, match="^no admissible geometry covers the observed lengths$"
+        ):
+            fit_bicep([(900.0, 40.0), (950.0, 30.0), (800.5, 50.0)])
+        assert fit_bicep([(700.0, 40.0), (750.0, 30.0), (800.0, 20.0)]).consistent
+
     def test_rejects_nonpositive_lengths(self):
         with pytest.raises(ParameterError):
             fit_bicep([(215.0, 13.1), (-135.0, 73.4), (68.0, 147.1)])

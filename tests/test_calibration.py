@@ -25,7 +25,6 @@ from tsakit.calibration import (
     WEIGHT_SECONDARY,
     FitResult,
     ObservedEndpoints,
-    ParamBounds,
     fit_two_phase,
     grid_oracle,
     params_from_vector,
@@ -64,26 +63,14 @@ def synth_obs(**kwargs):
     )
 
 
-def tight_bounds():
-    """A box around TRUTH with the unidentifiable axes pinned.
-
-    Coil pitch is pinned because only the per-coil shortening (a joint
-    function of coil diameter and pitch) reaches the endpoints; with
-    pitch fixed the remaining parameters are all identifiable.
-    """
-    return ParamBounds(
-        r_eff=(0.73, 0.99),
-        theta_star=(0.85 * THETA_STAR, 1.15 * THETA_STAR),
-        coil_diameter=(3.7, 4.9),
-        coil_pitch=(2.6, 2.6),
-        eta=(0.09, 0.13),
-        compliance=(0.0, 0.0),
-    )
+def box_sides(obs):
+    """The fit's (lo, hi) parameter vectors for obs, in PARAM_ORDER."""
+    return np.array(calibration._box(obs)).T
 
 
 @st.composite
 def stiff_rows(draw):
-    """Noise-free stiff endpoints from parameters inside their default box.
+    """Noise-free stiff endpoints from parameters inside the fit's box.
 
     theta_max lies between theta_star and the coil capacity, so the
     generating parameters are feasible and reach a residual of zero.
@@ -103,10 +90,48 @@ def stiff_rows(draw):
     fraction = draw(st.floats(0.05, 0.95))
     theta_max = truth.theta_star + fraction * (capacity - truth.theta_star)
     obs = endpoints_from_params(spec, truth, load, rad_to_rev(theta_max))
-    lo, hi = ParamBounds.default(obs).arrays()
+    lo, hi = box_sides(obs)
     vector = params_vector(truth)
     assume(np.all((lo <= vector) & (vector <= hi)))
     return truth, obs
+
+
+def face_rows(count):
+    """count seeded stiff rows with 3 % noise on every endpoint, from
+    parameters on a face of the fit's box: r_eff, the coil diameter or eta
+    at one end of its interval. The optimum then lies at or past the face,
+    where the polish often steps outside the box.
+    """
+    rng = np.random.default_rng(0)
+    rows = []
+    while len(rows) < count:
+        d = rng.uniform(0.5, 2.5)
+        spec = StringSpec(diameter=d, initial_length=rng.uniform(100.0, 400.0))
+        load = LoadCase(mass=rng.uniform(100.0, 5000.0))
+        sides = {"r_eff": (d / 2.0, 2.0 * d), "coil_diameter": (0.5 * d, 10.0 * d),
+                 "eta": (0.02, 1.0)}
+        values = {name: rng.uniform(*side) for name, side in sides.items()}
+        face = rng.choice(list(sides))
+        values[face] = sides[face][rng.integers(2)]
+        truth = TwoPhaseParams(
+            theta_star=rng.uniform(0.05, 0.95) * spec.initial_length / values["r_eff"],
+            coil_pitch=2.0 * d,
+            **values,
+        )
+        capacity = max_theta(spec, truth, load)
+        theta_max = truth.theta_star + rng.uniform(0.05, 0.95) * (capacity - truth.theta_star)
+        exact = endpoints_from_params(spec, truth, load, rad_to_rev(theta_max), 1.0)
+        noisy = {
+            name: value * (1.0 + 0.03 * rng.uniform(-1.0, 1.0))
+            for name, value in vars(exact).items()
+            if name.startswith(("contraction", "max_"))
+        }
+        try:
+            rows.append(ObservedEndpoints(spec, load, exact.theta_max_rev,
+                                          motor_speed_rev_s=1.0, **noisy))
+        except ParameterError:    # noise crossed the regular and total contractions
+            pass
+    return rows
 
 
 def oracle_residual(obs, point):
@@ -462,56 +487,21 @@ class TestEndpointKernel:
         assert [TwoPhaseParams(1.0, 1.0, d, 2.6).coil_circumference for d in diameters[:1000].tolist()] == expected[:1000]
 
 
-class TestParamBounds:
-    def test_rejects_inverted_interval(self):
-        with pytest.raises(ParameterError):
-            ParamBounds(
-                r_eff=(1.0, 0.5),
-                theta_star=(1.0, 2.0),
-                coil_diameter=(1.0, 2.0),
-                coil_pitch=(0.0, 1.0),
-                eta=(0.1, 1.0),
-                compliance=(0.0, 1.0),
-            )
+class TestBox:
+    def test_pins_pitch_and_stiff_compliance(self):
+        # Each interval as stated, the pitch pinned at the two-string bundle.
+        obs = synth_obs()
+        d, theta_max = 1.3, obs.theta_max
+        assert calibration._box(obs) == (
+            (d / 2.0, 2.0 * d),
+            (0.02 * theta_max, 0.98 * theta_max),
+            (0.5 * d, 10.0 * d),
+            (2.0 * d, 2.0 * d),
+            (0.02, 1.0),
+            (0.0, 0.0),
+        )
 
-    @pytest.mark.parametrize("eta", [(0.0, 1.0), (0.1, 1.5)])
-    def test_rejects_eta_outside_unit_interval(self, eta):
-        with pytest.raises(ParameterError):
-            ParamBounds(
-                r_eff=(0.5, 1.0),
-                theta_star=(1.0, 2.0),
-                coil_diameter=(1.0, 2.0),
-                coil_pitch=(0.0, 1.0),
-                eta=eta,
-                compliance=(0.0, 1.0),
-            )
-
-    def test_rejects_negative_lower_bounds(self):
-        with pytest.raises(ParameterError):
-            ParamBounds(
-                r_eff=(0.5, 1.0),
-                theta_star=(1.0, 2.0),
-                coil_diameter=(1.0, 2.0),
-                coil_pitch=(-0.1, 1.0),
-                eta=(0.1, 1.0),
-                compliance=(0.0, 1.0),
-            )
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", PARAM_ORDER)
-    @pytest.mark.parametrize("side", [0, 1])
-    def test_rejects_non_finite_bound_by_name(self, name, side, bad):
-        interval = list(getattr(tight_bounds(), name))
-        interval[side] = bad
-        with pytest.raises(ParameterError, match=f"^{name}: bounds must be finite$"):
-            dataclasses.replace(tight_bounds(), **{name: tuple(interval)})
-
-    def test_default_pins_pitch_and_stiff_compliance(self):
-        bounds = ParamBounds.default(synth_obs())
-        assert bounds.coil_pitch[0] == bounds.coil_pitch[1] > 0
-        assert bounds.compliance == (0.0, 0.0)
-
-    def test_default_frees_compliance_for_compliant_strings(self):
+    def test_frees_compliance_for_compliant_strings(self):
         spec = StringSpec(
             diameter=1.05, initial_length=210.0, material=Material.COMPLIANT, ply=6
         )
@@ -522,8 +512,7 @@ class TestParamBounds:
             contraction_regular_pct=11.25,
             contraction_total_pct=58.14,
         )
-        bounds = ParamBounds.default(obs)
-        assert bounds.compliance[1] > bounds.compliance[0] == 0.0
+        assert calibration._box(obs)[PARAM_ORDER.index("compliance")] == (0.0, 5.0)
 
 
 class TestVectorMapping:
@@ -534,7 +523,7 @@ class TestVectorMapping:
 class TestFit:
     def test_recovers_generating_params(self):
         obs = synth_obs()
-        fit = fit_two_phase(obs, tight_bounds())
+        fit = fit_two_phase(obs)
         assert isinstance(fit, FitResult)
         assert fit.converged
         assert fit.residual < 1e-20
@@ -543,37 +532,33 @@ class TestFit:
         scale = np.where(truth_vec == 0.0, 1.0, np.abs(truth_vec))
         assert np.all(np.abs(fitted_vec - truth_vec) / scale < 1e-6)
 
-    def test_zero_volume_bounds_short_circuit(self):
-        obs = synth_obs()
-        point = ParamBounds(
-            r_eff=(0.86, 0.86),
-            theta_star=(THETA_STAR, THETA_STAR),
-            coil_diameter=(4.3, 4.3),
-            coil_pitch=(2.6, 2.6),
-            eta=(0.11, 0.11),
-            compliance=(0.0, 0.0),
-        )
-        fit = fit_two_phase(obs, point)
-        assert fit.iterations == 0
-        assert fit.converged
-        assert fit.params == TRUTH
-        assert fit.residual == residual(TRUTH, obs)
+    def test_returned_params_lie_in_the_box(self, monkeypatch):
+        # Rows generated on a face of the box put the optimum at or past
+        # it, so the polish steps outside; the fit must clip its answer.
+        polished, solve = [], calibration.minimize
 
-    @pytest.mark.parametrize("r_eff", [(0.73, 0.80), (0.92, 0.99)])
-    def test_returned_params_lie_in_the_box(self, r_eff):
-        # TRUTH lies outside the r_eff interval, so the optimum presses
-        # against the box and the polish steps past it.
-        bounds = dataclasses.replace(tight_bounds(), r_eff=r_eff)
-        lo, hi = bounds.arrays()
-        fit = fit_two_phase(synth_obs(), bounds)
-        vector = params_vector(fit.params)
-        assert np.all(lo <= vector) and np.all(vector <= hi)
-        assert fit.residual == residual(fit.params, synth_obs())
+        def recording_minimize(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            polished.append(result.x)
+            return result
+
+        monkeypatch.setattr(calibration, "minimize", recording_minimize)
+        stepped_out = 0
+        for obs in face_rows(40):
+            lo, hi = box_sides(obs)
+            fit = fit_two_phase(obs)
+            vector = params_vector(fit.params)
+            assert np.all(lo <= vector) and np.all(vector <= hi)
+            assert fit.residual == residual(fit.params, obs)
+            free = hi > lo
+            stepped_out += bool(np.any(polished[-1] < lo[free]) or np.any(polished[-1] > hi[free]))
+        # The rows reach the clip: some polish ends outside the box.
+        assert stepped_out > 0
 
     def test_deterministic(self):
         obs = synth_obs()
-        first = fit_two_phase(obs, tight_bounds())
-        second = fit_two_phase(obs, tight_bounds())
+        first = fit_two_phase(obs)
+        second = fit_two_phase(obs)
         assert np.array_equal(
             params_vector(first.params), params_vector(second.params)
         )
@@ -618,19 +603,13 @@ class TestFit:
         for key in ("contraction_regular_pct", "contraction_total_pct"):
             assert pred[key] == pytest.approx(getattr(obs, key), rel=1e-6)
 
-    def test_infeasible_pinned_point_is_not_converged(self):
-        obs = synth_obs()
-        # theta_star past theta_max: the only point in the box is infeasible.
-        pinned = (rev_to_rad(2.0 * THETA_MAX_REV),) * 2
-        point = ParamBounds(
-            r_eff=(0.86, 0.86),
-            theta_star=pinned,
-            coil_diameter=(4.3, 4.3),
-            coil_pitch=(2.6, 2.6),
-            eta=(0.11, 0.11),
-            compliance=(0.0, 0.0),
-        )
-        fit = fit_two_phase(obs, point)
+    def test_infeasible_row_is_not_converged(self):
+        # A 99 % total contraction needs more coils than the box's coil
+        # diameters and pinned pitch can pack: every point in the box is
+        # infeasible, and the fit ends on the penalty plateau.
+        obs = dataclasses.replace(read_observations(bundled_stiff_path())[1],
+                                  contraction_total_pct=99.0)
+        fit = fit_two_phase(obs)
         assert fit.residual == PENALTY_RESIDUAL
         assert not fit.converged
 
@@ -666,18 +645,17 @@ class TestGridOracle:
         assert params.eta == 0.11
         assert value < 1e-12
 
-    def test_refuses_grids_above_cell_cap(self):
-        obs = synth_obs()
-        grid = {
-            "r_eff": [0.8, 0.86, 0.9],
-            "theta_star": [THETA_STAR * 0.9, THETA_STAR, THETA_STAR * 1.1],
-            "coil_diameter": [4.3],
-            "coil_pitch": [2.6],
-            "eta": [0.11],
-            "compliance": [0.0],
-        }
-        with pytest.raises(GridCapError):
-            grid_oracle(obs, grid, cell_cap=8)
+    def test_refuses_grids_above_cell_cap(self, monkeypatch):
+        # 15 values per axis: 11,390,625 cells, refused before any is scored.
+        def no_scoring(*args):
+            raise AssertionError("grid_oracle scored a refused grid")
+
+        monkeypatch.setattr(calibration, "_residual_kernel", no_scoring)
+        grid = {name: np.linspace(0.5, 1.0, 15) for name in PARAM_ORDER}
+        with pytest.raises(
+            GridCapError, match="^grid has 11390625 cells, above the cap of 10000000$"
+        ):
+            grid_oracle(synth_obs(), grid)
 
     def test_rejects_unknown_and_missing_parameters(self):
         obs = synth_obs()
@@ -758,6 +736,6 @@ class TestGridOracle:
         }
         _, grid_residual = grid_oracle(obs, grid)
         assert grid_residual == pytest.approx(2.5770535481582043e-3, rel=1e-9)
-        fit = fit_two_phase(obs, tight_bounds())
+        fit = fit_two_phase(obs)
         assert fit.residual <= grid_residual
         assert fit.residual < 1e-20

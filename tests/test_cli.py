@@ -323,6 +323,53 @@ class TestSimulate:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("triangle:amplitude_rev,period_s=1",
+             "bad profile option 'amplitude_rev'; expected key=value"),
+            ("triangle:amplitude_rev=x,period_s=1", "bad profile option value 'amplitude_rev=x'"),
+            ("triangle:amplitude_rev=10", "profile 'triangle' requires period_s"),
+            ("triangle:amplitude_rev=10,period_s=1,bogus=1", "unknown profile options ['bogus']"),
+            ("ramp:rate_rev_s=1,duration_s=1,cycles=2", "unknown profile options ['cycles']"),
+        ],
+    )
+    def test_generator_refusals_word_for_word(self, tmp_path, capsys, profile, message):
+        # [model] gives the parameters, which are resolved before the profile.
+        cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_blank_generator_token_is_skipped(self, tmp_path):
+        cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
+        written = []
+        for profile in ("triangle:amplitude_rev=10,,period_s=1", "triangle:amplitude_rev=10,period_s=1"):
+            out = tmp_path / f"sim{len(written)}.csv"
+            assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MODEL_CONFIG[: MODEL_CONFIG.index("[model]")],
+             "{cfg} gives no [model] parameters and no [calibration] observations "
+             "to fit them from"),
+            (CALIBRATED_CONFIG.replace("row = 2", "row = 9"),
+             "bad value for calibration.row in {cfg}: 9 is outside 1..3"),
+        ],
+        ids=["no-parameters", "row-outside-table"],
+    )
+    def test_calibration_row_refusals_word_for_word(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, text, "run.ini")
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "triangle:amplitude_rev=10,period_s=1", "--config", cfg]
+        assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message.format(cfg=cfg)}\n")
+        assert not out.exists()
+
     def test_unknown_profile_generator(self, tmp_path, capsys):
         cfg = write(tmp_path, MODEL_CONFIG, "run.ini")
         assert (
@@ -1031,6 +1078,23 @@ class TestBicep:
         assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert "fitted geometry: a " in capsys.readouterr().out
         assert len(read_csv_columns(str(out))["angle_deg"]) == 31
+
+    def test_pairs_past_the_arm_lattice_name_the_key(self, tmp_path, capsys):
+        # README's config with pairs no lattice cell closes on: refused
+        # when the file is read, before any fit or sweep.
+        pairs = "900:40, 950:30, 1000:20"
+        arms = ("a_mm", "b_mm", "gamma_deg")
+        lines = [line for line in README_CONFIG if line.split(" = ")[0] not in arms]
+        lines = [f"pairs = {pairs}" if line.startswith("; pairs = ") else line for line in lines]
+        cfg = write(tmp_path, "\n".join(lines) + "\n", "run.ini")
+        out = tmp_path / "sweep.csv"
+        assert main(["bicep", "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "",
+            f"error: bad value for bicep.pairs in {cfg}: '{pairs}'; "
+            "no admissible geometry covers the observed lengths\n",
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value, reason",

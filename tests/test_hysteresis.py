@@ -196,6 +196,10 @@ class TestPlayOperator:
         for x, y in zip(xs, play(1.7, xs)):
             assert abs(y - x) <= 1.7 + 1e-12
 
+    def test_two_dimensional_inputs_rejected(self):
+        with pytest.raises(ParameterError, match="^inputs must be a 1-d sequence$"):
+            play_responses([0.0, 1.0], np.zeros((4, 2)))
+
     def test_negative_threshold_rejected(self):
         with pytest.raises(ParameterError):
             play_responses([0.0, -0.1], [1.0])
@@ -451,6 +455,13 @@ class TestIdentification:
         with pytest.raises(ParameterError, match="targets must be finite"):
             pi_identify(xs, ys, np.array([0.0, 1.0, 2.0]))
 
+    def test_rejects_unequal_lengths(self):
+        xs = triangle(7.0, 2, 40)
+        with pytest.raises(
+            ParameterError, match="^inputs and targets must be 1-d sequences of equal length$"
+        ):
+            pi_identify(xs, xs[:-1], np.array([0.0, 1.0, 2.0]))
+
     def test_thresholds_start_at_zero(self):
         xs = triangle(7.0, 2, 40)
         with pytest.raises(ParameterError, match="first threshold must be 0"):
@@ -573,6 +584,15 @@ class TestHystereticLength:
         lengths[-1] = bad
         with pytest.raises(ParameterError, match="lengths must be finite"):
             identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths, thresholds)
+
+    def test_correction_rejects_unequal_lengths(self):
+        thresholds = np.array([0.0, rev_to_rad(2.0), rev_to_rad(5.0)])
+        thetas = rev_to_rad(triangle(20.0, 2, 60))
+        lengths = twist_profile(SPEC, PARAMS, LOAD, thetas).length
+        with pytest.raises(
+            ParameterError, match="^thetas and lengths must be 1-d sequences of equal length$"
+        ):
+            identify_length_correction(SPEC, PARAMS, LOAD, thetas, lengths[1:], thresholds)
 
     def test_correction_needs_a_positive_threshold(self):
         # The zero-threshold stop operator is identically 0, which leaves

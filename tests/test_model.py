@@ -271,6 +271,11 @@ class TestStrain:
     def test_arm_string_shortening(self):
         assert strain(135.0, 215.0) == pytest.approx(-37.2, abs=0.05)
 
+    @pytest.mark.parametrize("initial_length", [0.0, -214.3])
+    def test_nonpositive_initial_length_rejected(self, initial_length):
+        with pytest.raises(DomainError, match="^initial length must be positive$"):
+            strain(150.0, initial_length)
+
     def test_contraction_is_negated_strain(self):
         assert contraction(150.0, 200.0) == pytest.approx(25.0)
         assert contraction(150.0, 200.0) == -strain(150.0, 200.0)

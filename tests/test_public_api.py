@@ -25,7 +25,7 @@ import tsakit.cli as cli
 import tsakit.config as config
 import tsakit.model as model
 from tsakit.bicep import sweep
-from tsakit.calibration import ParamBounds
+from tsakit.calibration import fit_two_phase, grid_oracle
 from tsakit.errors import CoilCapacityError, TriangleRangeError
 from tsakit.hysteresis import PIModel, hysteretic_length
 from tsakit.model import TwoPhaseParams, twist_profile
@@ -78,6 +78,7 @@ GONE = [
     "BUNDLE_FACTOR_REGULAR",
     "BUNDLE_FACTOR_OVERTWIST",
     "coil_circumference",
+    "ParamBounds",
 ]
 
 # Class attributes deleted with the names above; TwoPhaseParams keeps its
@@ -133,12 +134,20 @@ def test_law_takes_no_training_state(function):
     assert "training" not in inspect.signature(function).parameters
 
 
-@pytest.mark.parametrize(
-    "owner, name", [(TwoPhaseParams, "validate_for"), (ParamBounds, "clip")]
-)
+@pytest.mark.parametrize("owner, name", [(TwoPhaseParams, "validate_for")])
 def test_law_checks_and_clip_live_in_one_place(owner, name):
-    # The endpoint mask holds validate_for's checks; the fit clips with its own bounds.
+    # The endpoint mask holds validate_for's checks.
     assert not hasattr(owner, name)
+
+
+def test_calibration_takes_no_box_or_cap():
+    # The fit searches the one box of its observation and grid_oracle
+    # refuses grids above GRID_CELL_CAP; a caller sets neither. An
+    # iteration cap is passed by name, so a stale positional box fails.
+    fit = inspect.signature(fit_two_phase).parameters
+    assert list(fit) == ["obs", "max_iter"]
+    assert fit["max_iter"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert list(inspect.signature(grid_oracle).parameters) == ["obs", "grid"]
 
 
 def test_law_rounding_is_stated_in_model_alone():

@@ -31,7 +31,7 @@ from oracles import endpoints_from_params
 from scalar_law import max_theta
 from tsakit import _solvers
 from tsakit.bicep import BicepGeometry, angle_from_length, fit_bicep
-from tsakit.calibration import ObservedEndpoints, ParamBounds, fit_two_phase
+from tsakit.calibration import ObservedEndpoints, fit_two_phase
 from tsakit.config import bundled_compliant_path, bundled_stiff_path, read_observations
 from tsakit.errors import ParameterError, UnderdeterminedError
 from tsakit.model import LoadCase, StringSpec, TwoPhaseParams
@@ -346,15 +346,12 @@ class TestFitsMatchScipy:
             with_scipy(fit_two_phase, obs, max_iter=max_iter),
         )
 
-    def test_pinned_box_and_capped_fit(self):
+    def test_capped_fit(self):
         obs = BUNDLED[1]
-        lo, hi = ParamBounds.default(obs).arrays()
-        pinned = ParamBounds(*zip(lo, np.where(np.arange(lo.size) < 2, lo, hi)))
-        for bounds in (pinned, None):
-            assert_same_fit(
-                fit_two_phase(obs, bounds, max_iter=3),
-                with_scipy(fit_two_phase, obs, bounds, max_iter=3),
-            )
+        assert_same_fit(
+            fit_two_phase(obs, max_iter=3),
+            with_scipy(fit_two_phase, obs, max_iter=3),
+        )
 
     @settings(max_examples=150)
     @given(
