@@ -100,7 +100,9 @@ class ObservedEndpoints:
     motor_speed_rev_s: float | None = None  # constant motor speed, if known
 
     def __post_init__(self):
-        if not 0.0 < self.theta_max_rev < math.inf:
+        # In radians, so that no theta_max_rev past about 2.9e307 overflows
+        # the fit's theta_star interval.
+        if not 0.0 < self.theta_max < math.inf:
             raise ParameterError("theta_max must be positive and finite")
         if not 0.0 < self.contraction_regular_pct < self.contraction_total_pct < 100.0:
             raise ParameterError(

@@ -514,6 +514,57 @@ class TestBox:
         )
         assert calibration._box(obs)[PARAM_ORDER.index("compliance")] == (0.0, 5.0)
 
+    @settings(max_examples=200)
+    @given(
+        diameter=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        length=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        theta_max_rev=st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    @pytest.mark.parametrize("material", list(Material))
+    def test_every_valid_observation_gives_a_closed_finite_box(
+        self, material, diameter, length, theta_max_rev
+    ):
+        # The box has no checks of its own: whatever StringSpec and
+        # ObservedEndpoints accept, down to subnormal and up to the float
+        # limit, gives six finite nonnegative intervals, eta within (0, 1].
+        try:
+            obs = ObservedEndpoints(
+                StringSpec(diameter=diameter, initial_length=length, material=material),
+                LOAD, theta_max_rev, contraction_regular_pct=29.0, contraction_total_pct=71.0,
+            )
+        except ParameterError:
+            assume(False)
+        box = calibration._box(obs)
+        assert len(box) == len(PARAM_ORDER)
+        for lo, hi in box:
+            assert 0.0 <= lo <= hi < math.inf
+        eta_lo, eta_hi = box[PARAM_ORDER.index("eta")]
+        assert 0.0 < eta_lo and eta_hi <= 1.0
+        pitch_lo, pitch_hi = box[PARAM_ORDER.index("coil_pitch")]
+        assert pitch_lo == pitch_hi == 2.0 * diameter
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("diameter", bad) for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+        + [("theta_max_rev", bad) for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+        # Finite in revolutions, infinite in radians.
+        + [("theta_max_rev", 1e308)],
+    )
+    def test_its_inputs_are_refused_by_name(self, field, bad):
+        # The box reads the string diameter and theta_max alone; a value
+        # that would give it an infinite, NaN or negative end is refused
+        # before any box exists.
+        with pytest.raises(ParameterError) as excinfo:
+            if field == "diameter":
+                StringSpec(diameter=bad, initial_length=214.3)
+            else:
+                dataclasses.replace(synth_obs(), theta_max_rev=bad)
+        if field == "diameter":
+            assert str(excinfo.value) == "string diameter must be positive and finite"
+            assert excinfo.value.field == "diameter"
+        else:
+            assert str(excinfo.value) == "theta_max must be positive and finite"
+
 
 class TestVectorMapping:
     def test_round_trip(self):
@@ -591,6 +642,30 @@ class TestFit:
             fit = fit_two_phase(obs)
             assert fit.converged
             assert fit.residual < PENALTY_RESIDUAL
+
+    @pytest.mark.parametrize(
+        "path, row",
+        [(bundled_stiff_path, 0), (bundled_stiff_path, 1), (bundled_stiff_path, 2),
+         (bundled_compliant_path, 0)],
+    )
+    def test_bundled_fits_lie_in_their_box(self, path, row):
+        # Stiff rows pin the compliance at 0; the compliant row may use
+        # its interval. The reported residual is that of the answer.
+        obs = read_observations(path())[row]
+        lo, hi = box_sides(obs)
+        fit = fit_two_phase(obs)
+        vector = params_vector(fit.params)
+        assert np.all(lo <= vector) and np.all(vector <= hi)
+        assert fit.residual == residual(fit.params, obs)
+
+    def test_iteration_cap_is_passed_by_name(self):
+        # A stale positional box, or a cap passed by position, fails at
+        # the call instead of becoming an iteration cap.
+        obs = synth_obs()
+        with pytest.raises(TypeError):
+            fit_two_phase(obs, 30)
+        # By name it caps the polish, which stops short of its tolerance.
+        assert not fit_two_phase(obs, max_iter=30).converged
 
     @settings(max_examples=100)
     @given(row=stiff_rows())

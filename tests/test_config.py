@@ -158,6 +158,32 @@ class TestParseConfig:
              "coil_diameter must give a finite coil circumference"),
             (FULL_CONFIG.replace("ply = 1", "ply = 0"), "string.ply", "0",
              "ply must be a positive integer"),
+            # Each checked key of [string], [load] and [model] by its own name:
+            # the field a check names must be the field it refuses.
+            (FULL_CONFIG.replace("diameter_mm = 1.3", "diameter_mm = nan"),
+             "string.diameter_mm", "nan", "string diameter must be positive and finite"),
+            (FULL_CONFIG.replace("diameter_mm = 1.3", "diameter_mm = -1"),
+             "string.diameter_mm", "-1", "string diameter must be positive and finite"),
+            (FULL_CONFIG.replace("initial_length_mm = 214.3", "initial_length_mm = inf"),
+             "string.initial_length_mm", "inf", "initial length must be positive and finite"),
+            (FULL_CONFIG.replace("initial_length_mm = 214.3", "initial_length_mm = 0"),
+             "string.initial_length_mm", "0", "initial length must be positive and finite"),
+            (FULL_CONFIG.replace("mass_g = 2900", "mass_g = nan"), "load.mass_g", "nan",
+             "load mass must be nonnegative and finite"),
+            (FULL_CONFIG.replace("mass_g = 2900", "mass_g = -5"), "load.mass_g", "-5",
+             "load mass must be nonnegative and finite"),
+            (FULL_CONFIG.replace("r_eff_mm = 0.86", "r_eff_mm = 0"), "model.r_eff_mm", "0",
+             "r_eff must be positive and finite"),
+            (FULL_CONFIG.replace("theta_star_rev = 28.0", "theta_star_rev = -1"),
+             "model.theta_star_rev", "-1", "theta_star must be positive and finite"),
+            (FULL_CONFIG.replace("coil_diameter_mm = 4.3", "coil_diameter_mm = -inf"),
+             "model.coil_diameter_mm", "-inf", "coil_diameter must be positive and finite"),
+            (FULL_CONFIG.replace("coil_pitch_mm = 2.6", "coil_pitch_mm = -0.5"),
+             "model.coil_pitch_mm", "-0.5", "coil_pitch must be nonnegative and finite"),
+            (FULL_CONFIG.replace("eta = 0.11", "eta = nan"), "model.eta", "nan",
+             "eta must lie in (0, 1]"),
+            (FULL_CONFIG.replace("compliance_mm_per_n = 0.0", "compliance_mm_per_n = inf"),
+             "model.compliance_mm_per_n", "inf", "compliance must be nonnegative and finite"),
             ("[sensing]\nr0_ohm = -1\nsensitivity_ohm_per_pct = -0.8\ntau_transient_s = 4.0\n",
              "sensing.r0_ohm", "-1", "baseline resistance must be positive and finite"),
             ("[training]\nthresholds = 6, 50, 11\n", "training.thresholds", "6, 50, 11",
