@@ -38,6 +38,7 @@ absolutely; they are what pins down the efficiency.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,33 +354,30 @@ def fit_two_phase(obs: ObservedEndpoints, *, max_iter: int = 4000) -> FitResult:
     lo, hi = ([float(v) for v in side] for side in zip(*_box(obs)))
     free = [k for k in range(len(PARAM_ORDER)) if hi[k] > lo[k]]
 
-    def clip(vector: list) -> list:
-        # np.minimum(np.maximum(v, lo), hi) per element: NaN passes
-        # through, and a tie takes the bound, signed zero included.
-        clipped = []
-        for v, a, b in zip(vector, lo, hi):
-            v = a if v <= a else v
-            clipped.append(b if v >= b else v)
-        return clipped
-
     box = [(k, lo[k], hi[k]) for k in free]
 
-    def place(z: list) -> list:
-        # clip(z placed at the free coordinates of lo): the rest are pinned.
+    def place(z) -> list:
+        # z at the free coordinates of lo, each clipped as np.minimum(
+        # np.maximum(v, lo), hi) clips: NaN passes through, and a tie takes
+        # the bound, signed zero included. The rest are pinned.
         full = lo.copy()
         for (k, a, b), v in zip(box, z):
             v = a if v <= a else v
             full[k] = b if v >= b else v
         return full
 
+    # point(r) holds the pinned values, so its free ones place it whole.
+    pick = operator.itemgetter(*free)
+
     score = _residual_kernel(_FLOAT_OPS, obs)
     point, r_lo, r_hi = _reduction(obs)
     iterations = 0
     best, best_value = [0.5 * (a + b) for a, b in zip(lo, hi)], PENALTY_RESIDUAL
     if r_lo <= r_hi:
-        search = minimize_scalar(lambda r: score(*clip(point(r))), (r_lo, r_hi), xatol=1e-12)
+        search = minimize_scalar(lambda r: score(*place(pick(point(r)))), (r_lo, r_hi),
+                                 xatol=1e-12)
         iterations += int(search.nit)
-        best, best_value = clip(point(search.x)), float(search.fun)
+        best, best_value = place(pick(point(search.x))), float(search.fun)
 
     polish = minimize(
         lambda z: score(*place(z)), [best[k] for k in free],

@@ -63,6 +63,11 @@ def _params_for(cfg: cfgmod.RunConfig):
         return cfg.model
     obs, options = cfgmod.calibration_row(cfg)
     result = fit_two_phase(obs, **options)
+    if result.residual >= PENALTY_RESIDUAL:    # on the plateau, where iterations never help
+        raise ConvergenceError(
+            f"calibration did not converge: no parameters in the fit's box explain "
+            f"the [calibration] row of {cfg.path}"
+        )
     if not result.converged:
         raise ConvergenceError("calibration did not converge; try more iterations")
     return result.params

@@ -16,6 +16,7 @@ import csv
 import functools
 import importlib.resources
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -245,6 +246,12 @@ def parse_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte, line = _bad_byte(path, exc)
+        where = "" if line is None else f" [line {line:2d}]"
+        raise ConfigError(
+            f"malformed config {path}: byte {byte:#04x} is not UTF-8 text{where}"
+        ) from exc
 
     sections = {}
     for section in parser.sections():
@@ -328,32 +335,59 @@ class ExperimentLog:
         return self.time.size
 
 
+def _bad_byte(path, exc) -> tuple:
+    """(byte, line) of the first byte of a file that is not UTF-8 text.
+
+    exc is the decoder's error, which knows the byte but not its line.
+    The line is found by reading the file again, and is None where the
+    file is not a regular one, such as a pipe, which cannot be read again.
+    """
+    line = None
+    if os.path.isfile(path):
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+            data.decode("utf-8")
+        except UnicodeDecodeError as again:
+            exc, line = again, len(data[: again.start + 1].splitlines())
+        except OSError:
+            pass
+    return exc.object[exc.start], line
+
+
 @contextlib.contextmanager
 def _csv_table(path, known, required):
     """The open file and a csv.DictReader past its checked header.
 
     Refuses an unreadable or empty file, then unknown, repeated and
-    missing column names, in that order, at line 1.
+    missing column names, in that order, at line 1; and a file that is
+    not UTF-8 text wherever the reader meets its first bad byte.
     """
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise CsvFormatError(f"{path} is empty; expected a header row")
-        unknown = set(header) - set(known)
-        if unknown:
-            raise CsvFormatError(f"{path}: unknown columns {sorted(unknown)}", line=1)
-        repeated = {name for name in header if header.count(name) > 1}
-        if repeated:
-            raise CsvFormatError(f"{path}: repeated columns {sorted(repeated)}", line=1)
-        missing = set(required) - set(header)
-        if missing:
-            raise CsvFormatError(f"{path}: missing required columns {sorted(missing)}", line=1)
-        yield handle, reader
+        try:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames
+            if header is None:
+                raise CsvFormatError(f"{path} is empty; expected a header row")
+            unknown = set(header) - set(known)
+            if unknown:
+                raise CsvFormatError(f"{path}: unknown columns {sorted(unknown)}", line=1)
+            repeated = {name for name in header if header.count(name) > 1}
+            if repeated:
+                raise CsvFormatError(f"{path}: repeated columns {sorted(repeated)}", line=1)
+            missing = sorted(set(required) - set(header))
+            if missing:
+                raise CsvFormatError(f"{path}: missing required columns {missing}", line=1)
+            yield handle, reader
+        except UnicodeDecodeError as exc:
+            byte, line = _bad_byte(path, exc)
+            raise CsvFormatError(
+                f"{path}: byte {byte:#04x} is not UTF-8 text", line=line
+            ) from exc
 
 
 def _rows(path, reader):
@@ -385,8 +419,9 @@ def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
     """
     with _csv_table(path, _LOG_COLUMNS, required) as (handle, reader):
         columns = None
-        if handle.seekable():    # a pipe cannot be rewound for the row validator
-            columns = _parsed_columns(handle, reader.fieldnames)
+        # numpy would open the path again, which a pipe does not allow.
+        if handle.seekable() and os.path.splitext(path)[1] not in _DECOMPRESSED:
+            columns = _parsed_columns(path, reader)
             if columns is None:
                 handle.seek(0)
                 reader = csv.DictReader(handle)
@@ -395,20 +430,36 @@ def read_experiment_log(path: str, required=("time_s",)) -> ExperimentLog:
     return ExperimentLog(**{_LOG_COLUMNS[name]: values for name, values in columns.items()})
 
 
-def _parsed_columns(handle, fieldnames):
+# Suffixes that numpy 2.4's np.loadtxt decompresses when it opens a path.
+# A log named so is plain text to the row validator, which alone reads it.
+_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _parsed_columns(path, reader):
     """The log body in one C-level parse, or None to validate it row by row.
 
-    Returns None whenever the body is anything but a non-empty table of
-    finite numbers, one per header column, with increasing time; the row
-    validator then defines the result or the error.
+    np.loadtxt is given the path, not the open handle: from a path its C
+    reader takes the text in chunks, while a handle is iterated line by
+    line as Python strings, which costs about a third more on a long log
+    for the same floats. The path is made absolute so that numpy never
+    reads it as a URL, and the parse skips the reader.line_num lines the
+    header took; a log named with a suffix of _DECOMPRESSED is never
+    given to it. Returns None whenever the body is anything but a
+    non-empty table of finite numbers, one per header column, with
+    increasing time, or is not UTF-8 text; the row validator then
+    defines the result or the error.
     """
+    fieldnames = reader.fieldnames
     if "time_s" not in fieldnames:
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # such as "input contained no data"
-            table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
-    except (ValueError, Warning):
+            table = np.loadtxt(
+                os.path.abspath(path), delimiter=",", comments=None, quotechar='"',
+                ndmin=2, skiprows=reader.line_num, encoding="utf-8",
+            )
+    except (OSError, ValueError, Warning):    # UnicodeDecodeError is a ValueError
         return None
     if table.shape[1] != len(fieldnames) or not np.isfinite(table).all():
         return None

@@ -121,16 +121,14 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     Inside a strictly monotone run of inputs the play step never reads the
     clamp bound behind the input: rising from a run end a, y_k = max(x_k -
     t, y_a), and falling, y_k = min(x_k + t, y_a), both the clamp of y_a to
-    [x_k - t, x_k + t]. So the recursion runs only over the run ends (the
-    first and last samples, and every sample whose two steps do not share
-    a strict sign, plateaus included), in _clamp_scan, and each sample is
-    then the clamp of the output at the last run end at or before it. The
-    cost is O(n m) plus the scan's O(r m log2 r) over r run ends. A
-    triangle of c cycles has about 2c; white noise turns at about two
-    samples in three; and an input that turns at every sample makes every
-    sample a run end, which costs the full scan plus a few O(n m) passes.
-    Work memory is the n x m result, a few n-long arrays and the scan's
-    three r x m arrays.
+    [x_k - t, x_k + t]. So the recursion runs only over the samples of
+    _run_ends, in _clamp_scan, and each sample is then the clamp of the
+    output at the last run end at or before it. The cost is O(n m) plus
+    the scan's O(r m log2 r) over r run ends. A triangle of c cycles has
+    about 2c; white noise turns at about two samples in three; and an
+    input that turns at every sample makes every sample a run end, which
+    costs the full scan plus a few O(n m) passes. Work memory is the n x m
+    result, a few n-long arrays and the scan's three r x m arrays.
 
     Min and max only select, so the outputs equal the recursion's floats,
     up to which signed zero a tie between +0.0 and -0.0 keeps.
@@ -142,16 +140,27 @@ def play_responses(thresholds, inputs, states=None) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise ParameterError("inputs must be finite")
     states = _validate_states(states, t)
-    up, down = xs[1:] > xs[:-1], xs[1:] < xs[:-1]
-    at_end = np.ones(xs.size, dtype=bool)
-    at_end[1:-1] = ~(up[1:] & up[:-1] | down[1:] & down[:-1])
-    ends = np.flatnonzero(at_end)
+    ends = _run_ends(xs)
     out = np.repeat(_clamp_scan(xs[ends], t, states), np.diff(ends, append=xs.size), axis=0)
     bound = np.empty_like(xs)
     for threshold, column in zip(t, out.T):    # n-long passes, not n x m broadcasts
         np.minimum(np.add(xs, threshold, out=bound), column, out=column)
         np.maximum(np.subtract(xs, threshold, out=bound), column, out=column)
     return out
+
+
+def _run_ends(xs: np.ndarray) -> np.ndarray:
+    """Indices of the ends of the strictly monotone runs of xs: the first
+    and last samples, and every sample whose two steps do not share a
+    strict sign, plateaus included.
+
+    play_responses scans its operators over these samples alone, and so
+    does sensing's floor search, which needs only where one operator turns.
+    """
+    up, down = xs[1:] > xs[:-1], xs[1:] < xs[:-1]
+    at_end = np.ones(xs.size, dtype=bool)
+    at_end[1:-1] = ~(up[1:] & up[:-1] | down[1:] & down[:-1])
+    return np.flatnonzero(at_end)
 
 
 def _clamp_scan(xs: np.ndarray, t: np.ndarray, states: np.ndarray) -> np.ndarray:

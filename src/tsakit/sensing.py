@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonInvertibleError, ParameterError
-from .hysteresis import play_responses
+from .hysteresis import _clamp_scan, _run_ends
 
 _MIN_POINTS = 3
 # Minimum cycle anchors before the saturating creep members are fitted.
@@ -103,10 +103,16 @@ def _affine_scan(c, u) -> np.ndarray:
     """
     c = np.array(c, dtype=float)
     s = np.array(u, dtype=float)
+    # Each pass writes into the other buffer of a pair, so that no
+    # operand overlaps its output, which numpy would first copy.
+    c_next, s_next = np.empty_like(c), np.empty_like(s)
     stride = 1
     while stride < s.size:
-        s[stride:] += c[stride:] * s[:-stride]
-        c[stride:] *= c[:-stride]
+        np.multiply(c[stride:], s[:-stride], out=s_next[stride:])
+        np.add(s_next[stride:], s[stride:], out=s_next[stride:])
+        np.multiply(c[stride:], c[:-stride], out=c_next[stride:])
+        s_next[:stride], c_next[:stride] = s[:stride], c[:stride]
+        s, s_next, c, c_next = s_next, s, c_next, c
         stride *= 2
     return s
 
@@ -161,20 +167,25 @@ def _cycle_anchors(v: np.ndarray) -> np.ndarray:
 
     One play operator of half-width h/2, started at the first sample and
     scanned alone, turns only after the trace reverses by h, so a floor
-    ends each of its downward runs. The last run may stop partway back to
-    slack, above the floor; it ends a floor only when it falls at least
-    _FALL_SHARE as deep as the run before it. The first
-    sample, a floor when the trace rises first, carries no cycling history
-    and counts only when fewer than two other floors exist.
+    ends each of its downward runs. Inside a strictly monotone run of the
+    trace the operator moves only the run's way, and if it moves at all,
+    it moves at the run's end; so it is scanned over the run ends alone,
+    found by the one helper play_responses uses too, and turns at the
+    same samples as over the whole trace. The last run may stop partway
+    back to slack, above the floor; it ends a floor only when it falls at
+    least _FALL_SHARE as deep as the run before it. The first sample, a
+    floor when the trace rises first, carries no cycling history and
+    counts only when fewer than two other floors exist.
     """
     h = 0.5 * min(np.max(np.maximum.accumulate(v) - v), np.max(v - np.minimum.accumulate(v)))
     if not h > 0:
         return np.empty(0, dtype=int)
-    steps = np.diff(play_responses([0.5 * h], v, states=[v[0]])[:, 0])
+    runs = _run_ends(v)
+    steps = np.diff(_clamp_scan(v[runs], [0.5 * h], [v[0]])[:, 0])
     moves = np.flatnonzero(steps)
     down = steps[moves] < 0
     last = np.append(down[:-1] != down[1:], True)
-    ends, falls = moves[last] + 1, down[last]
+    ends, falls = runs[moves[last] + 1], down[last]
     floors = ends[falls]
     depth = -np.diff(v[ends])[falls[1:]]
     if falls[-1] and depth.size >= 2 and depth[-1] < _FALL_SHARE * depth[-2]:

@@ -405,7 +405,34 @@ class TestSimulate:
             ]
         )
         assert code == EXIT_NO_CONVERGENCE
-        assert "converge" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: calibration did not converge; try more iterations\n"
+        )
+
+    def test_plateau_fit_is_not_sent_for_more_iterations(self, tmp_path, capsys):
+        # No point of the box explains 99 % total contraction for row 2,
+        # so the fit ends on the penalty plateau at any iteration cap.
+        with open(bundled_stiff_path(), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        cells = lines[2].split(",")
+        cells[7] = "99"
+        lines[2] = ",".join(cells)
+        observations = write(tmp_path, "\n".join(lines) + "\n", "obs.csv")
+        cfg = write(
+            tmp_path,
+            CALIBRATED_CONFIG.replace(bundled_stiff_path(), observations) + "max_iter = 100000\n",
+            "run.ini",
+        )
+        out = tmp_path / "sim.csv"
+        profile = "triangle:amplitude_rev=36,period_s=60,samples=41"
+        assert main(["simulate", profile, "--config", cfg, "--out", str(out)]) == (
+            EXIT_NO_CONVERGENCE
+        )
+        assert capsys.readouterr().err == (
+            "error: calibration did not converge: no parameters in the fit's box explain "
+            f"the [calibration] row of {cfg}\n"
+        )
+        assert not out.exists()
 
 
 # The README's bicep block, sweeping to theta_max_rev.
@@ -1360,6 +1387,58 @@ class TestSense:
 
 
 DATA = Path(__file__).parent / "data"
+
+
+def write_bad_byte(tmp_path, text, name, line):
+    """text in UTF-8 with byte 0xFF ending its line `line`; the path."""
+    lines = text.encode("utf-8").split(b"\n")
+    lines[line - 1] += b"\xff"
+    path = tmp_path / name
+    path.write_bytes(b"\n".join(lines))
+    return str(path)
+
+
+class TestNotUtf8:
+    # Each reader refuses a byte that is not UTF-8 at its line with exit
+    # 2, and writes nothing. A sense log's line 700 lies past the first
+    # chunk that its header's read decodes, so the one-pass parse meets
+    # the byte first and hands the body to the row validator.
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("sense", (DATA / "sense_log.csv").read_text(encoding="utf-8"), 1),
+            ("sense", (DATA / "sense_log.csv").read_text(encoding="utf-8"), 700),
+            ("calibrate", Path(bundled_stiff_path()).read_text(encoding="utf-8"), 1),
+            ("calibrate", Path(bundled_stiff_path()).read_text(encoding="utf-8"), 3),
+            ("simulate", "time_s,theta_rev\n0.0,0.0\n1.0,10.0\n2.0,20.0\n", 1),
+            ("simulate", "time_s,theta_rev\n0.0,0.0\n1.0,10.0\n2.0,20.0\n", 3),
+        ],
+    )
+    def test_csv_input(self, tmp_path, capsys, command, text, line):
+        data = write_bad_byte(tmp_path, text, "input.csv", line)
+        config = {"sense": SENSING_CONFIG, "simulate": MODEL_CONFIG}.get(command)
+        argv = [command, data]
+        if config:
+            argv += ["--config", write(tmp_path, config, "run.ini")]
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: line {line}: {data}: byte 0xff is not UTF-8 text\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_config(self, tmp_path, capsys, line):
+        cfg = write_bad_byte(tmp_path, SENSING_CONFIG, "run.ini", line)
+        log = write(tmp_path, "time_s,resistance_ohm\n0.0,120.0\n1.0,120.4\n", "log.csv")
+        out = tmp_path / "out.csv"
+        assert main(["sense", log, "--config", cfg, "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: malformed config {cfg}: byte 0xff is not UTF-8 text [line  {line}]\n"
+        )
+        assert not out.exists()
+
+
 README = Path(__file__).parents[1] / "README.md"
 # The README's configuration block, line by line, and its (line, section, key) entries.
 README_CONFIG = re.search(

@@ -10,6 +10,7 @@ import math
 import os
 import re
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -50,6 +51,9 @@ coil_pitch_mm = 2.6
 eta = 0.11
 compliance_mm_per_n = 0.0
 """
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, text, name="run.ini"):
@@ -491,6 +495,30 @@ class TestExperimentLog:
         assert log.time.tolist() == [0.0, 1.0]
         assert np.isnan(log.theta[0]) and log.theta[1] == 2.0
 
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix_reads_as_text(self, tmp_path, suffix):
+        # np.loadtxt would decompress a path with these suffixes, and fail on
+        # plain text; the row validator reads such a log as any other.
+        text = "time_s,theta_rev\n0.0,0.5\n1.0,2.0\n"
+        plain = read_experiment_log(write(tmp_path, text, name="log.csv"))
+        log = read_experiment_log(write(tmp_path, text, name="log.csv" + suffix))
+        assert log.time.tolist() == plain.time.tolist() == [0.0, 1.0]
+        assert log.theta.tolist() == plain.theta.tolist() == [0.5, 2.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_sense_log_takes_the_one_pass_parse(self, tmp_path, newline):
+        # The row validator costs about ten times the parse on a long log;
+        # a parse that silently fell back to it would show only as time.
+        lines = (DATA / "sense_log.csv").read_text(encoding="utf-8").splitlines()
+        path = write(tmp_path, newline.join(lines) + newline, name="log.csv")
+        with mock.patch.object(config_module, "_parsed_columns", return_value=None):
+            reference = read_experiment_log(path)
+        with mock.patch.object(config_module, "_validated_columns", side_effect=AssertionError):
+            log = read_experiment_log(path)
+        assert len(log) == len(lines) - 1
+        for field in ("time", "resistance", "force"):
+            assert getattr(log, field).tobytes() == getattr(reference, field).tobytes()
+
     @pytest.mark.parametrize(
         "header, message",
         [
@@ -598,8 +626,12 @@ def finite_logs(draw):
     return ",".join(header) + "\n" + "\n".join(lines) + "\n"
 
 
-GOOD_CELLS = ["0", "1.5", "-3e2", "2.5e-310", "-0", '"4"', " 7 "]
-BAD_CELLS = ["", " ", "nan", "inf", "-Infinity", "1e999", "1_0", "abc", "0x10", "1,5"]
+GOOD_CELLS = ["0", "1.5", "-3e2", "2.5e-310", "-0", '"4"', " 7 ", '"-3e2"', '" 1.5"']
+BAD_CELLS = ["", " ", "nan", "inf", "-Infinity", "1e999", "1_0", "abc", "0x10", "1,5",
+             '"1,5"', '""', '"2\n3"', '"7', '4"']
+# Line ends: the parse reads the path with universal newlines, the row
+# validator its handle with newline="", so a lone CR must end a row in both.
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
@@ -610,7 +642,7 @@ def malformed_logs(draw):
     ))
     required = ("time_s", *draw(st.lists(st.sampled_from(header), unique=True)))
     cells = st.sampled_from(GOOD_CELLS * 8 + BAD_CELLS)
-    lines = [",".join(header)]
+    lines = [",".join(f'"{name}"' if draw(st.integers(0, 3)) == 0 else name for name in header)]
     for i in range(draw(st.integers(0, 6))):
         row = [
             draw(st.sampled_from([str(i)] * 16 + BAD_CELLS + ["0"])) if name == "time_s"
@@ -622,8 +654,9 @@ def malformed_logs(draw):
         lines.append(",".join(row))
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "  "])))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + newline, required
+    newline = draw(st.sampled_from(LINE_ENDS))
+    ends = [draw(st.sampled_from([newline] * 8 + LINE_ENDS)) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends)), required
 
 
 def outcome(path, required):

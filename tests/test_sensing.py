@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsakit.errors import InputError, NonInvertibleError, ParameterError
+from tsakit.hysteresis import play_responses
 from tsakit.sensing import (
+    _FALL_SHARE,
     ResistanceParams,
+    _affine_scan,
     _cycle_anchors,
     creep_component,
     detrend_creep,
@@ -348,6 +351,76 @@ class TestScanMatchesLoop:
         assert_scan_matches(
             estimate_strain(params, r, times), loop_inversion(params, detrended, times)
         )
+
+
+def anchors_oracle(v):
+    """_cycle_anchors as a play operator over every sample finds them: its
+    floors end the output's last fall before each rise."""
+    h = 0.5 * min(np.max(np.maximum.accumulate(v) - v), np.max(v - np.minimum.accumulate(v)))
+    if not h > 0:
+        return []
+    steps = np.diff(play_responses([0.5 * h], v, states=[v[0]])[:, 0])
+    moves = np.flatnonzero(steps)
+    down = steps[moves] < 0
+    last = np.append(down[:-1] != down[1:], True)
+    ends, falls = moves[last] + 1, down[last]
+    floors = ends[falls].tolist()
+    depth = -np.diff(v[ends])[falls[1:]]
+    if falls[-1] and depth.size >= 2 and depth[-1] < _FALL_SHARE * depth[-2]:
+        floors.pop()
+    if len(floors) < 2 and not down[0]:
+        floors.insert(0, 0)
+    return floors
+
+
+def scan_oracle(c, u):
+    """The doubling scan with each pass in place, which numpy computes from
+    copies of the overlapped operands."""
+    c = np.array(c, dtype=float)
+    s = np.array(u, dtype=float)
+    stride = 1
+    while stride < s.size:
+        s[stride:] += c[stride:] * s[:-stride]
+        c[stride:] *= c[:-stride]
+        stride *= 2
+    return s
+
+
+@st.composite
+def floor_traces(draw):
+    """Cycling traces with noise and drift, or integer walks; rounding and
+    the walks' zero steps give plateaus, and repeated values ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2000))
+    if draw(st.booleans()):
+        return np.cumsum(rng.integers(-2, 3, n)).astype(float)
+    phase = np.linspace(0.0, draw(st.floats(0.2, 12.0)), n)
+    v = (
+        draw(st.floats(0.5, 8.0)) * (1.0 - np.cos(2.0 * np.pi * phase)) / 2.0
+        + draw(st.floats(-1.0, 1.0)) * phase
+        + draw(st.sampled_from([0.0, 0.003, 0.1, 1.0])) * rng.normal(size=n)
+    )
+    if draw(st.integers(0, 9)) < 3:
+        v = np.round(v, draw(st.integers(0, 2)))
+    return v
+
+
+class TestScansOverRunEnds:
+    @settings(max_examples=300, deadline=None)
+    @given(v=floor_traces())
+    def test_floors_match_a_scan_over_every_sample(self, v):
+        assert _cycle_anchors(v).tolist() == anchors_oracle(v)
+
+    @settings(max_examples=200)
+    @given(
+        size=st.integers(0, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        decay=st.sampled_from([(0.0, 1.0), (0.5, 1.0), (-1.5, 1.5)]),
+    )
+    def test_affine_scan_matches_in_place_passes_bit_for_bit(self, size, seed, decay):
+        rng = np.random.default_rng(seed)
+        c, u = rng.uniform(*decay, size), rng.normal(size=size)
+        assert _affine_scan(c, u).tobytes() == scan_oracle(c, u).tobytes()
 
 
 class TestCycleAnchorsAndRecovery:
